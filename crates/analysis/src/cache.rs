@@ -4,9 +4,10 @@
 //!
 //! The cache maps a [`view_key`] — an [`FxHasher`] chain over the
 //! profile's structural fingerprint, the metric, and the transform
-//! chain descriptor — to an `Arc`'d computed view. It is LRU-bounded
-//! and counts hits/misses so the CLI (and the editor extension above
-//! it) can surface cache effectiveness.
+//! chain descriptor — to an `Arc`'d computed view. It is LRU-bounded,
+//! coalesces identical in-flight requests, and counts hits, misses and
+//! coalesces so the CLI (`easyview stats`) and the EVP server can
+//! surface cache effectiveness.
 //!
 //! Keys hash profile *content* (tree shape, frames, metric values), so
 //! a mutated profile never aliases a stale entry; the fingerprint walk
@@ -47,16 +48,19 @@ fn coalesced_counter() -> &'static ev_trace::Counter {
 /// Default number of memoized views kept per cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
 
-/// Hit/miss counters and occupancy of a [`ViewCache`].
+/// Hit/miss/coalesce counters and occupancy of a [`ViewCache`], summed
+/// across its shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to compute.
+    /// Lookups that computed a new view.
     pub misses: u64,
-    /// Entries currently resident.
+    /// Lookups that waited on an identical in-flight computation.
+    pub coalesced: u64,
+    /// Entries currently resident across all shards.
     pub len: usize,
-    /// Maximum resident entries.
+    /// Maximum resident entries across all shards.
     pub capacity: usize,
 }
 
@@ -65,50 +69,24 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// An LRU-bounded memo table from [`view_key`]s to computed views.
-///
-/// Values are returned as `Arc<V>` so callers can hold a view while the
-/// cache evicts it. Eviction scans for the least-recently-used entry —
-/// linear, but capacities are small (tens of views).
-pub struct ViewCache<V> {
+/// One shard: an LRU-bounded memo table plus the gates of its
+/// in-flight computations. Eviction scans for the least-recently-used
+/// entry — linear, but a shard holds only a handful of views.
+struct Shard<V> {
     entries: HashMap<u64, Entry<V>, BuildHasherDefault<FxHasher>>,
+    pending: HashMap<u64, Arc<Gate<V>>, BuildHasherDefault<FxHasher>>,
     capacity: usize,
     tick: u64,
     hits: u64,
     misses: u64,
 }
 
-impl<V> ViewCache<V> {
-    /// A cache holding at most `capacity` views (at least 1).
-    pub fn new(capacity: usize) -> ViewCache<V> {
-        ViewCache {
-            entries: HashMap::default(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Returns the view under `key`, computing and inserting it with
-    /// `build` on a miss. Evicts the least-recently-used entry when
-    /// full.
-    pub fn get_or_insert_with(&mut self, key: u64, build: impl FnOnce() -> V) -> Arc<V> {
-        if let Some(value) = self.lookup(key) {
-            return value;
-        }
-        self.note_miss();
-        let value = Arc::new(build());
-        self.insert(key, Arc::clone(&value));
-        value
-    }
-
+impl<V> Shard<V> {
     /// Returns the view under `key` if resident, refreshing its LRU
     /// position and recording a hit. A `None` records nothing — the
-    /// caller decides whether the lookup becomes a miss
-    /// ([`ViewCache::note_miss`]) or is coalesced onto an in-flight
-    /// computation (see [`SharedViewCache`]).
-    pub fn lookup(&mut self, key: u64) -> Option<Arc<V>> {
+    /// caller decides whether the lookup becomes a miss or is
+    /// coalesced onto an in-flight computation.
+    fn lookup(&mut self, key: u64) -> Option<Arc<V>> {
         self.tick += 1;
         let entry = self.entries.get_mut(&key)?;
         entry.last_used = self.tick;
@@ -117,16 +95,9 @@ impl<V> ViewCache<V> {
         Some(Arc::clone(&entry.value))
     }
 
-    /// Records a miss the caller is about to fill via
-    /// [`ViewCache::insert`].
-    pub fn note_miss(&mut self) {
-        self.misses += 1;
-        miss_counter().inc();
-    }
-
     /// Inserts `value` under `key` as the most recently used entry,
     /// evicting the least-recently-used one when full.
-    pub fn insert(&mut self, key: u64, value: Arc<V>) {
+    fn insert(&mut self, key: u64, value: Arc<V>) {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             if let Some(&oldest) = self
@@ -147,30 +118,9 @@ impl<V> ViewCache<V> {
             },
         );
     }
-
-    /// Current hit/miss counters and occupancy.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            len: self.entries.len(),
-            capacity: self.capacity,
-        }
-    }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
-impl<V> Default for ViewCache<V> {
-    fn default() -> ViewCache<V> {
-        ViewCache::new(DEFAULT_CACHE_CAPACITY)
-    }
-}
-
-/// How many independently locked shards a [`SharedViewCache`] splits
+/// How many independently locked shards a [`ViewCache`] splits
 /// into. Power of two so the shard index is a mask of the (already
 /// well-mixed) [`view_key`] hash.
 const SHARD_COUNT: usize = 8;
@@ -194,15 +144,10 @@ struct Gate<V> {
     ready: Condvar,
 }
 
-struct Shard<V> {
-    cache: ViewCache<V>,
-    pending: HashMap<u64, Arc<Gate<V>>, BuildHasherDefault<FxHasher>>,
-}
-
 /// Removes the gate and marks it failed if the owner's build unwinds,
 /// so coalesced waiters recompute instead of blocking forever.
 struct GateGuard<'a, V> {
-    shared: &'a SharedViewCache<V>,
+    shared: &'a ViewCache<V>,
     key: u64,
     gate: &'a Arc<Gate<V>>,
     armed: bool,
@@ -219,57 +164,47 @@ impl<V> Drop for GateGuard<'_, V> {
     }
 }
 
-/// Aggregate statistics of a [`SharedViewCache`]: per-shard
-/// [`CacheStats`] summed, plus the number of coalesced requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SharedCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that computed a new view.
-    pub misses: u64,
-    /// Lookups that waited on an identical in-flight computation.
-    pub coalesced: u64,
-    /// Entries currently resident across all shards.
-    pub len: usize,
-    /// Maximum resident entries across all shards.
-    pub capacity: usize,
-}
-
-/// A concurrent, sharded [`ViewCache`] with request coalescing.
+/// An LRU-bounded, sharded memo table from [`view_key`]s to computed
+/// views, with request coalescing.
 ///
-/// Looks up and inserts through `&self`, so one instance can sit in
-/// front of the expensive view computations of a server shared by many
-/// threads. The key space is split across [`SHARD_COUNT`] independently
-/// locked shards; a lookup takes exactly one shard lock, and the build
-/// closure runs with **no** lock held, so a slow layout never blocks
-/// unrelated keys.
+/// Values are returned as `Arc<V>` so callers can hold a view while the
+/// cache evicts it. Looks up and inserts through `&self`, so one
+/// instance can sit in front of the expensive view computations of a
+/// server shared by many threads. The key space is split across
+/// [`SHARD_COUNT`] independently locked shards, each its own LRU; a
+/// lookup takes exactly one shard lock, and the build closure runs with
+/// **no** lock held, so a slow layout never blocks unrelated keys.
 ///
 /// Identical in-flight requests coalesce: the first requester of a
 /// missing key installs a *gate* and computes; later requesters of the
 /// same key park on the gate and share the `Arc`'d result when it
-/// lands (counted by `cache.coalesced` and
-/// [`SharedCacheStats::coalesced`]). If the owning build panics, the
-/// gate is marked failed and each waiter recomputes for itself —
-/// coalescing is an optimization, never a correctness dependency.
-pub struct SharedViewCache<V> {
+/// lands (counted by `cache.coalesced` and [`CacheStats::coalesced`]).
+/// If the owning build panics, the gate is marked failed and each
+/// waiter recomputes for itself — coalescing is an optimization, never
+/// a correctness dependency.
+pub struct ViewCache<V> {
     shards: Box<[Mutex<Shard<V>>]>,
     coalesced: AtomicU64,
 }
 
-impl<V> SharedViewCache<V> {
+impl<V> ViewCache<V> {
     /// A cache holding at most `capacity` views in total (rounded up to
     /// at least one per shard).
-    pub fn new(capacity: usize) -> SharedViewCache<V> {
+    pub fn new(capacity: usize) -> ViewCache<V> {
         let per_shard = capacity.div_ceil(SHARD_COUNT).max(1);
         let shards = (0..SHARD_COUNT)
             .map(|_| {
                 Mutex::new(Shard {
-                    cache: ViewCache::new(per_shard),
+                    entries: HashMap::default(),
                     pending: HashMap::default(),
+                    capacity: per_shard,
+                    tick: 0,
+                    hits: 0,
+                    misses: 0,
                 })
             })
             .collect();
-        SharedViewCache {
+        ViewCache {
             shards,
             coalesced: AtomicU64::new(0),
         }
@@ -285,13 +220,14 @@ impl<V> SharedViewCache<V> {
     pub fn get_or_insert_with(&self, key: u64, build: impl FnOnce() -> V) -> Arc<V> {
         let gate = {
             let mut shard = self.shard(key).lock().unwrap();
-            if let Some(value) = shard.cache.lookup(key) {
+            if let Some(value) = shard.lookup(key) {
                 return value;
             }
             if let Some(gate) = shard.pending.get(&key) {
                 Arc::clone(gate) // join the in-flight computation
             } else {
-                shard.cache.note_miss();
+                shard.misses += 1;
+                miss_counter().inc();
                 let gate = Arc::new(Gate {
                     state: Mutex::new(GateState::Waiting),
                     ready: Condvar::new(),
@@ -318,7 +254,7 @@ impl<V> SharedViewCache<V> {
                     drop(state);
                     let value = Arc::new(build());
                     let mut shard = self.shard(key).lock().unwrap();
-                    shard.cache.insert(key, Arc::clone(&value));
+                    shard.insert(key, Arc::clone(&value));
                     return value;
                 }
             }
@@ -337,7 +273,7 @@ impl<V> SharedViewCache<V> {
         let value = Arc::new(build());
         guard.armed = false;
         let mut shard = self.shard(key).lock().unwrap();
-        shard.cache.insert(key, Arc::clone(&value));
+        shard.insert(key, Arc::clone(&value));
         shard.pending.remove(&key);
         drop(shard);
         *gate.state.lock().unwrap() = GateState::Ready(Arc::clone(&value));
@@ -347,17 +283,17 @@ impl<V> SharedViewCache<V> {
 
     /// Aggregate hit/miss/coalesce counters and occupancy across all
     /// shards.
-    pub fn stats(&self) -> SharedCacheStats {
-        let mut total = SharedCacheStats {
+    pub fn stats(&self) -> CacheStats {
+        let mut total = CacheStats {
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            ..SharedCacheStats::default()
+            ..CacheStats::default()
         };
         for shard in &self.shards {
-            let stats = shard.lock().unwrap().cache.stats();
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.len += stats.len;
-            total.capacity += stats.capacity;
+            let shard = shard.lock().unwrap();
+            total.hits += shard.hits;
+            total.misses += shard.misses;
+            total.len += shard.entries.len();
+            total.capacity += shard.capacity;
         }
         total
     }
@@ -366,21 +302,21 @@ impl<V> SharedViewCache<V> {
     /// computations still publish).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().unwrap().cache.clear();
+            shard.lock().unwrap().entries.clear();
         }
     }
 }
 
-impl<V> Default for SharedViewCache<V> {
-    fn default() -> SharedViewCache<V> {
-        SharedViewCache::new(DEFAULT_CACHE_CAPACITY * SHARD_COUNT)
+impl<V> Default for ViewCache<V> {
+    fn default() -> ViewCache<V> {
+        ViewCache::new(DEFAULT_CACHE_CAPACITY)
     }
 }
 
-impl<V> fmt::Debug for SharedViewCache<V> {
+impl<V> fmt::Debug for ViewCache<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let stats = self.stats();
-        f.debug_struct("SharedViewCache")
+        f.debug_struct("ViewCache")
             .field("len", &stats.len)
             .field("capacity", &stats.capacity)
             .finish()
@@ -437,6 +373,7 @@ pub fn view_key(profile: &Profile, metric: MetricId, transforms: &[&str]) -> u64
 mod tests {
     use super::*;
     use ev_core::{Frame, MetricDescriptor, MetricKind, MetricUnit};
+    use std::sync::atomic::AtomicBool;
 
     fn profile(v: f64) -> Profile {
         let mut p = Profile::new("t");
@@ -453,7 +390,7 @@ mod tests {
     fn repeated_requests_hit() {
         let p = profile(5.0);
         let m = p.metric_by_name("cpu").unwrap();
-        let mut cache: ViewCache<usize> = ViewCache::new(8);
+        let cache: ViewCache<usize> = ViewCache::new(8);
         let key = view_key(&p, m, &["top_down"]);
         let a = cache.get_or_insert_with(key, || 41);
         let b = cache.get_or_insert_with(key, || 42);
@@ -488,16 +425,18 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        let mut cache: ViewCache<u64> = ViewCache::new(2);
+        // LRU order is kept per shard: keys 1, 9 and 17 share a shard,
+        // which holds two entries at this capacity.
+        let cache: ViewCache<u64> = ViewCache::new(2 * SHARD_COUNT);
         cache.get_or_insert_with(1, || 1);
-        cache.get_or_insert_with(2, || 2);
-        cache.get_or_insert_with(1, || 99); // touch 1 so 2 is LRU
-        cache.get_or_insert_with(3, || 3); // evicts 2
+        cache.get_or_insert_with(9, || 2);
+        cache.get_or_insert_with(1, || 99); // touch 1 so 9 is LRU
+        cache.get_or_insert_with(17, || 3); // evicts 9
         assert_eq!(cache.stats().len, 2);
         let v = cache.get_or_insert_with(1, || 11);
         assert_eq!(*v, 1, "1 survived");
-        let v = cache.get_or_insert_with(2, || 22);
-        assert_eq!(*v, 22, "2 was evicted and rebuilt");
+        let v = cache.get_or_insert_with(9, || 22);
+        assert_eq!(*v, 22, "9 was evicted and rebuilt");
     }
 
     #[test]
@@ -507,10 +446,10 @@ mod tests {
         let hits = ev_trace::counter_value("cache.hit");
         let misses = ev_trace::counter_value("cache.miss");
         let evicts = ev_trace::counter_value("cache.evict");
-        let mut cache: ViewCache<u64> = ViewCache::new(1);
+        let cache: ViewCache<u64> = ViewCache::new(1); // 1 per shard
         cache.get_or_insert_with(10, || 1); // miss
         cache.get_or_insert_with(10, || 1); // hit
-        cache.get_or_insert_with(11, || 2); // miss + evict
+        cache.get_or_insert_with(18, || 2); // miss + evict (same shard)
         assert!(ev_trace::counter_value("cache.hit") > hits);
         assert!(ev_trace::counter_value("cache.miss") >= misses + 2);
         assert!(ev_trace::counter_value("cache.evict") > evicts);
@@ -518,15 +457,15 @@ mod tests {
 
     #[test]
     fn arc_keeps_evicted_views_alive() {
-        let mut cache: ViewCache<String> = ViewCache::new(1);
+        let cache: ViewCache<String> = ViewCache::new(1); // 1 per shard
         let held = cache.get_or_insert_with(1, || "kept".to_owned());
-        cache.get_or_insert_with(2, || "evictor".to_owned());
+        cache.get_or_insert_with(9, || "evictor".to_owned()); // same shard
         assert_eq!(held.as_str(), "kept");
     }
 
     #[test]
     fn shared_cache_hits_and_misses_like_the_plain_one() {
-        let cache: SharedViewCache<u64> = SharedViewCache::new(16);
+        let cache: ViewCache<u64> = ViewCache::new(16);
         let a = cache.get_or_insert_with(1, || 41);
         let b = cache.get_or_insert_with(1, || 42);
         assert_eq!((*a, *b), (41, 41), "second request served from cache");
@@ -540,15 +479,18 @@ mod tests {
 
     #[test]
     fn shared_cache_coalesces_identical_inflight_requests() {
-        let cache: SharedViewCache<u64> = SharedViewCache::new(16);
-        let cache = &cache;
+        let cache: ViewCache<u64> = ViewCache::new(16);
+        let building = AtomicBool::new(false);
+        let (cache, building) = (&cache, &building);
         let value = std::thread::scope(|s| {
             let owner = s.spawn(move || {
                 cache.get_or_insert_with(7, || {
-                    // Deterministic overlap: hold the build open until a
-                    // second requester has registered as coalesced.
+                    // Deterministic overlap: the waiter starts only once
+                    // this build is in flight, and the build stays open
+                    // until the waiter has registered as coalesced.
                     // Waiters bump the counter *before* parking, so this
                     // terminates.
+                    building.store(true, Ordering::SeqCst);
                     while cache.stats().coalesced == 0 {
                         std::thread::yield_now();
                     }
@@ -556,6 +498,9 @@ mod tests {
                 })
             });
             let waiter = s.spawn(move || {
+                while !building.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
                 cache.get_or_insert_with(7, || panic!("waiter must coalesce, not recompute"))
             });
             let a = owner.join().unwrap();
@@ -572,12 +517,14 @@ mod tests {
 
     #[test]
     fn failed_build_releases_waiters_to_recompute() {
-        let cache: SharedViewCache<u64> = SharedViewCache::new(16);
-        let cache = &cache;
+        let cache: ViewCache<u64> = ViewCache::new(16);
+        let building = AtomicBool::new(false);
+        let (cache, building) = (&cache, &building);
         std::thread::scope(|s| {
             let owner = s.spawn(move || {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     cache.get_or_insert_with(9, || {
+                        building.store(true, Ordering::SeqCst);
                         while cache.stats().coalesced == 0 {
                             std::thread::yield_now();
                         }
@@ -586,7 +533,12 @@ mod tests {
                 }));
                 assert!(result.is_err(), "the owner's panic propagates");
             });
-            let waiter = s.spawn(move || cache.get_or_insert_with(9, || 99));
+            let waiter = s.spawn(move || {
+                while !building.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                cache.get_or_insert_with(9, || 99)
+            });
             owner.join().unwrap();
             assert_eq!(*waiter.join().unwrap(), 99, "waiter recomputed");
         });
@@ -596,7 +548,7 @@ mod tests {
 
     #[test]
     fn shared_cache_evicts_per_shard() {
-        let cache: SharedViewCache<u64> = SharedViewCache::new(8); // 1 per shard
+        let cache: ViewCache<u64> = ViewCache::new(8); // 1 per shard
         // Same shard (same low bits), distinct keys: second insert evicts.
         let k1 = 0x10u64;
         let k2 = 0x20u64;

@@ -75,7 +75,7 @@ fn run_shared(
     BTreeMap<&'static str, Vec<u64>>,
     Vec<u32>,
     std::time::Duration,
-    ev_analysis::SharedCacheStats,
+    ev_analysis::CacheStats,
 ) {
     let server = SharedEvpServer::with_options(timed_options());
     let mut opener = EditorClient::connect_shared(server.clone()).expect("session/open");

@@ -10,14 +10,15 @@ use ev_core::{MetricId, Profile};
 use ev_flame::{render, DiffFlameGraph, FlameGraph, Histogram, TreeTable};
 use ev_script::ScriptHost;
 use std::fmt::Write as _;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// The process-wide memoized flame-graph cache: repeated identical view
 /// requests (same profile content, metric, shape, threshold) skip the
 /// layout entirely.
-fn view_cache() -> &'static Mutex<ViewCache<FlameGraph>> {
-    static CACHE: OnceLock<Mutex<ViewCache<FlameGraph>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(ViewCache::default()))
+fn view_cache() -> &'static ViewCache<FlameGraph> {
+    static CACHE: OnceLock<ViewCache<FlameGraph>> = OnceLock::new();
+    CACHE.get_or_init(ViewCache::default)
 }
 
 fn policy(options: &Options) -> ExecPolicy {
@@ -39,7 +40,7 @@ fn stream_request(options: &Options) -> Option<usize> {
 }
 
 fn cache_stats_line(out: &mut String) {
-    let stats = view_cache().lock().unwrap().stats();
+    let stats = view_cache().stats();
     let _ = writeln!(
         out,
         "view-cache: {} hit(s), {} miss(es), {}/{} resident",
@@ -136,7 +137,7 @@ fn stats_cmd(input: Option<&str>, options: &Options) -> Result<String, CliError>
             let threshold_tag = format!("threshold:{}", options.threshold);
             let key =
                 view_key(&profile, metric, &[shape_tag(options.shape), &threshold_tag]);
-            let graph = view_cache().lock().unwrap().get_or_insert_with(key, || {
+            let graph = view_cache().get_or_insert_with(key, || {
                 let pruned = maybe_pruned(&profile, metric, options);
                 layout(&pruned, metric, options.shape, exec)
             });
@@ -175,7 +176,7 @@ fn stats_cmd(input: Option<&str>, options: &Options) -> Result<String, CliError>
 /// p50/p90/p95/p99 (the same estimator the serve benchmark uses).
 fn stats_json(profile_summary: Option<&(String, usize, usize)>) -> String {
     use ev_json::Value;
-    let cache = view_cache().lock().unwrap().stats();
+    let cache = view_cache().stats();
     let snapshot = ev_trace::snapshot_metrics();
     let counters: Vec<(&str, Value)> = snapshot
         .counters
@@ -364,7 +365,7 @@ fn view(input: &str, options: &Options) -> Result<String, CliError> {
     // of the key: outputs are bit-identical across thread counts.
     let threshold_tag = format!("threshold:{}", options.threshold);
     let key = view_key(&profile, metric, &[shape_tag(options.shape), &threshold_tag]);
-    let graph = view_cache().lock().unwrap().get_or_insert_with(key, || {
+    let graph = view_cache().get_or_insert_with(key, || {
         let pruned = maybe_pruned(&profile, metric, options);
         layout(&pruned, metric, options.shape, exec)
     });
@@ -377,9 +378,6 @@ fn view(input: &str, options: &Options) -> Result<String, CliError> {
         std::fs::write(path, &svg)
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         let _ = writeln!(out, "wrote {path}");
-    }
-    if options.cache_stats {
-        cache_stats_line(&mut out);
     }
     Ok(out)
 }
@@ -624,22 +622,29 @@ fn smoke_session(
     Ok(digest)
 }
 
-/// Deterministic request-coalescing self-check: a waiter registers on
-/// the owner's in-flight build (the build spins until the coalesced
-/// counter moves, so the rendezvous happens even on one core). Returns
-/// the number of coalesced requests observed (≥ 1).
+/// Deterministic request-coalescing self-check: the waiter asks only
+/// once the owner's build is in flight, and the build spins until the
+/// coalesced counter moves, so the rendezvous happens even on one core.
+/// Returns the number of coalesced requests observed (exactly 1).
 fn smoke_coalesce_check() -> u64 {
-    let cache: ev_analysis::SharedViewCache<u64> = ev_analysis::SharedViewCache::new(8);
+    let cache: ViewCache<u64> = ViewCache::new(8);
+    let building = AtomicBool::new(false);
     std::thread::scope(|s| {
         let owner = s.spawn(|| {
             cache.get_or_insert_with(17, || {
+                building.store(true, Ordering::SeqCst);
                 while cache.stats().coalesced == 0 {
                     std::thread::yield_now();
                 }
                 42
             })
         });
-        let waiter = s.spawn(|| cache.get_or_insert_with(17, || 42));
+        let waiter = s.spawn(|| {
+            while !building.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            cache.get_or_insert_with(17, || 42)
+        });
         assert_eq!(*owner.join().unwrap(), 42);
         assert_eq!(*waiter.join().unwrap(), 42);
     });
@@ -849,29 +854,20 @@ mod tests {
             "cache-hit",
             &[(&["main", "work"], 80.0), (&["main", "idle"], 20.0)],
         );
-        let first = run_line(&["view", &path, "--cache-stats"]).unwrap();
-        let second = run_line(&["view", &path, "--cache-stats"]).unwrap();
+        // The cache is process-wide and other tests use it concurrently,
+        // so assert monotone deltas of its counters, not exact values.
+        let before = view_cache().stats();
+        let first = run_line(&["view", &path]).unwrap();
+        let second = run_line(&["view", &path]).unwrap();
         // Identical requests render identically and the second one is
-        // served from the cache (counters are process-wide, so compare
-        // the deltas rather than absolute values).
-        let stat = |out: &str, nth: usize| -> u64 {
-            let line = out.lines().find(|l| l.starts_with("view-cache:")).unwrap();
-            line.split_whitespace().nth(nth).unwrap().parse().unwrap()
-        };
-        let (hits, misses) = (|out: &str| stat(out, 1), |out: &str| stat(out, 3));
-        // Counters are process-wide and other tests run concurrently, so
-        // assert monotone deltas, not exact values.
-        assert!(hits(&second) > hits(&first), "{second}");
-        let body = |out: &str| {
-            out.lines()
-                .filter(|l| !l.starts_with("view-cache:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(body(&first), body(&second));
+        // served from the cache.
+        assert_eq!(first, second);
+        let after = view_cache().stats();
+        assert!(after.hits > before.hits, "{after:?}");
         // A different shape is a different key: it must miss.
-        let other = run_line(&["view", &path, "--shape", "bottomup", "--cache-stats"]).unwrap();
-        assert!(misses(&other) > misses(&second), "{other}");
+        run_line(&["view", &path, "--shape", "bottomup"]).unwrap();
+        let other = view_cache().stats();
+        assert!(other.misses > after.misses, "{other:?}");
     }
 
     #[test]

@@ -91,8 +91,6 @@ OPTIONS:
     --threshold <f>     prune subtrees below this fraction (default 0)
     --threads <n>       analysis worker threads (default 0 = all cores,
                         1 = sequential; results are identical either way)
-    --cache-stats       print view-cache hit/miss counters
-                        (deprecated: use `easyview stats`)
     --json              stats only: emit one machine-readable JSON
                         document (schema easyview-stats/v1) with every
                         counter and histogram p50/p90/p95/p99

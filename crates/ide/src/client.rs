@@ -14,6 +14,7 @@ use crate::server::{profile_to_param, EvpServer, SharedEvpServer};
 use crate::IdeError;
 use ev_core::{NodeId, Profile};
 use ev_json::Value;
+use std::sync::Arc;
 
 /// The simulated editor surface the EVP actions drive.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -47,28 +48,10 @@ pub struct RectInfo {
     pub mapped: bool,
 }
 
-/// The server this client talks to: an exclusively owned instance, or
-/// a [`SharedEvpServer`] handle other clients (on other threads) also
-/// hold.
-#[derive(Debug)]
-enum Backend {
-    Owned(Box<EvpServer>),
-    Shared(SharedEvpServer),
-}
-
-impl Backend {
-    fn handle_bytes(&self, frame: &[u8]) -> Result<(Vec<u8>, usize), String> {
-        match self {
-            Backend::Owned(server) => server.handle_bytes(frame),
-            Backend::Shared(server) => server.handle_bytes(frame),
-        }
-    }
-}
-
 /// An editor client connected to an in-process [`EvpServer`].
 #[derive(Debug)]
 pub struct EditorClient {
-    server: Backend,
+    server: SharedEvpServer,
     next_id: i64,
     editor: EditorState,
     last_meta: Option<ResponseMeta>,
@@ -83,7 +66,9 @@ impl EditorClient {
     /// full frame encode/decode path).
     pub fn connect(server: EvpServer) -> EditorClient {
         EditorClient {
-            server: Backend::Owned(Box::new(server)),
+            server: SharedEvpServer {
+                inner: Arc::new(server),
+            },
             next_id: 0,
             editor: EditorState::default(),
             last_meta: None,
@@ -103,7 +88,7 @@ impl EditorClient {
     /// Fails if `session/open` fails.
     pub fn connect_shared(server: SharedEvpServer) -> Result<EditorClient, IdeError> {
         let mut client = EditorClient {
-            server: Backend::Shared(server),
+            server,
             next_id: 0,
             editor: EditorState::default(),
             last_meta: None,
@@ -482,19 +467,13 @@ impl EditorClient {
     }
 }
 
-/// Returns `params` with `sessionId` attached. `Value` objects are
-/// immutable maps, so this rebuilds the object; `Null` params become a
+/// Returns `params` with `sessionId` attached; `Null` params become a
 /// fresh object. An explicit `sessionId` already in `params` wins.
 fn with_session_id(params: Value, sid: i64) -> Value {
     match params {
-        Value::Object(map) => {
-            if map.contains_key("sessionId") {
-                return Value::Object(map);
-            }
-            Value::object(
-                map.into_iter()
-                    .chain([("sessionId".to_owned(), Value::Int(sid))]),
-            )
+        Value::Object(mut map) => {
+            map.entry("sessionId".to_owned()).or_insert(Value::Int(sid));
+            Value::Object(map)
         }
         Value::Null => Value::object([("sessionId", Value::Int(sid))]),
         other => other,

@@ -4,12 +4,12 @@
 //! instance (shared via [`SharedEvpServer`]) can answer many editor
 //! sessions at once. The profile table is sharded across independently
 //! locked maps, expensive views are memoized in a process-shared
-//! [`SharedViewCache`] with request coalescing, and per-session
+//! [`ViewCache`] with request coalescing, and per-session
 //! in-flight budgets convert overload into a clean `BUSY` error
 //! instead of unbounded queueing.
 
 use crate::rpc::{codes, decode_frame, encode_frame, Request, Response};
-use ev_analysis::{aggregate, classify_timeline, diff, MetricView, SharedCacheStats, SharedViewCache};
+use ev_analysis::{aggregate, classify_timeline, diff, CacheStats, MetricView, ViewCache};
 use ev_core::{MetricId, NodeId, Profile};
 use ev_flame::FlameGraph;
 use ev_json::Value;
@@ -70,13 +70,6 @@ impl ServerOptions {
         }
         options
     }
-}
-
-/// Cached handle for the `ide.request_us` histogram of per-request wall
-/// times (all methods pooled).
-fn request_histogram() -> &'static ev_trace::Histogram {
-    static HANDLE: OnceLock<&'static ev_trace::Histogram> = OnceLock::new();
-    HANDLE.get_or_init(|| ev_trace::histogram("ide.request_us"))
 }
 
 /// Cached handle for the `ide.requests` counter.
@@ -231,7 +224,7 @@ impl Drop for SessionGuard {
 /// mutex — so one instance can serve many concurrent sessions (wrap it
 /// in [`SharedEvpServer`] to share across threads). Expensive views
 /// (`profile/flameGraph`, `profile/treeTable`, `profile/summary`) are
-/// memoized in a [`SharedViewCache`] keyed by content fingerprint;
+/// memoized in a [`ViewCache`] keyed by content fingerprint;
 /// identical concurrent requests coalesce onto one computation.
 #[derive(Debug)]
 pub struct EvpServer {
@@ -243,7 +236,7 @@ pub struct EvpServer {
     /// Monotone request sequence, carried as `requestSeq` in meta.
     next_seq: AtomicU64,
     /// Memoized view responses, shared (and coalesced) across sessions.
-    views: SharedViewCache<Value>,
+    views: ViewCache<Value>,
     sessions: RwLock<HashMap<u64, Arc<SessionState>>>,
     next_session: AtomicU64,
 }
@@ -277,7 +270,7 @@ impl EvpServer {
             options,
             recorder: Mutex::new(recorder),
             next_seq: AtomicU64::new(0),
-            views: SharedViewCache::new(VIEW_CACHE_CAPACITY),
+            views: ViewCache::new(VIEW_CACHE_CAPACITY),
             sessions: RwLock::new(HashMap::new()),
             next_session: AtomicU64::new(0),
         }
@@ -305,7 +298,7 @@ impl EvpServer {
     }
 
     /// Hit/miss/coalesce statistics of the shared view cache.
-    pub fn view_cache_stats(&self) -> SharedCacheStats {
+    pub fn view_cache_stats(&self) -> CacheStats {
         self.views.stats()
     }
 
@@ -403,9 +396,8 @@ impl EvpServer {
     /// Every response carries [`crate::rpc::ResponseMeta`] — a monotone
     /// `requestSeq`, wall time, and the number of `ev-trace` spans
     /// recorded while handling. Every request bumps `ide.requests`
-    /// (errors also bump `ide.errors`) and records its wall time in
-    /// `ide.request_us` plus the per-method `ide.latency.<method>`
-    /// histogram. Requests slower than
+    /// (errors also bump `ide.errors`) and records its wall time in the
+    /// per-method `ide.latency.<method>` histogram. Requests slower than
     /// [`ServerOptions::slow_request_micros`] are logged to stderr (the
     /// paper's §VII-B response-time budget is 100 ms); slow or failed
     /// requests additionally have their span tree and counter deltas
@@ -433,7 +425,6 @@ impl EvpServer {
         let wall_micros = (ev_trace::now_ns() - start) / 1_000;
         let (captured, counter_deltas) = capture.finish_with_counters();
         let spans = captured.len() as u64;
-        request_histogram().record(wall_micros);
         method_histogram(&request.method).record(wall_micros);
         let failed = outcome.is_err();
         if failed {
@@ -1225,7 +1216,7 @@ impl EvpServer {
 /// [`EvpServer::handle`]) concurrently.
 #[derive(Debug, Clone, Default)]
 pub struct SharedEvpServer {
-    inner: Arc<EvpServer>,
+    pub(crate) inner: Arc<EvpServer>,
 }
 
 impl SharedEvpServer {
@@ -1339,36 +1330,6 @@ mod tests {
         std::env::remove_var("EASYVIEW_SLOW_REQUEST_MS");
         assert_eq!(options.slow_request_micros, 250_000);
         assert_eq!(ServerOptions::from_env().slow_request_micros, 100_000);
-    }
-
-    #[test]
-    fn requests_bump_counters_and_per_method_histograms() {
-        let server = EvpServer::new();
-        let requests_before = request_counter().get();
-        let errors_before = error_counter().get();
-        let init_before = method_histogram("initialize").count();
-        let unknown_before = method_histogram("bogus/method").count();
-        server
-            .handle(&Request::new(1, "initialize", Value::Null))
-            .unwrap();
-        let bad = server
-            .handle(&Request::new(2, "bogus/method", Value::Null))
-            .unwrap();
-        assert!(bad.outcome.is_err());
-        assert_eq!(request_counter().get() - requests_before, 2);
-        assert_eq!(error_counter().get() - errors_before, 1);
-        assert_eq!(method_histogram("initialize").count() - init_before, 1);
-        // Unknown methods pool into one histogram instead of growing
-        // the registry per arbitrary method string.
-        assert_eq!(method_histogram("bogus/method").count() - unknown_before, 1);
-        assert!(std::ptr::eq(
-            method_histogram("bogus/method"),
-            method_histogram("another/unknown")
-        ));
-        assert_eq!(
-            method_histogram("initialize").name(),
-            "ide.latency.initialize"
-        );
     }
 
     #[test]

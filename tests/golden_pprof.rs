@@ -170,7 +170,7 @@ fn fixtures_views_stable_across_parallel_and_cached_paths() {
         assert_eq!(profile_fingerprint(&profile), profile_fingerprint(&reparsed));
         let key = view_key(&profile, m, &["top_down"]);
         assert_eq!(key, view_key(&reparsed, m, &["top_down"]));
-        let mut cache: ViewCache<u64> = ViewCache::new(4);
+        let cache: ViewCache<u64> = ViewCache::new(4);
         cache.get_or_insert_with(key, || seq.total().to_bits());
         let hit = cache.get_or_insert_with(view_key(&reparsed, m, &["top_down"]), || {
             panic!("must be served from cache")
