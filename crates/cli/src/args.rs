@@ -37,13 +37,6 @@ pub struct Options {
     /// Machine-readable JSON output (`stats --json`): the full metrics
     /// registry as one JSON document instead of the text dump.
     pub json: bool,
-    /// Force the bounded-memory streaming ingest path regardless of
-    /// input size (`--stream`). Off by default: small inputs auto-route
-    /// to the buffered decoder, GB-scale gzip'd pprof streams anyway.
-    pub stream: bool,
-    /// Streaming chunk size in bytes (`--chunk-size`); `None` = the
-    /// flate default. Only meaningful with [`Options::stream`].
-    pub chunk_size: Option<usize>,
     /// EVscript file to run inside `stats`' traced window
     /// (`stats <profile> --script <file.evs>`), so the script-engine
     /// counters (`script.vm_ops`, `script.chunks_compiled`,
@@ -63,8 +56,6 @@ impl Default for Options {
             threshold: 0.0,
             threads: 0,
             json: false,
-            stream: false,
-            chunk_size: None,
             script: None,
         }
     }
@@ -137,10 +128,6 @@ pub enum Command {
         input: Option<String>,
         options: Options,
     },
-    /// `easyview serve-smoke [--threads N]` — replay deterministic
-    /// editor sessions against one shared in-process EVP server and
-    /// print per-session response digests (thread-count invariant).
-    ServeSmoke { options: Options },
 }
 
 /// Parses `argv` (without the program name), dropping the cross-cutting
@@ -238,16 +225,6 @@ pub fn parse_cli(argv: &[String]) -> Result<Cli, CliError> {
             }
             "--script" => options.script = Some(take_value(&mut iter, "--script")?),
             "--json" => options.json = true,
-            "--stream" => options.stream = true,
-            "--chunk-size" => {
-                let chunk: usize = take_value(&mut iter, "--chunk-size")?
-                    .parse()
-                    .map_err(|_| CliError("--chunk-size expects an integer".to_owned()))?;
-                if chunk == 0 {
-                    return Err(CliError("--chunk-size must be at least 1".to_owned()));
-                }
-                options.chunk_size = Some(chunk);
-            }
             "--trace-out" => trace.out = Some(take_value(&mut iter, "--trace-out")?),
             "--trace-format" => {
                 trace.format = match take_value(&mut iter, "--trace-format")?.as_str() {
@@ -265,10 +242,6 @@ pub fn parse_cli(argv: &[String]) -> Result<Cli, CliError> {
             }
             _ => positional.push(arg.clone()),
         }
-    }
-
-    if options.chunk_size.is_some() && !options.stream {
-        return Err(CliError("--chunk-size requires --stream".to_owned()));
     }
 
     let need = |n: usize| -> Result<(), CliError> {
@@ -343,10 +316,6 @@ pub fn parse_cli(argv: &[String]) -> Result<Cli, CliError> {
             let input = positional.remove(0);
             let output = positional.remove(0);
             Command::Convert { input, output }
-        }
-        "serve-smoke" => {
-            need(0)?;
-            Command::ServeSmoke { options }
         }
         "stats" => {
             if positional.len() > 1 {
@@ -450,26 +419,19 @@ mod tests {
     }
 
     #[test]
-    fn stream_flags_parse() {
-        let cmd = parse(&["stats", "p", "--stream"]).unwrap();
-        let Command::Stats { options, .. } = cmd else { panic!() };
-        assert!(options.stream);
-        assert_eq!(options.chunk_size, None);
+    fn stream_flags_are_rejected() {
+        // The input size picks the ingest route.
+        for flag in ["--stream", "--chunk-size"] {
+            let err = parse(&["view", "p", flag]).unwrap_err();
+            assert!(err.0.contains("unknown option"), "{}", err.0);
+        }
+    }
 
-        let cmd = parse(&["view", "p", "--stream", "--chunk-size", "4096"]).unwrap();
-        let Command::View { options, .. } = cmd else { panic!() };
-        assert!(options.stream);
-        assert_eq!(options.chunk_size, Some(4096));
-
-        // Defaults: buffered auto-routing.
-        let cmd = parse(&["view", "p"]).unwrap();
-        let Command::View { options, .. } = cmd else { panic!() };
-        assert!(!options.stream);
-        assert_eq!(options.chunk_size, None);
-
-        assert!(parse(&["view", "p", "--chunk-size", "4096"]).is_err());
-        assert!(parse(&["view", "p", "--stream", "--chunk-size", "0"]).is_err());
-        assert!(parse(&["view", "p", "--stream", "--chunk-size", "lots"]).is_err());
+    #[test]
+    fn serve_smoke_is_rejected() {
+        // The shared-server replay lives in the `serve` bench.
+        let err = parse(&["serve-smoke"]).unwrap_err();
+        assert!(err.0.contains("unknown command"), "{}", err.0);
     }
 
     #[test]
@@ -537,17 +499,6 @@ mod tests {
         assert_eq!(input, "p.pprof");
         assert_eq!(script, "a.evs");
         assert_eq!(options.threads, 2);
-    }
-
-    #[test]
-    fn serve_smoke_parses() {
-        let cmd = parse(&["serve-smoke", "--threads", "8"]).unwrap();
-        let Command::ServeSmoke { options } = cmd else { panic!() };
-        assert_eq!(options.threads, 8);
-        let cmd = parse(&["serve-smoke"]).unwrap();
-        let Command::ServeSmoke { options } = cmd else { panic!() };
-        assert_eq!(options.threads, 0);
-        assert!(parse(&["serve-smoke", "extra"]).is_err());
     }
 
     #[test]

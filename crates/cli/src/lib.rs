@@ -75,10 +75,6 @@ COMMANDS:
                                         and every pipeline counter/histogram
                                         (runs one view first when a profile
                                         is given)
-    serve-smoke                         replay deterministic editor sessions
-                                        against one shared in-process EVP
-                                        server (--threads N workers) and
-                                        print per-session response digests
     help                                this text
 
 OPTIONS:
@@ -98,11 +94,6 @@ OPTIONS:
                         window so the script-engine counters
                         (script.vm_ops, script.chunks_compiled,
                         script.par_visits) land in the dump
-    --stream            force bounded-memory streaming ingest (GB-scale
-                        gzip'd pprof streams automatically; output is
-                        identical either way)
-    --chunk-size <n>    streaming chunk size in bytes (requires --stream;
-                        default 262144)
     --trace-out <path>  self-profile this command with ev-trace and write
                         the recording to <path>
     --trace-format <f>  easyview (default; render with `easyview flame`)

@@ -240,8 +240,6 @@ pub fn parse_auto_with(
     }
 }
 
-pub use ev_flate::DEFAULT_CHUNK_SIZE;
-
 /// Compressed sizes at or above this route gzip'd pprof input through
 /// the bounded-memory streaming decoder in [`parse_auto_with`]. Below
 /// it the buffered one-pass decoder wins: its sample payloads stay
@@ -251,46 +249,6 @@ pub use ev_flate::DEFAULT_CHUNK_SIZE;
 /// typical pprof ratios — the point where holding the body *and* the
 /// tables starts to hurt.
 pub const STREAM_SIZE_THRESHOLD: usize = 64 << 20;
-
-/// Like [`parse_auto_with`], forcing gzip'd and raw pprof input
-/// through the bounded-memory streaming decoder at the given chunk
-/// size regardless of input size (the CLI's `--stream` flag). Formats
-/// without a streaming path fall back to [`parse_auto_with`].
-///
-/// # Errors
-///
-/// Same conditions as [`parse_auto`].
-pub fn parse_auto_streaming_with(
-    data: &[u8],
-    policy: ev_flate::ExecPolicy,
-    chunk_size: usize,
-) -> Result<Profile, FormatError> {
-    match detect(data) {
-        Format::Pprof => pprof::parse_streaming_with(data, policy, chunk_size),
-        _ => parse_auto_with(data, policy),
-    }
-}
-
-/// Like [`parse_auto_with`], but routing pprof input through the
-/// retained two-pass [`pprof::parse_reference_with`] decoder instead of
-/// the one-pass fast path. This is the escape hatch behind the CLI's
-/// `EASYVIEW_PPROF_REFERENCE` environment variable: if the fast decoder
-/// is ever suspected of misreading a profile, rerunning through this
-/// entry point isolates the question in seconds. All other formats
-/// parse identically to [`parse_auto_with`].
-///
-/// # Errors
-///
-/// Same conditions as [`parse_auto`].
-pub fn parse_auto_reference_with(
-    data: &[u8],
-    policy: ev_flate::ExecPolicy,
-) -> Result<Profile, FormatError> {
-    match detect(data) {
-        Format::Pprof => pprof::parse_reference_with(data, policy),
-        _ => parse_auto_with(data, policy),
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -382,8 +382,9 @@ fn decode_sample_payload(
 }
 
 /// The decoded pprof entity tables a body walk produces — everything
-/// the fixup pass needs besides the sample records themselves. Shared
-/// between the buffered and the streaming one-pass decoders.
+/// the fixup pass needs besides the strings and the sample records.
+/// Shared between the buffered and the streaming one-pass decoders.
+#[derive(Default)]
 struct WalkTables {
     sample_types: Vec<ValueType>,
     locs: Vec<LocRec>,
@@ -391,6 +392,49 @@ struct WalkTables {
     functions: Vec<Function>,
     mappings: Vec<Mapping>,
     time_nanos: i64,
+}
+
+/// A top-level field the tables do not keep. The buffered walk holds
+/// these as borrowed slices; the streaming walk copies strings out and
+/// only counts samples.
+enum Held<'a> {
+    /// A sample payload (field 2), decoded by the fixup pass once the
+    /// location table is known.
+    Sample(&'a [u8]),
+    /// A string-table entry (field 6).
+    Str(&'a str),
+}
+
+impl WalkTables {
+    /// The field dispatch of both one-pass walks: entity fields decode
+    /// into the tables, samples and strings go back to the caller.
+    /// Known fields with a mismatched wire type fall through to the
+    /// no-op arm — the walker has already consumed the value, which is
+    /// precisely "skip as unknown".
+    fn take_field<'a>(
+        &mut self,
+        field: u32,
+        value: FieldValue<'a>,
+    ) -> Result<Option<Held<'a>>, WireError> {
+        match (field, value) {
+            (1, FieldValue::Bytes(msg)) => self.sample_types.push(decode_value_type(msg)?),
+            (2, FieldValue::Bytes(msg)) => return Ok(Some(Held::Sample(msg))),
+            (3, FieldValue::Bytes(msg)) => self.mappings.push(decode_mapping(msg)?),
+            (4, FieldValue::Bytes(msg)) => {
+                self.locs.push(decode_location(msg, &mut self.lines)?);
+            }
+            (5, FieldValue::Bytes(msg)) => self.functions.push(decode_function(msg)?),
+            (6, FieldValue::Bytes(msg)) => {
+                // Validated here — the same walk position at which the
+                // reference decoder's read_string() validates.
+                let s = std::str::from_utf8(msg).map_err(|_| WireError::InvalidUtf8)?;
+                return Ok(Some(Held::Str(s)));
+            }
+            (9, FieldValue::Varint(v)) => self.time_nanos = v as i64,
+            _ => {}
+        }
+        Ok(None)
+    }
 }
 
 /// The one-pass decode: a single forward walk over `body` with the
@@ -405,50 +449,21 @@ struct WalkTables {
 /// slices so their wire errors still surface after the full walk — the
 /// order the two-pass decoder reports them in.
 fn parse_onepass(body: &[u8]) -> Result<Profile, FormatError> {
+    let mut tables = WalkTables::default();
     let mut strings: Vec<&str> = Vec::new();
-    let mut sample_types: Vec<ValueType> = Vec::new();
     let mut sample_payloads: Vec<&[u8]> = Vec::new();
-    let mut locs: Vec<LocRec> = Vec::new();
-    let mut lines: Arena<Line> = Arena::new();
-    let mut functions: Vec<Function> = Vec::new();
-    let mut mappings: Vec<Mapping> = Vec::new();
-    let mut time_nanos: i64 = 0;
 
-    // Walk. Known fields with a mismatched wire type fall through to
-    // the no-op arm — the walker has already consumed the value, which
-    // is precisely "skip as unknown".
     let wire_span = ev_trace::span("wire.decode");
     let mut r = Reader::new(body);
     while let Some((field, value)) = r.next_field()? {
-        match (field, value) {
-            (1, FieldValue::Bytes(msg)) => sample_types.push(decode_value_type(msg)?),
-            (2, FieldValue::Bytes(msg)) => {
-                // Deferred: decoded in the fixup pass once the
-                // location table is known.
-                sample_payloads.push(msg);
-            }
-            (3, FieldValue::Bytes(msg)) => mappings.push(decode_mapping(msg)?),
-            (4, FieldValue::Bytes(msg)) => locs.push(decode_location(msg, &mut lines)?),
-            (5, FieldValue::Bytes(msg)) => functions.push(decode_function(msg)?),
-            (6, FieldValue::Bytes(msg)) => {
-                // Validated here — the same walk position at which the
-                // reference decoder's read_string() validates.
-                strings.push(std::str::from_utf8(msg).map_err(|_| WireError::InvalidUtf8)?);
-            }
-            (9, FieldValue::Varint(v)) => time_nanos = v as i64,
-            _ => {}
+        match tables.take_field(field, value)? {
+            Some(Held::Sample(msg)) => sample_payloads.push(msg),
+            Some(Held::Str(s)) => strings.push(s),
+            None => {}
         }
     }
     drop(wire_span);
 
-    let tables = WalkTables {
-        sample_types,
-        locs,
-        lines,
-        functions,
-        mappings,
-        time_nanos,
-    };
     let sample_count = sample_payloads.len();
     let mut payloads = sample_payloads.iter();
     fixup_profile(&strings, &tables, sample_count, |ids, vals| {
@@ -913,52 +928,29 @@ fn drain_source<S: ChunkSource>(reader: &mut StreamReader<S>) -> Option<S::Error
     }
 }
 
-/// The streaming twin of [`parse_onepass`]'s walk: identical field
-/// dispatch over a [`StreamReader`] instead of a contiguous slice.
-/// Strings are copied out (their chunk is recycled on the next refill)
-/// and sample payloads are only *counted* — their contents are decoded
-/// by the replay pass, exactly as the buffered walk defers payload
-/// slices undecoded.
+/// The streaming twin of [`parse_onepass`]'s walk: the same field
+/// dispatch ([`WalkTables::take_field`]) over a [`StreamReader`]
+/// instead of a contiguous slice. Strings are copied out (their chunk
+/// is recycled on the next refill) and sample payloads are only
+/// *counted* — their contents are decoded by the replay pass, exactly
+/// as the buffered walk defers payload slices undecoded.
 fn walk_stream(
     reader: &mut StreamReader<impl ChunkSource<Error = FlateError>>,
 ) -> Result<StreamWalk, StreamError<FlateError>> {
     let _wire_span = ev_trace::span("wire.decode");
+    let mut tables = WalkTables::default();
     let mut strings: Vec<String> = Vec::new();
-    let mut sample_types: Vec<ValueType> = Vec::new();
-    let mut locs: Vec<LocRec> = Vec::new();
-    let mut lines: Arena<Line> = Arena::new();
-    let mut functions: Vec<Function> = Vec::new();
-    let mut mappings: Vec<Mapping> = Vec::new();
-    let mut time_nanos: i64 = 0;
     let mut sample_count = 0usize;
-
     while let Some((field, value)) = reader.next_field()? {
-        match (field, value) {
-            (1, FieldValue::Bytes(msg)) => sample_types.push(decode_value_type(msg)?),
-            (2, FieldValue::Bytes(_)) => sample_count += 1,
-            (3, FieldValue::Bytes(msg)) => mappings.push(decode_mapping(msg)?),
-            (4, FieldValue::Bytes(msg)) => locs.push(decode_location(msg, &mut lines)?),
-            (5, FieldValue::Bytes(msg)) => functions.push(decode_function(msg)?),
-            (6, FieldValue::Bytes(msg)) => strings.push(
-                std::str::from_utf8(msg)
-                    .map_err(|_| WireError::InvalidUtf8)?
-                    .to_owned(),
-            ),
-            (9, FieldValue::Varint(v)) => time_nanos = v as i64,
-            _ => {}
+        match tables.take_field(field, value)? {
+            Some(Held::Sample(_)) => sample_count += 1,
+            Some(Held::Str(s)) => strings.push(s.to_owned()),
+            None => {}
         }
     }
-
     Ok(StreamWalk {
         strings,
-        tables: WalkTables {
-            sample_types,
-            locs,
-            lines,
-            functions,
-            mappings,
-            time_nanos,
-        },
+        tables,
         sample_count,
     })
 }

@@ -1535,6 +1535,32 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_script_is_an_error_not_an_abort() {
+        let server = EvpServer::new();
+        let id = open_profile(&server, &small_profile());
+        let pid = || ("profileId", Value::Int(id));
+        let deep = 100_000;
+        let sources = [
+            format!("print({}1{});", "(".repeat(deep), ")".repeat(deep)),
+            format!("print({}1);", "-".repeat(deep)),
+        ];
+        let call = |rid: i64, method: &str, params: Value| {
+            let frame = encode_frame(&Request::new(rid, method, params).to_value());
+            let (bytes, _) = server.handle_bytes(&frame).unwrap();
+            let (value, _) = decode_frame(&bytes).unwrap().unwrap();
+            Response::from_value(&value).unwrap().outcome
+        };
+        for (rid, source) in (10..).zip(sources) {
+            let params = Value::object([pid(), ("source", Value::from(source))]);
+            let err = call(rid, "profile/script", params).unwrap_err();
+            assert!(err.1.contains("nesting"), "{}", err.1);
+            // The same server keeps answering.
+            let summary = call(rid + 100, "profile/summary", Value::object([pid()]));
+            assert!(summary.is_ok(), "{summary:?}");
+        }
+    }
+
+    #[test]
     fn aggregate_rejects_mixed_type_profile_ids() {
         let server = EvpServer::new();
         let err = server
@@ -1674,37 +1700,59 @@ mod tests {
     fn shared_server_serves_identical_views_across_threads() {
         let server = SharedEvpServer::with_options(ServerOptions::default());
         let id = open_profile(&server, &small_profile());
-        let params = Value::object([
-            ("profileId", Value::Int(id)),
-            ("metric", Value::from("cpu")),
-            ("view", Value::from("topDown")),
-        ]);
-        let reference = server
-            .handle(&Request::new(1, "profile/flameGraph", params.clone()))
-            .unwrap()
-            .outcome
-            .unwrap();
+        let pid = || ("profileId", Value::Int(id));
+        let requests = [
+            (
+                "profile/flameGraph",
+                Value::object([
+                    pid(),
+                    ("metric", Value::from("cpu")),
+                    ("view", Value::from("topDown")),
+                ]),
+            ),
+            (
+                "profile/treeTable",
+                Value::object([
+                    pid(),
+                    ("metric", Value::from("cpu")),
+                    ("depth", Value::Int(3)),
+                ]),
+            ),
+            ("profile/summary", Value::object([pid()])),
+        ];
+        let references: Vec<Value> = requests
+            .iter()
+            .map(|(method, params)| {
+                server
+                    .handle(&Request::new(1, *method, params.clone()))
+                    .unwrap()
+                    .outcome
+                    .unwrap()
+            })
+            .collect();
         std::thread::scope(|s| {
             for t in 0..4 {
                 let server = server.clone();
-                let params = params.clone();
-                let reference = &reference;
+                let requests = &requests;
+                let references = &references;
                 s.spawn(move || {
                     for i in 0..8 {
-                        let got = server
-                            .handle(&Request::new(t * 100 + i, "profile/flameGraph", params.clone()))
-                            .unwrap()
-                            .outcome
-                            .unwrap();
-                        assert_eq!(&got, reference);
+                        for ((method, params), reference) in requests.iter().zip(references) {
+                            let got = server
+                                .handle(&Request::new(t * 100 + i, *method, params.clone()))
+                                .unwrap()
+                                .outcome
+                                .unwrap();
+                            assert_eq!(&got, reference, "{method}");
+                        }
                     }
                 });
             }
         });
         let stats = server.view_cache_stats();
-        assert_eq!(stats.misses, 1, "the layout ran once");
+        assert_eq!(stats.misses, 3, "each view was built once");
         assert!(
-            stats.hits + stats.coalesced >= 32,
+            stats.hits + stats.coalesced >= 96,
             "everything else was served from the shared cache: {stats:?}"
         );
     }

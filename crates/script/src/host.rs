@@ -20,29 +20,12 @@ pub struct ScriptOutput {
 /// Which execution engine runs the script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScriptEngine {
-    /// Compile to bytecode and run on the VM — the default fast path.
+    /// Compile to bytecode and run on the VM — the production path.
     Bytecode,
     /// The retained tree-walking interpreter: the clarity-first
     /// differential reference (mirroring `parse_reference` /
-    /// `inflate_reference`), and the escape hatch for cross-checking a
-    /// suspect script run.
+    /// `inflate_reference`) that tests and benches pin the VM against.
     Reference,
-}
-
-impl ScriptEngine {
-    /// Engine selected by the environment: `EASYVIEW_SCRIPT_REFERENCE`
-    /// set to anything but `0` or empty routes through the tree-walker
-    /// (same contract as `EASYVIEW_PPROF_REFERENCE`).
-    pub fn from_env() -> ScriptEngine {
-        let use_reference = std::env::var("EASYVIEW_SCRIPT_REFERENCE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        if use_reference {
-            ScriptEngine::Reference
-        } else {
-            ScriptEngine::Bytecode
-        }
-    }
 }
 
 /// Runs EVscript programs against a profile — the programming pane of
@@ -97,14 +80,14 @@ pub struct ScriptHost<'p> {
 }
 
 impl<'p> ScriptHost<'p> {
-    /// Creates a host over `profile`. The engine follows
-    /// [`ScriptEngine::from_env`]; parallel callback fan-out is off
-    /// until [`with_policy`](Self::with_policy) allows it.
+    /// Creates a host over `profile` that runs scripts on the bytecode
+    /// VM; parallel callback fan-out is off until
+    /// [`with_policy`](Self::with_policy) allows it.
     pub fn new(profile: &'p mut Profile) -> ScriptHost<'p> {
         ScriptHost {
             profile,
             step_limit: DEFAULT_STEP_LIMIT,
-            engine: ScriptEngine::from_env(),
+            engine: ScriptEngine::Bytecode,
             policy: ExecPolicy::SEQUENTIAL,
             last_steps: 0,
             last_stdout: String::new(),
@@ -117,8 +100,8 @@ impl<'p> ScriptHost<'p> {
         self
     }
 
-    /// Pins the execution engine (tests and benches; production code
-    /// should let the environment decide).
+    /// Pins the execution engine: tests and benches select the
+    /// reference interpreter as the VM's differential oracle.
     pub fn with_engine(mut self, engine: ScriptEngine) -> ScriptHost<'p> {
         self.engine = engine;
         self

@@ -5,14 +5,27 @@ use crate::ast::{BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::ScriptError;
 
+/// Deepest nesting of blocks and expressions a program may have. The
+/// parser, the compiler and the tree-walker all recurse once per level,
+/// so this bound is what keeps a hostile script from overflowing the
+/// stack. Nested `if` blocks cost the most stack per level, about
+/// 11 KiB in a debug build: the deepest accepted program then needs
+/// about 1.4 MiB of a 2 MiB thread.
+const MAX_NESTING: usize = 128;
+
 /// Parses a complete EVscript program.
 ///
 /// # Errors
 ///
-/// Fails with the first syntax error, carrying its source line.
+/// Fails with the first syntax error, carrying its source line, or when
+/// the program nests deeper than [`MAX_NESTING`] levels.
 pub fn parse(source: &str) -> Result<Vec<Stmt>, ScriptError> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut stmts = Vec::new();
     while !p.at(TokenKind::Eof) {
         stmts.push(p.statement()?);
@@ -23,6 +36,8 @@ pub fn parse(source: &str) -> Result<Vec<Stmt>, ScriptError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting level, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -58,6 +73,19 @@ impl Parser {
         }
     }
 
+    /// Enters one more nesting level. The caller resets `depth` once the
+    /// level's subtree is complete.
+    fn nest(&mut self) -> Result<(), ScriptError> {
+        if self.depth == MAX_NESTING {
+            return Err(ScriptError::new(
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                self.line(),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn ident(&mut self, what: &str) -> Result<String, ScriptError> {
         match self.peek().clone() {
             TokenKind::Ident(name) => {
@@ -73,6 +101,7 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, ScriptError> {
         self.expect(TokenKind::LBrace, "'{'")?;
+        self.nest()?;
         let mut stmts = Vec::new();
         while !self.at(TokenKind::RBrace) {
             if self.at(TokenKind::Eof) {
@@ -81,6 +110,7 @@ impl Parser {
             stmts.push(self.statement()?);
         }
         self.bump();
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -126,7 +156,10 @@ impl Parser {
                 let otherwise = if self.at(TokenKind::Else) {
                     self.bump();
                     if self.at(TokenKind::If) {
-                        vec![self.statement()?]
+                        self.nest()?;
+                        let chained = self.statement()?;
+                        self.depth -= 1;
+                        vec![chained]
                     } else {
                         self.block()?
                     }
@@ -257,11 +290,16 @@ impl Parser {
     }
 
     fn expression(&mut self, min_power: u8) -> Result<Expr, ScriptError> {
+        let outer = self.depth;
+        self.nest()?;
         let mut lhs = self.unary()?;
         while let Some((op, power)) = Self::infix_power(self.peek()) {
             if power < min_power {
                 break;
             }
+            // Each operator wraps `lhs` one level deeper without the
+            // parser recursing; the compiler and the walker still do.
+            self.nest()?;
             let line = self.line();
             self.bump();
             let rhs = self.expression(power + 1)?;
@@ -270,38 +308,35 @@ impl Parser {
                 line,
             };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ScriptError> {
         let line = self.line();
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                let operand = self.unary()?;
-                Ok(Expr {
-                    kind: ExprKind::Unary(UnOp::Neg, Box::new(operand)),
-                    line,
-                })
-            }
-            TokenKind::Bang => {
-                self.bump();
-                let operand = self.unary()?;
-                Ok(Expr {
-                    kind: ExprKind::Unary(UnOp::Not, Box::new(operand)),
-                    line,
-                })
-            }
-            _ => self.postfix(),
-        }
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Bang => UnOp::Not,
+            _ => return self.postfix(),
+        };
+        self.bump();
+        self.nest()?;
+        let operand = self.unary()?;
+        self.depth -= 1;
+        Ok(Expr {
+            kind: ExprKind::Unary(op, Box::new(operand)),
+            line,
+        })
     }
 
     fn postfix(&mut self) -> Result<Expr, ScriptError> {
+        let outer = self.depth;
         let mut expr = self.primary()?;
         loop {
             let line = self.line();
             match self.peek() {
                 TokenKind::LParen => {
+                    self.nest()?;
                     self.bump();
                     let mut args = Vec::new();
                     if !self.at(TokenKind::RParen) {
@@ -321,6 +356,7 @@ impl Parser {
                     };
                 }
                 TokenKind::LBracket => {
+                    self.nest()?;
                     self.bump();
                     let index = self.expression(0)?;
                     self.expect(TokenKind::RBracket, "']'")?;
@@ -329,7 +365,10 @@ impl Parser {
                         line,
                     };
                 }
-                _ => return Ok(expr),
+                _ => {
+                    self.depth = outer;
+                    return Ok(expr);
+                }
             }
         }
     }

@@ -10,11 +10,11 @@
 //!
 //! # Semantics contract
 //!
-//! The VM is the fast engine behind the tree-walker reference
-//! (`EASYVIEW_SCRIPT_REFERENCE=1` routes back): for every program it
-//! must produce the identical `stdout`, profile mutations, final step
-//! count, and — on failure — the identical `ScriptError` (message and
-//! line), including step-limit exhaustion at the same program point.
+//! The VM is the fast engine behind the tree-walker reference: for
+//! every program it must produce the identical `stdout`, profile
+//! mutations, final step count, and — on failure — the identical
+//! `ScriptError` (message and line), including step-limit exhaustion at
+//! the same program point.
 //! The differential suite in `tests/vm_differential.rs` pins this.
 //!
 //! # Parallel node callbacks

@@ -218,12 +218,73 @@ const CORPUS: &[&str] = &[
     "print(len);",
     // strings
     "let s = \"\"; for i in range(3) { s = s + str(i) + \",\"; } print(s);",
+    // a pure map_nodes callback that passes a nested recursive helper
+    // to itself
+    "let scores = map_nodes(fn(n) {
+        fn damp(v, k, self) {
+            if k < 1 { return v; }
+            return self(v * 0.5 + 1, k - 1, self);
+        }
+        return damp(value(n, \"cpu\"), 4, damp);
+    });
+    let acc = 0;
+    for s in scores { acc = acc + s; }
+    print(node_count(), floor(acc));",
 ];
 
 #[test]
 fn handcrafted_corpus_is_engine_identical() {
     for src in CORPUS {
         assert_equivalent(src);
+    }
+}
+
+// ---- nesting limit -------------------------------------------------
+
+/// Builds a program nested `n` levels deep in one construct.
+type Nester = fn(usize) -> String;
+
+const NESTERS: &[(&str, Nester)] = &[
+    ("if blocks", |n| {
+        format!("{}print(1);{}", "if true { ".repeat(n), "}".repeat(n))
+    }),
+    ("else-if chain", |n| {
+        format!("{}print(1);", "if false { } else ".repeat(n))
+    }),
+    ("fn literals", |n| {
+        format!(
+            "let g = {}1{}; print(g);",
+            "fn() { return ".repeat(n),
+            "; }".repeat(n)
+        )
+    }),
+    ("parentheses", |n| {
+        format!("print({}1{});", "(".repeat(n), ")".repeat(n))
+    }),
+    ("unary minus", |n| format!("print({}1);", "-".repeat(n))),
+    ("operator chain", |n| format!("print(1{});", "+1".repeat(n))),
+    ("call chain", |n| {
+        format!("fn f() {{ return f; }} print(f{});", "()".repeat(n))
+    }),
+];
+
+fn too_deep(result: &RunResult) -> bool {
+    matches!(&result.outcome, Err(e) if e.message.starts_with("nesting deeper than"))
+}
+
+#[test]
+fn nesting_limit_is_engine_identical() {
+    // The deepest program the parser accepts in each construct runs
+    // identically on both engines on this test thread (2 MiB by
+    // default); one level deeper is the same clean error on both.
+    for (label, nest) in NESTERS {
+        let deepest = (1..)
+            .find(|&n| too_deep(&exec(&nest(n + 1), ScriptEngine::Bytecode, None, 100_000)))
+            .unwrap();
+        // Real scripts nest a few levels; the cap must leave them room.
+        assert!(deepest >= 40, "{label}: only {deepest} levels accepted");
+        assert_equivalent(&nest(deepest));
+        assert_equivalent(&nest(deepest + 1));
     }
 }
 
