@@ -45,6 +45,11 @@ fn coalesced_counter() -> &'static ev_trace::Counter {
     HANDLE.get_or_init(|| ev_trace::counter("cache.coalesced"))
 }
 
+fn fingerprint_counter() -> &'static ev_trace::Counter {
+    static HANDLE: OnceLock<&'static ev_trace::Counter> = OnceLock::new();
+    HANDLE.get_or_init(|| ev_trace::counter("cache.fingerprint"))
+}
+
 /// Default number of memoized views kept per cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
 
@@ -326,8 +331,11 @@ impl<V> fmt::Debug for ViewCache<V> {
 /// A structural fingerprint of a profile: tree shape, interned frames,
 /// metric schema, and every stored value. Two profiles with the same
 /// content fingerprint alike; any mutation (new sample, renamed metric,
-/// added node) changes it.
+/// added node) changes it. Each call bumps the `cache.fingerprint`
+/// counter: the sweep is linear in the profile, so a caller holding a
+/// fingerprint per profile version should never need to repeat it.
 pub fn profile_fingerprint(profile: &Profile) -> u64 {
+    fingerprint_counter().inc();
     let mut h = FxHasher::default();
     profile.node_count().hash(&mut h);
     for m in profile.metrics() {
@@ -359,8 +367,15 @@ pub fn profile_fingerprint(profile: &Profile) -> u64 {
 /// with the metric and an ordered transform-chain descriptor (e.g.
 /// `["bottom_up", "flame"]` or `["prune:0.01", "top_down"]`).
 pub fn view_key(profile: &Profile, metric: MetricId, transforms: &[&str]) -> u64 {
+    fingerprint_view_key(profile_fingerprint(profile), metric, transforms)
+}
+
+/// [`view_key`] for a profile whose [`profile_fingerprint`] is already
+/// known — the form for callers that fingerprint each profile version
+/// once and key many requests with it.
+pub fn fingerprint_view_key(fingerprint: u64, metric: MetricId, transforms: &[&str]) -> u64 {
     let mut h = FxHasher::default();
-    profile_fingerprint(profile).hash(&mut h);
+    fingerprint.hash(&mut h);
     metric.index().hash(&mut h);
     transforms.len().hash(&mut h);
     for t in transforms {

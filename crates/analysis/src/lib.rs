@@ -54,7 +54,10 @@ mod transform;
 mod traverse;
 
 pub use aggregate::{aggregate, aggregate_with, Aggregate, AggregateMetrics};
-pub use cache::{profile_fingerprint, view_key, CacheStats, ViewCache, DEFAULT_CACHE_CAPACITY};
+pub use cache::{
+    fingerprint_view_key, profile_fingerprint, view_key, CacheStats, ViewCache,
+    DEFAULT_CACHE_CAPACITY,
+};
 pub use derived::{derive_metric, MetricExpr};
 pub use diff::{diff, diff_with, DiffEntry, DiffProfile, DiffTag};
 pub use ev_par::ExecPolicy;

@@ -17,11 +17,13 @@
 //! view-cache statistics (hits/misses/coalesced). On hosts with ≥ 2
 //! cores a throughput gate requires the best multi-thread run to beat
 //! single-thread by ≥ 1.4×. A `metrics` section cross-checks with the
-//! `ide.latency.*` histograms' interpolated quantiles, and a `flight`
-//! section exercises the flight recorder end to end: a
-//! capture-everything server replays a short session with tracing on,
-//! exports chrome trace JSON over `debug/flightRecorder`, and the
-//! export is re-imported through our own chrome parser.
+//! `ide.latency.*` dispatch histograms' interpolated quantiles and
+//! reports the `ide.phase.*` frame-decode and response-encode
+//! histograms beside them, and a `flight` section exercises the flight
+//! recorder end to end: a capture-everything server replays a short
+//! session with tracing on, exports chrome trace JSON over
+//! `debug/flightRecorder`, and the export is re-imported through our
+//! own chrome parser.
 //!
 //! Usage: `serve [--quick] [--flight-out <path>]` (quick: smaller
 //! profile, shorter traces, thread counts 1 and 2 only).
@@ -258,27 +260,34 @@ fn main() {
     }
     let reference_digests = reference_digests.expect("at least one run");
 
-    // Cross-check against the process-global ide.latency.* histograms
-    // every server recorded into (interpolated log-bucket quantiles).
+    // Cross-check against the process-global ide.latency.* dispatch
+    // histograms every server recorded into (interpolated log-bucket
+    // quantiles), next to the ide.phase.* histograms of the frame
+    // decode and response encode around each dispatch.
     let snapshot = ev_trace::snapshot_metrics();
-    let latency: Vec<(&str, Value)> = snapshot
-        .histograms
-        .iter()
-        .filter(|h| h.name.starts_with("ide.latency.") && h.count > 0)
-        .map(|h| {
-            let [p50, _, p95, p99] = h.percentiles();
-            (
-                h.name,
-                Value::object([
-                    ("count", Value::Int(h.count as i64)),
-                    ("p50Micros", Value::Float(p50)),
-                    ("p95Micros", Value::Float(p95)),
-                    ("p99Micros", Value::Float(p99)),
-                ]),
-            )
-        })
-        .collect();
+    let histograms = |prefix: &str| -> Vec<(&'static str, Value)> {
+        snapshot
+            .histograms
+            .iter()
+            .filter(|h| h.name.starts_with(prefix) && h.count > 0)
+            .map(|h| {
+                let [p50, _, p95, p99] = h.percentiles();
+                (
+                    h.name,
+                    Value::object([
+                        ("count", Value::Int(h.count as i64)),
+                        ("p50Micros", Value::Float(p50)),
+                        ("p95Micros", Value::Float(p95)),
+                        ("p99Micros", Value::Float(p99)),
+                    ]),
+                )
+            })
+            .collect()
+    };
+    let latency = histograms("ide.latency.");
+    let phase = histograms("ide.phase.");
     let latency_methods = latency.len();
+    let phases = phase.len();
     let metrics = Value::object([
         (
             "ide.requests",
@@ -293,6 +302,7 @@ fn main() {
             Value::Int(snapshot.counter("cache.coalesced") as i64),
         ),
         ("latency", Value::object(latency)),
+        ("phase", Value::object(phase)),
     ]);
 
     group("serve: flight recorder round-trip");
@@ -402,6 +412,10 @@ fn main() {
         "ide.requests counter undercounts"
     );
     assert!(latency_methods >= 6, "expected per-method histograms");
+    assert_eq!(
+        phases, 2,
+        "expected the frame-decode and response-encode phases"
+    );
     assert!(captures > 0, "flight recorder captured nothing");
     assert!(events > 0 && reimported > 1, "chrome round-trip degenerate");
     println!("serve gates passed");

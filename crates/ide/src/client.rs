@@ -146,7 +146,7 @@ impl EditorClient {
         let (value, _) = decode_frame(&reply)
             .map_err(IdeError::Protocol)?
             .ok_or_else(|| IdeError::Protocol("no response frame".to_owned()))?;
-        let response = Response::from_value(&value).map_err(IdeError::Protocol)?;
+        let response = Response::try_from(value).map_err(IdeError::Protocol)?;
         self.last_meta = response.meta;
         match response.outcome {
             Ok(result) => Ok(result),

@@ -171,14 +171,32 @@ impl Response {
         Value::object(pairs)
     }
 
-    /// Parses from a JSON value.
+    /// Parses from a JSON value; see [`Response::try_from`], which
+    /// takes the value by move and so avoids copying `result`.
     ///
     /// # Errors
     ///
     /// Returns a description when the value is not a response object.
     pub fn from_value(value: &Value) -> Result<Response, String> {
-        let id = value.get("id").and_then(Value::as_i64);
-        let meta = value.get("meta").map(|m| ResponseMeta {
+        Response::try_from(value.clone())
+    }
+}
+
+impl TryFrom<Value> for Response {
+    type Error = String;
+
+    /// Parses a response, moving `result` out of `value` instead of
+    /// cloning it (a flame-graph result is the bulk of its frame).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the value is not a response object.
+    fn try_from(value: Value) -> Result<Response, String> {
+        let Value::Object(mut map) = value else {
+            return Err("missing result".to_owned());
+        };
+        let id = map.get("id").and_then(Value::as_i64);
+        let meta = map.get("meta").map(|m| ResponseMeta {
             request_seq: m
                 .get("requestSeq")
                 .and_then(Value::as_i64)
@@ -191,7 +209,7 @@ impl Response {
                 .max(0) as u64,
             spans: m.get("spans").and_then(Value::as_i64).unwrap_or(0).max(0) as u64,
         });
-        if let Some(err) = value.get("error") {
+        if let Some(err) = map.get("error") {
             let code = err.get("code").and_then(Value::as_i64).unwrap_or(0);
             let message = err
                 .get("message")
@@ -202,7 +220,7 @@ impl Response {
             response.meta = meta;
             return Ok(response);
         }
-        let result = value.get("result").cloned().ok_or("missing result")?;
+        let result = map.remove("result").ok_or("missing result")?;
         let id = id.ok_or("missing id")?;
         let mut response = Response::ok(id, result);
         response.meta = meta;
@@ -212,10 +230,34 @@ impl Response {
 
 /// Frames a JSON payload with a `Content-Length` header.
 pub fn encode_frame(payload: &Value) -> Vec<u8> {
-    let body = ev_json::to_string(payload);
-    let mut out = Vec::with_capacity(body.len() + 32);
-    out.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
-    out.extend_from_slice(body.as_bytes());
+    frame_parts(&[ev_json::to_string(payload).as_bytes()])
+}
+
+/// Frames the success response to request `id` whose `result` is the
+/// already-encoded JSON `result`, splicing those bytes in instead of
+/// building and encoding a tree. The frame is byte-identical to
+/// `encode_frame` of the same response: objects serialize with sorted
+/// keys, and `result` sorts after `id`, `jsonrpc` and `meta`, so it is
+/// the envelope's last member.
+pub fn encode_result_frame(id: i64, meta: Option<ResponseMeta>, result: &str) -> Vec<u8> {
+    let mut head = Response::ok(id, Value::Null);
+    head.meta = meta;
+    let envelope = ev_json::to_string(&head.to_value());
+    let open = envelope
+        .strip_suffix("null}")
+        .expect("result is the envelope's last member");
+    frame_parts(&[open.as_bytes(), result.as_bytes(), b"}"])
+}
+
+/// One frame whose body is `parts` back to back.
+fn frame_parts(parts: &[&[u8]]) -> Vec<u8> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let header = format!("Content-Length: {len}\r\n\r\n");
+    let mut out = Vec::with_capacity(header.len() + len);
+    out.extend_from_slice(header.as_bytes());
+    for part in parts {
+        out.extend_from_slice(part);
+    }
     out
 }
 
@@ -296,9 +338,11 @@ mod tests {
         let value = err.to_value();
         assert_eq!(value.get("id"), Some(&Value::Null), "null id on the wire");
         assert_eq!(Response::from_value(&value).unwrap(), err);
-        // A success response without an id stays malformed.
+        // A success response without an id stays malformed, as does a
+        // value that is no object at all.
         let bad = Value::object([("jsonrpc", Value::from("2.0")), ("result", Value::Int(1))]);
         assert!(Response::from_value(&bad).is_err());
+        assert!(Response::try_from(Value::Int(1)).is_err());
     }
 
     #[test]
@@ -321,6 +365,30 @@ mod tests {
         assert_eq!(Response::from_value(&value).unwrap(), ok);
         let err = Response::error(6, codes::INTERNAL_ERROR, "boom").with_meta(meta);
         assert_eq!(Response::from_value(&err.to_value()).unwrap(), err);
+    }
+
+    #[test]
+    fn result_frames_splice_like_tree_frames() {
+        let result = Value::object([
+            ("rects", Value::array([Value::Float(1.0), Value::Int(-2)])),
+            ("label", Value::from("a\"b✓")),
+        ]);
+        let body = ev_json::to_string(&result);
+        for meta in [
+            None,
+            Some(ResponseMeta {
+                request_seq: 12,
+                wall_micros: 345,
+                spans: 6,
+            }),
+        ] {
+            let mut response = Response::ok(7, result.clone());
+            response.meta = meta;
+            assert_eq!(
+                encode_result_frame(7, meta, &body),
+                encode_frame(&response.to_value())
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,13 @@
 //! in-flight budgets convert overload into a clean `BUSY` error
 //! instead of unbounded queueing.
 
-use crate::rpc::{codes, decode_frame, encode_frame, Request, Response};
-use ev_analysis::{aggregate, classify_timeline, diff, CacheStats, MetricView, ViewCache};
+use crate::rpc::{
+    codes, decode_frame, encode_frame, encode_result_frame, Request, Response, ResponseMeta,
+};
+use ev_analysis::{
+    aggregate, classify_timeline, diff, fingerprint_view_key, profile_fingerprint, CacheStats,
+    MetricView, ViewCache,
+};
 use ev_core::{MetricId, NodeId, Profile};
 use ev_flame::FlameGraph;
 use ev_json::Value;
@@ -82,6 +87,22 @@ fn request_counter() -> &'static ev_trace::Counter {
 fn error_counter() -> &'static ev_trace::Counter {
     static HANDLE: OnceLock<&'static ev_trace::Counter> = OnceLock::new();
     HANDLE.get_or_init(|| ev_trace::counter("ide.errors"))
+}
+
+/// Cached handle for the `ide.phase.frame_decode` histogram: the
+/// microseconds [`EvpServer::handle_bytes`] spends turning one frame
+/// into a request, outside the `ide.latency.*` dispatch window.
+fn frame_decode_histogram() -> &'static ev_trace::Histogram {
+    static HANDLE: OnceLock<&'static ev_trace::Histogram> = OnceLock::new();
+    HANDLE.get_or_init(|| ev_trace::histogram("ide.phase.frame_decode"))
+}
+
+/// Cached handle for the `ide.phase.response_encode` histogram: the
+/// microseconds spent framing one response (splicing a cached view's
+/// bytes included), outside the `ide.latency.*` dispatch window.
+fn response_encode_histogram() -> &'static ev_trace::Histogram {
+    static HANDLE: OnceLock<&'static ev_trace::Histogram> = OnceLock::new();
+    HANDLE.get_or_init(|| ev_trace::histogram("ide.phase.response_encode"))
 }
 
 /// Known EVP methods and their latency histogram names. The registry
@@ -186,6 +207,17 @@ pub(crate) fn profile_to_param(profile: &Profile) -> Value {
 /// concurrent opens/closes on different profiles rarely contend.
 const PROFILE_SHARDS: usize = 8;
 
+/// A loaded profile with the [`profile_fingerprint`] of its current
+/// version. Both sit under one lock, and the writers (`register` and
+/// `profile/script`) refresh the fingerprint before releasing it, so a
+/// reader always keys views with the fingerprint of exactly the
+/// profile it reads — and no request has to sweep the profile again.
+#[derive(Debug)]
+struct LoadedProfile {
+    profile: Profile,
+    fingerprint: u64,
+}
+
 /// One loaded profile. The profile itself sits behind its own
 /// `RwLock` so view requests (readers) proceed concurrently while
 /// `profile/script` (the only writer) gets exclusive access; the
@@ -193,7 +225,7 @@ const PROFILE_SHARDS: usize = 8;
 /// concurrently removed from the table.
 #[derive(Debug, Clone)]
 struct ProfileEntry {
-    profile: Arc<RwLock<Profile>>,
+    profile: Arc<RwLock<LoadedProfile>>,
     /// Per-node value series for profiles created by
     /// `profile/aggregate` (the data behind `profile/histogram`).
     series: Option<Arc<Vec<Vec<f64>>>>,
@@ -203,6 +235,59 @@ struct ProfileEntry {
 #[derive(Debug, Default)]
 struct SessionState {
     inflight: AtomicU32,
+}
+
+/// A handler's successful result.
+enum Reply {
+    /// A JSON tree, encoded when the response is framed.
+    Tree(Value),
+    /// The encoded JSON of a memoized view, spliced into the response
+    /// frame as is.
+    Encoded(Arc<Box<str>>),
+}
+
+/// A handled request: everything its response frame carries.
+struct Answer {
+    id: i64,
+    outcome: Result<Reply, (i64, String)>,
+    meta: ResponseMeta,
+}
+
+impl Answer {
+    /// The response as a value tree; an encoded view is decoded.
+    fn into_response(self) -> Response {
+        let outcome = self.outcome.map(|reply| match reply {
+            Reply::Tree(value) => value,
+            Reply::Encoded(json) => ev_json::parse(&json).expect("a memoized view is valid JSON"),
+        });
+        Response {
+            id: Some(self.id),
+            outcome,
+            meta: Some(self.meta),
+        }
+    }
+
+    /// The framed response. A result is encoded (or, for a memoized
+    /// view, already was) straight into the frame, never copied as a
+    /// tree.
+    fn into_frame(self) -> Vec<u8> {
+        let meta = Some(self.meta);
+        match self.outcome {
+            Ok(Reply::Tree(value)) => {
+                encode_result_frame(self.id, meta, &ev_json::to_string(&value))
+            }
+            Ok(Reply::Encoded(json)) => encode_result_frame(self.id, meta, &json),
+            Err((code, message)) => {
+                let response = Response::error(self.id, code, message).with_meta(self.meta);
+                encode_frame(&response.to_value())
+            }
+        }
+    }
+}
+
+/// The compact JSON of a view result, as the view cache holds it.
+fn encode_view(result: &Value) -> Box<str> {
+    ev_json::to_string(result).into_boxed_str()
 }
 
 /// RAII decrement of a session's in-flight count.
@@ -224,8 +309,9 @@ impl Drop for SessionGuard {
 /// mutex — so one instance can serve many concurrent sessions (wrap it
 /// in [`SharedEvpServer`] to share across threads). Expensive views
 /// (`profile/flameGraph`, `profile/treeTable`, `profile/summary`) are
-/// memoized in a [`ViewCache`] keyed by content fingerprint;
-/// identical concurrent requests coalesce onto one computation.
+/// memoized as encoded JSON in a [`ViewCache`] keyed by the content
+/// fingerprint of the profile version; identical concurrent requests
+/// coalesce onto one computation.
 #[derive(Debug)]
 pub struct EvpServer {
     shards: Box<[RwLock<HashMap<i64, ProfileEntry>>]>,
@@ -235,8 +321,9 @@ pub struct EvpServer {
     recorder: Mutex<FlightRecorder>,
     /// Monotone request sequence, carried as `requestSeq` in meta.
     next_seq: AtomicU64,
-    /// Memoized view responses, shared (and coalesced) across sessions.
-    views: ViewCache<Value>,
+    /// Memoized view results as encoded JSON, shared (and coalesced)
+    /// across sessions.
+    views: ViewCache<Box<str>>,
     sessions: RwLock<HashMap<u64, Arc<SessionState>>>,
     next_session: AtomicU64,
 }
@@ -317,11 +404,16 @@ impl EvpServer {
             .ok_or((codes::UNKNOWN_PROFILE, format!("profile {id} not loaded")))
     }
 
-    /// Registers a new server-side profile and returns its id.
+    /// Registers a new server-side profile, fingerprinting it, and
+    /// returns its id.
     fn register(&self, profile: Profile, series: Option<Vec<Vec<f64>>>) -> i64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+        let loaded = LoadedProfile {
+            fingerprint: profile_fingerprint(&profile),
+            profile,
+        };
         let entry = ProfileEntry {
-            profile: Arc::new(RwLock::new(profile)),
+            profile: Arc::new(RwLock::new(loaded)),
             series: series.map(Arc::new),
         };
         self.shard(id).write().unwrap().insert(id, entry);
@@ -335,26 +427,48 @@ impl EvpServer {
     /// the request's own id when one can be extracted (JSON-RPC `null`
     /// otherwise), so clients can correlate the error.
     ///
+    /// The phases around dispatch are timed here, since `meta.wallMicros`
+    /// covers dispatch only: decoding a frame into a request records
+    /// into `ide.phase.frame_decode`, framing the response into
+    /// `ide.phase.response_encode` (microseconds). A memoized view's
+    /// encoded result is spliced into its frame, never re-encoded.
+    ///
     /// # Errors
     ///
     /// Returns a description on transport-level corruption.
     pub fn handle_bytes(&self, input: &[u8]) -> Result<(Vec<u8>, usize), String> {
         let mut consumed = 0usize;
         let mut out = Vec::new();
-        while let Some((value, used)) = decode_frame(&input[consumed..])? {
+        loop {
+            let decode_start = ev_trace::now_ns();
+            let Some((value, used)) = decode_frame(&input[consumed..])? else {
+                break;
+            };
             consumed += used;
-            match Request::from_value(&value) {
-                Ok(request) => {
-                    if let Some(response) = self.handle(&request) {
-                        out.extend_from_slice(&encode_frame(&response.to_value()));
-                    }
-                }
-                Err(err) => {
-                    let id = value.get("id").and_then(Value::as_i64);
-                    let response = Response::error_for(id, codes::INVALID_REQUEST, err);
-                    out.extend_from_slice(&encode_frame(&response.to_value()));
-                }
+            let request = Request::from_value(&value);
+            frame_decode_histogram().record((ev_trace::now_ns() - decode_start) / 1_000);
+            let answer = match request {
+                Ok(request) => match self.respond(&request) {
+                    Some(answer) => Ok(answer),
+                    None => continue,
+                },
+                Err(err) => Err(Response::error_for(
+                    value.get("id").and_then(Value::as_i64),
+                    codes::INVALID_REQUEST,
+                    err,
+                )),
+            };
+            let encode_start = ev_trace::now_ns();
+            let frame = match answer {
+                Ok(answer) => answer.into_frame(),
+                Err(refusal) => encode_frame(&refusal.to_value()),
+            };
+            if out.is_empty() {
+                out = frame;
+            } else {
+                out.extend_from_slice(&frame);
             }
+            response_encode_histogram().record((ev_trace::now_ns() - encode_start) / 1_000);
         }
         Ok((out, consumed))
     }
@@ -409,7 +523,18 @@ impl EvpServer {
     /// cannot contaminate them. With tracing disabled the
     /// instrumentation degrades to counter/histogram bumps — no
     /// capture, no allocation beyond the response itself.
+    ///
+    /// Memoized views are held as encoded JSON, so for
+    /// `profile/flameGraph`, `profile/treeTable` and `profile/summary`
+    /// this convenience form decodes the cached bytes into the result;
+    /// [`EvpServer::handle_bytes`] splices them instead.
     pub fn handle(&self, request: &Request) -> Option<Response> {
+        self.respond(request).map(Answer::into_response)
+    }
+
+    /// Handles one request up to its unframed answer; the shared core
+    /// of [`EvpServer::handle`] and [`EvpServer::handle_bytes`].
+    fn respond(&self, request: &Request) -> Option<Answer> {
         let id = request.id?;
         let request_seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         request_counter().inc();
@@ -452,21 +577,26 @@ impl EvpServer {
                 counter_deltas,
             );
         }
-        let meta = crate::rpc::ResponseMeta {
+        let meta = ResponseMeta {
             request_seq,
             wall_micros,
             spans,
         };
-        Some(
-            match outcome {
-                Ok(result) => Response::ok(id, result),
-                Err((code, message)) => Response::error(id, code, message),
-            }
-            .with_meta(meta),
-        )
+        Some(Answer { id, outcome, meta })
     }
 
-    fn dispatch(&self, method: &str, params: &Value) -> Result<Value, (i64, String)> {
+    fn dispatch(&self, method: &str, params: &Value) -> Result<Reply, (i64, String)> {
+        match method {
+            "profile/flameGraph" => self.flame_graph(params).map(Reply::Encoded),
+            "profile/treeTable" => self.tree_table(params).map(Reply::Encoded),
+            "profile/summary" => self.summary(params).map(Reply::Encoded),
+            _ => self.dispatch_tree(method, params).map(Reply::Tree),
+        }
+    }
+
+    /// Dispatch of the methods whose results are built fresh per
+    /// request.
+    fn dispatch_tree(&self, method: &str, params: &Value) -> Result<Value, (i64, String)> {
         match method {
             "initialize" => Ok(Value::object([
                 ("name", Value::from("easyview")),
@@ -497,12 +627,9 @@ impl EvpServer {
                 ),
             ])),
             "profile/open" => self.open(params),
-            "profile/flameGraph" => self.flame_graph(params),
-            "profile/treeTable" => self.tree_table(params),
             "profile/codeLink" => self.code_link(params),
             "profile/codeLens" => self.code_lens(params),
             "profile/hover" => self.hover(params),
-            "profile/summary" => self.summary(params),
             "profile/search" => self.search(params),
             "profile/script" => self.script(params),
             "profile/close" => self.close(params),
@@ -646,13 +773,13 @@ impl EvpServer {
         // read-locked twice on one thread).
         let mut unique: Vec<i64> = entry_by_id.keys().copied().collect();
         unique.sort_unstable();
-        let guards: Vec<RwLockReadGuard<'_, Profile>> = unique
+        let guards: Vec<RwLockReadGuard<'_, LoadedProfile>> = unique
             .iter()
             .map(|id| entry_by_id[id].profile.read().unwrap())
             .collect();
         let inputs: Vec<&Profile> = ids
             .iter()
-            .map(|id| &*guards[unique.binary_search(id).expect("id was resolved")])
+            .map(|id| &guards[unique.binary_search(id).expect("id was resolved")].profile)
             .collect();
         let agg = aggregate(&inputs, &metric).map_err(|i| {
             (
@@ -705,7 +832,7 @@ impl EvpServer {
         let other_guard;
         let (first, second): (&Profile, &Profile) = if other == base {
             base_guard = base_entry.profile.read().unwrap();
-            (&base_guard, &base_guard)
+            (&base_guard.profile, &base_guard.profile)
         } else {
             other_entry = self.entry(other)?;
             if base < other {
@@ -715,7 +842,7 @@ impl EvpServer {
                 other_guard = other_entry.profile.read().unwrap();
                 base_guard = base_entry.profile.read().unwrap();
             }
-            (&base_guard, &other_guard)
+            (&base_guard.profile, &other_guard.profile)
         };
         let d = diff(first, second, &metric, 0.0).map_err(|i| {
             (
@@ -754,8 +881,9 @@ impl EvpServer {
     /// in earlier panes.
     fn correlated(&self, params: &Value) -> Result<Value, (i64, String)> {
         let (_, entry) = self.profile_entry(params)?;
-        let profile = entry.profile.read().unwrap();
-        let metric = Self::metric(&profile, params)?;
+        let loaded = entry.profile.read().unwrap();
+        let profile = &loaded.profile;
+        let metric = Self::metric(profile, params)?;
         let kind = match params.get("kind").and_then(Value::as_str) {
             Some("useReuse") | None => ev_core::LinkKind::UseReuse,
             Some("redundantKilling") => ev_core::LinkKind::RedundantKilling,
@@ -787,7 +915,7 @@ impl EvpServer {
                 return Err((codes::UNKNOWN_ENTITY, "selection node out of range".to_owned()));
             }
         }
-        let view = ev_flame::CorrelatedView::new(&profile, kind, metric);
+        let view = ev_flame::CorrelatedView::new(profile, kind, metric);
         let endpoints: Value = view
             .endpoints(position, &selection)
             .into_iter()
@@ -826,7 +954,7 @@ impl EvpServer {
     /// its timeline classification.
     fn histogram(&self, params: &Value) -> Result<Value, (i64, String)> {
         let (_, entry) = self.profile_entry(params)?;
-        let profile = entry.profile.read().unwrap();
+        let profile = &entry.profile.read().unwrap().profile;
         let node = params
             .get("node")
             .and_then(Value::as_i64)
@@ -846,10 +974,11 @@ impl EvpServer {
         ]))
     }
 
-    fn flame_graph(&self, params: &Value) -> Result<Value, (i64, String)> {
+    fn flame_graph(&self, params: &Value) -> Result<Arc<Box<str>>, (i64, String)> {
         let (_, entry) = self.profile_entry(params)?;
-        let profile = entry.profile.read().unwrap();
-        let metric = Self::metric(&profile, params)?;
+        let loaded = entry.profile.read().unwrap();
+        let profile = &loaded.profile;
+        let metric = Self::metric(profile, params)?;
         let view = params
             .get("view")
             .and_then(Value::as_str)
@@ -865,17 +994,18 @@ impl EvpServer {
             .and_then(Value::as_i64)
             .unwrap_or(100_000)
             .max(0) as usize;
-        // The response is memoized on profile *content* + metric +
-        // the full transform descriptor (view and limit shape the
-        // JSON), so a cached answer is byte-identical to a computed
-        // one and a mutated profile never aliases a stale entry.
+        // The result is memoized on the profile version's content
+        // fingerprint + metric + the full transform descriptor (view
+        // and limit shape the JSON), so a cached answer is
+        // byte-identical to a computed one and a mutated profile never
+        // aliases a stale entry.
         let limit_tag = format!("limit:{limit}");
-        let key = ev_analysis::view_key(&profile, metric, &["flame", view, &limit_tag]);
-        let response = self.views.get_or_insert_with(key, || {
+        let key = fingerprint_view_key(loaded.fingerprint, metric, &["flame", view, &limit_tag]);
+        Ok(self.views.get_or_insert_with(key, || {
             let graph = match view {
-                "topDown" => FlameGraph::top_down(&profile, metric),
-                "bottomUp" => FlameGraph::bottom_up(&profile, metric),
-                _ => FlameGraph::flat(&profile, metric),
+                "topDown" => FlameGraph::top_down(profile, metric),
+                "bottomUp" => FlameGraph::bottom_up(profile, metric),
+                _ => FlameGraph::flat(profile, metric),
             };
             let rects: Value = graph
                 .rects()
@@ -895,29 +1025,29 @@ impl EvpServer {
                     ])
                 })
                 .collect();
-            Value::object([
+            encode_view(&Value::object([
                 ("total", Value::Float(graph.total())),
                 ("maxDepth", Value::Int(graph.max_depth() as i64)),
                 ("elided", Value::Int(graph.elided() as i64)),
                 ("rects", rects),
-            ])
-        });
-        Ok((*response).clone())
+            ]))
+        }))
     }
 
-    fn tree_table(&self, params: &Value) -> Result<Value, (i64, String)> {
+    fn tree_table(&self, params: &Value) -> Result<Arc<Box<str>>, (i64, String)> {
         let (_, entry) = self.profile_entry(params)?;
-        let profile = entry.profile.read().unwrap();
-        let metric = Self::metric(&profile, params)?;
+        let loaded = entry.profile.read().unwrap();
+        let profile = &loaded.profile;
+        let metric = Self::metric(profile, params)?;
         let depth = params
             .get("depth")
             .and_then(Value::as_i64)
             .unwrap_or(3)
             .max(1) as usize;
         let depth_tag = format!("depth:{depth}");
-        let key = ev_analysis::view_key(&profile, metric, &["treeTable", &depth_tag]);
-        let response = self.views.get_or_insert_with(key, || {
-            let mut table = ev_flame::TreeTable::new(&profile, &[metric]);
+        let key = fingerprint_view_key(loaded.fingerprint, metric, &["treeTable", &depth_tag]);
+        Ok(self.views.get_or_insert_with(key, || {
+            let mut table = ev_flame::TreeTable::new(profile, &[metric]);
             table.expand_to_depth(depth);
             let rows: Value = table
                 .rows()
@@ -933,16 +1063,15 @@ impl EvpServer {
                     ])
                 })
                 .collect();
-            Value::object([("rows", rows)])
-        });
-        Ok((*response).clone())
+            encode_view(&Value::object([("rows", rows)]))
+        }))
     }
 
     /// The mandatory action (§VI-B-a): resolve a frame to its source
     /// location so the editor can open, jump, and highlight.
     fn code_link(&self, params: &Value) -> Result<Value, (i64, String)> {
         let (_, entry) = self.profile_entry(params)?;
-        let profile = entry.profile.read().unwrap();
+        let profile = &entry.profile.read().unwrap().profile;
         let node = params
             .get("node")
             .and_then(Value::as_i64)
@@ -967,51 +1096,18 @@ impl EvpServer {
     /// Code lens (§VI-B-b): per-line annotations for one file.
     fn code_lens(&self, params: &Value) -> Result<Value, (i64, String)> {
         let (_, entry) = self.profile_entry(params)?;
-        let profile = entry.profile.read().unwrap();
+        let profile = &entry.profile.read().unwrap().profile;
         let file = params
             .get("file")
             .and_then(Value::as_str)
             .ok_or((codes::INVALID_PARAMS, "missing file".to_owned()))?;
-        // line -> metric -> accumulated exclusive value.
-        let mut lines: HashMap<u32, Vec<f64>> = HashMap::new();
-        for node in profile.node_ids() {
-            let frame = profile.resolve_frame(node);
-            if frame.file != file || frame.line == 0 {
-                continue;
-            }
-            let slot = lines
-                .entry(frame.line)
-                .or_insert_with(|| vec![0.0; profile.metrics().len()]);
-            for &(m, v) in profile.node(node).values() {
-                slot[m.index()] += v;
-            }
-        }
-        let mut entries: Vec<(u32, Vec<f64>)> = lines.into_iter().collect();
-        entries.sort_by_key(|&(line, _)| line);
-        let lenses: Value = entries
-            .into_iter()
-            .map(|(line, values)| {
-                let text = profile
-                    .metrics()
-                    .iter()
-                    .zip(&values)
-                    .filter(|&(_, &v)| v != 0.0)
-                    .map(|(m, &v)| format!("{}: {}", m.name, m.unit.format(v)))
-                    .collect::<Vec<_>>()
-                    .join(" | ");
-                Value::object([
-                    ("line", Value::Int(i64::from(line))),
-                    ("text", Value::from(text)),
-                ])
-            })
-            .collect();
-        Ok(Value::object([("lenses", lenses)]))
+        Ok(code_lens_result(profile, file))
     }
 
     /// Hover (§VI-B-b): all metric values attached to one source line.
     fn hover(&self, params: &Value) -> Result<Value, (i64, String)> {
         let (_, entry) = self.profile_entry(params)?;
-        let profile = entry.profile.read().unwrap();
+        let profile = &entry.profile.read().unwrap().profile;
         let file = params
             .get("file")
             .and_then(Value::as_str)
@@ -1019,42 +1115,27 @@ impl EvpServer {
         let line = params
             .get("line")
             .and_then(Value::as_i64)
-            .ok_or((codes::INVALID_PARAMS, "missing line".to_owned()))? as u32;
-        let mut totals = vec![0.0; profile.metrics().len()];
-        let mut contexts = 0usize;
-        for node in profile.node_ids() {
-            let frame = profile.resolve_frame(node);
-            if frame.file != file || frame.line != line {
-                continue;
-            }
-            contexts += 1;
-            for &(m, v) in profile.node(node).values() {
-                totals[m.index()] += v;
-            }
-        }
-        let contents: Value = profile
-            .metrics()
-            .iter()
-            .zip(&totals)
-            .filter(|&(_, &v)| v != 0.0)
-            .map(|(m, &v)| Value::from(format!("{}: {}", m.name, m.unit.format(v))))
-            .collect();
-        Ok(Value::object([
-            ("contexts", Value::Int(contexts as i64)),
-            ("contents", contents),
-        ]))
+            .ok_or((codes::INVALID_PARAMS, "missing line".to_owned()))?;
+        let line = u32::try_from(line).map_err(|_| {
+            (
+                codes::INVALID_PARAMS,
+                format!("line {line} is out of range (0..={})", u32::MAX),
+            )
+        })?;
+        Ok(hover_result(profile, file, line))
     }
 
     /// Floating window (§VI-B-b): global summary of the whole profile.
-    fn summary(&self, params: &Value) -> Result<Value, (i64, String)> {
+    fn summary(&self, params: &Value) -> Result<Arc<Box<str>>, (i64, String)> {
         let (_, entry) = self.profile_entry(params)?;
-        let profile = entry.profile.read().unwrap();
-        let key = ev_analysis::view_key(&profile, MetricId::from_index(0), &["summary"]);
-        let response = self.views.get_or_insert_with(key, || {
+        let loaded = entry.profile.read().unwrap();
+        let profile = &loaded.profile;
+        let key = fingerprint_view_key(loaded.fingerprint, MetricId::from_index(0), &["summary"]);
+        Ok(self.views.get_or_insert_with(key, || {
             let mut hottest: Vec<Value> = Vec::new();
             if let Some(first) = profile.metrics().first() {
                 let metric = profile.metric_by_name(&first.name).expect("exists");
-                let view = MetricView::compute(&profile, metric);
+                let view = MetricView::compute(profile, metric);
                 let mut by_self: Vec<(NodeId, f64)> = profile
                     .node_ids()
                     .map(|id| (id, view.exclusive(id)))
@@ -1085,41 +1166,25 @@ impl EvpServer {
                     ])
                 })
                 .collect();
-            Value::object([
+            encode_view(&Value::object([
                 ("name", Value::from(profile.meta().name.clone())),
                 ("profiler", Value::from(profile.meta().profiler.clone())),
                 ("nodes", Value::Int(profile.node_count() as i64)),
                 ("links", Value::Int(profile.links().len() as i64)),
                 ("totals", totals),
                 ("hottest", Value::Array(hottest)),
-            ])
-        });
-        Ok((*response).clone())
+            ]))
+        }))
     }
 
     fn search(&self, params: &Value) -> Result<Value, (i64, String)> {
         let (_, entry) = self.profile_entry(params)?;
-        let profile = entry.profile.read().unwrap();
+        let profile = &entry.profile.read().unwrap().profile;
         let query = params
             .get("query")
             .and_then(Value::as_str)
-            .ok_or((codes::INVALID_PARAMS, "missing query".to_owned()))?
-            .to_lowercase();
-        let matches: Value = profile
-            .node_ids()
-            .filter_map(|id| {
-                let frame = profile.resolve_frame(id);
-                if frame.name.to_lowercase().contains(&query) {
-                    Some(Value::object([
-                        ("node", Value::Int(id.index() as i64)),
-                        ("label", Value::from(frame.name)),
-                    ]))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        Ok(Value::object([("matches", matches)]))
+            .ok_or((codes::INVALID_PARAMS, "missing query".to_owned()))?;
+        Ok(search_result(profile, query))
     }
 
     /// The flight-recorder surface: lists retained captures (oldest
@@ -1186,9 +1251,10 @@ impl EvpServer {
     /// Customization (§V-B): run an EVscript against the loaded
     /// profile. Scripts may mutate the profile, so this takes the
     /// profile's write lock — concurrent view requests on the same
-    /// profile wait; other profiles are unaffected. A mutation changes
-    /// the content fingerprint, so memoized views of the old state
-    /// never alias the new one.
+    /// profile wait; other profiles are unaffected. The fingerprint is
+    /// recomputed before the lock is released, whether the script
+    /// succeeded or failed part-way through its mutations, so memoized
+    /// views of the old state never alias the new one.
     fn script(&self, params: &Value) -> Result<Value, (i64, String)> {
         let id = params
             .get("profileId")
@@ -1200,12 +1266,114 @@ impl EvpServer {
             .ok_or((codes::INVALID_PARAMS, "missing source".to_owned()))?
             .to_owned();
         let entry = self.entry(id)?;
-        let mut profile = entry.profile.write().unwrap();
-        let output = ScriptHost::new(&mut profile)
-            .run(&source)
-            .map_err(|e| (codes::INTERNAL_ERROR, e.to_string()))?;
+        let mut loaded = entry.profile.write().unwrap();
+        let output = ScriptHost::new(&mut loaded.profile).run(&source);
+        loaded.fingerprint = profile_fingerprint(&loaded.profile);
+        drop(loaded);
+        let output = output.map_err(|e| (codes::INTERNAL_ERROR, e.to_string()))?;
         Ok(Value::object([("stdout", Value::from(output.stdout))]))
     }
+}
+
+/// `profile/codeLens`: per source line of `file`, the exclusive values
+/// of every context on it, summed per metric. Frames are matched on
+/// their interned file id and line, never resolved to owned strings:
+/// the string table interns each string once, so one id names every
+/// frame in `file`, and a file no frame names has no id at all.
+fn code_lens_result(profile: &Profile, file: &str) -> Value {
+    // line -> metric -> accumulated exclusive value.
+    let mut lines: HashMap<u32, Vec<f64>> = HashMap::new();
+    if let Some(file) = profile.strings().lookup(file) {
+        for node in profile.node_ids() {
+            let node = profile.node(node);
+            let frame = node.frame();
+            if frame.file != file || frame.line == 0 {
+                continue;
+            }
+            let slot = lines
+                .entry(frame.line)
+                .or_insert_with(|| vec![0.0; profile.metrics().len()]);
+            for &(m, v) in node.values() {
+                slot[m.index()] += v;
+            }
+        }
+    }
+    let mut entries: Vec<(u32, Vec<f64>)> = lines.into_iter().collect();
+    entries.sort_by_key(|&(line, _)| line);
+    let lenses: Value = entries
+        .into_iter()
+        .map(|(line, values)| {
+            let text = profile
+                .metrics()
+                .iter()
+                .zip(&values)
+                .filter(|&(_, &v)| v != 0.0)
+                .map(|(m, &v)| format!("{}: {}", m.name, m.unit.format(v)))
+                .collect::<Vec<_>>()
+                .join(" | ");
+            Value::object([
+                ("line", Value::Int(i64::from(line))),
+                ("text", Value::from(text)),
+            ])
+        })
+        .collect();
+    Value::object([("lenses", lenses)])
+}
+
+/// `profile/hover`: how many contexts sit on `file:line` and their
+/// summed values per metric, matched on interned file id and line as
+/// in [`code_lens_result`].
+fn hover_result(profile: &Profile, file: &str, line: u32) -> Value {
+    let mut totals = vec![0.0; profile.metrics().len()];
+    let mut contexts = 0usize;
+    if let Some(file) = profile.strings().lookup(file) {
+        for node in profile.node_ids() {
+            let node = profile.node(node);
+            let frame = node.frame();
+            if frame.file != file || frame.line != line {
+                continue;
+            }
+            contexts += 1;
+            for &(m, v) in node.values() {
+                totals[m.index()] += v;
+            }
+        }
+    }
+    let contents: Value = profile
+        .metrics()
+        .iter()
+        .zip(&totals)
+        .filter(|&(_, &v)| v != 0.0)
+        .map(|(m, &v)| Value::from(format!("{}: {}", m.name, m.unit.format(v))))
+        .collect();
+    Value::object([
+        ("contexts", Value::Int(contexts as i64)),
+        ("contents", contents),
+    ])
+}
+
+/// `profile/search`: every node whose name contains `query`, case
+/// folded by `to_lowercase`. Each distinct name id is folded and
+/// tested once per request, however many nodes carry it.
+fn search_result(profile: &Profile, query: &str) -> Value {
+    let query = query.to_lowercase();
+    let strings = profile.strings();
+    let mut tested: Vec<Option<bool>> = vec![None; strings.len()];
+    let matches: Value = profile
+        .node_ids()
+        .filter_map(|id| {
+            let name = profile.node(id).frame().name;
+            let hit = *tested[name.index()]
+                .get_or_insert_with(|| strings.resolve(name).to_lowercase().contains(&query));
+            hit.then(|| {
+                Value::object([
+                    ("node", Value::Int(id.index() as i64)),
+                    ("label", Value::from(strings.resolve(name))),
+                ])
+            })
+        })
+        .collect();
+    Value::object([("matches", matches)])
 }
 
 /// A cloneable, thread-shareable handle to one [`EvpServer`].
@@ -1245,6 +1413,8 @@ impl std::ops::Deref for SharedEvpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ev_core::{Frame, MetricDescriptor, MetricKind, MetricUnit};
+    use ev_test::prelude::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::{Mutex, MutexGuard};
 
@@ -1263,7 +1433,6 @@ mod tests {
     }
 
     fn small_profile() -> Profile {
-        use ev_core::{Frame, MetricDescriptor, MetricKind, MetricUnit};
         let mut p = Profile::new("small");
         let m = p.add_metric(MetricDescriptor::new(
             "cpu",
@@ -1290,6 +1459,259 @@ mod tests {
             .get("profileId")
             .and_then(Value::as_i64)
             .unwrap()
+    }
+
+    /// Sends one request through `handle_bytes`, returning the raw
+    /// response frame.
+    fn wire(server: &EvpServer, id: i64, method: &str, params: Value) -> Vec<u8> {
+        let frame = encode_frame(&Request::new(id, method, params).to_value());
+        let (bytes, consumed) = server.handle_bytes(&frame).unwrap();
+        assert_eq!(consumed, frame.len());
+        bytes
+    }
+
+    /// The response a raw frame carries.
+    fn decode_response(bytes: &[u8]) -> Response {
+        let (value, used) = decode_frame(bytes).unwrap().unwrap();
+        assert_eq!(used, bytes.len(), "one frame");
+        Response::try_from(value).unwrap()
+    }
+
+    /// `profile/codeLens` as it scanned before matching on interned
+    /// ids: every node's frame resolved to owned strings. The oracle
+    /// for [`code_lens_result`].
+    fn code_lens_oracle(profile: &Profile, file: &str) -> Value {
+        let mut lines: HashMap<u32, Vec<f64>> = HashMap::new();
+        for node in profile.node_ids() {
+            let frame = profile.resolve_frame(node);
+            if frame.file != file || frame.line == 0 {
+                continue;
+            }
+            let slot = lines
+                .entry(frame.line)
+                .or_insert_with(|| vec![0.0; profile.metrics().len()]);
+            for &(m, v) in profile.node(node).values() {
+                slot[m.index()] += v;
+            }
+        }
+        let mut entries: Vec<(u32, Vec<f64>)> = lines.into_iter().collect();
+        entries.sort_by_key(|&(line, _)| line);
+        let lenses: Value = entries
+            .into_iter()
+            .map(|(line, values)| {
+                let text = profile
+                    .metrics()
+                    .iter()
+                    .zip(&values)
+                    .filter(|&(_, &v)| v != 0.0)
+                    .map(|(m, &v)| format!("{}: {}", m.name, m.unit.format(v)))
+                    .collect::<Vec<_>>()
+                    .join(" | ");
+                Value::object([
+                    ("line", Value::Int(i64::from(line))),
+                    ("text", Value::from(text)),
+                ])
+            })
+            .collect();
+        Value::object([("lenses", lenses)])
+    }
+
+    /// `profile/hover` by resolved frames; the oracle for
+    /// [`hover_result`].
+    fn hover_oracle(profile: &Profile, file: &str, line: u32) -> Value {
+        let mut totals = vec![0.0; profile.metrics().len()];
+        let mut contexts = 0usize;
+        for node in profile.node_ids() {
+            let frame = profile.resolve_frame(node);
+            if frame.file != file || frame.line != line {
+                continue;
+            }
+            contexts += 1;
+            for &(m, v) in profile.node(node).values() {
+                totals[m.index()] += v;
+            }
+        }
+        let contents: Value = profile
+            .metrics()
+            .iter()
+            .zip(&totals)
+            .filter(|&(_, &v)| v != 0.0)
+            .map(|(m, &v)| Value::from(format!("{}: {}", m.name, m.unit.format(v))))
+            .collect();
+        Value::object([
+            ("contexts", Value::Int(contexts as i64)),
+            ("contents", contents),
+        ])
+    }
+
+    /// `profile/search` lowercasing every node's resolved name; the
+    /// oracle for [`search_result`].
+    fn search_oracle(profile: &Profile, query: &str) -> Value {
+        let query = query.to_lowercase();
+        let matches: Value = profile
+            .node_ids()
+            .filter_map(|id| {
+                let frame = profile.resolve_frame(id);
+                if frame.name.to_lowercase().contains(&query) {
+                    Some(Value::object([
+                        ("node", Value::Int(id.index() as i64)),
+                        ("label", Value::from(frame.name)),
+                    ]))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        Value::object([("matches", matches)])
+    }
+
+    /// Files the generated profiles draw from: mapped, empty (unmapped
+    /// frames) and non-ASCII.
+    const ORACLE_FILES: [&str; 4] = ["main.c", "Work.rs", "über/ünï.c", ""];
+
+    /// Profiles whose frames mix source-mapped and unmapped frames,
+    /// line 0, mixed-case and non-ASCII names (including ones whose
+    /// lowercase form has a different length), over two metrics.
+    fn arb_source_profile() -> impl Gen<Value = Profile> {
+        const NAMES: [&str; 8] = [
+            "main",
+            "Work",
+            "parse_JSON",
+            "ÉCOLE",
+            "école",
+            "İnit",
+            "ΣΊΣΥΦΟΣ",
+            "",
+        ];
+        seeded(0..40, |rng, size| {
+            let mut p = Profile::new("oracle");
+            let cpu = p.add_metric(MetricDescriptor::new(
+                "cpu",
+                MetricUnit::Count,
+                MetricKind::Exclusive,
+            ));
+            let bytes = p.add_metric(MetricDescriptor::new(
+                "bytes",
+                MetricUnit::Bytes,
+                MetricKind::Exclusive,
+            ));
+            for _ in 0..size {
+                let depth = rng.gen_range(1usize..5);
+                let path: Vec<Frame> = (0..depth)
+                    .map(|_| {
+                        let name = NAMES[rng.gen_range(0..NAMES.len())];
+                        let file = ORACLE_FILES[rng.gen_range(0..ORACLE_FILES.len())];
+                        Frame::function(name).with_source(file, rng.gen_range(0u32..4))
+                    })
+                    .collect();
+                let mut values = vec![(cpu, f64::from(rng.gen_range(0u32..50)))];
+                if rng.gen_bool(0.5) {
+                    values.push((bytes, f64::from(rng.gen_range(0u32..5000))));
+                }
+                p.add_sample(&path, &values);
+            }
+            p
+        })
+    }
+
+    property! {
+        #![cases(128)]
+
+        fn string_id_scans_answer_like_resolved_frames(profile in arb_source_profile()) {
+            // "absent.c" is in no string table.
+            for file in ORACLE_FILES.into_iter().chain(["absent.c"]) {
+                prop_assert_eq!(
+                    code_lens_result(&profile, file),
+                    code_lens_oracle(&profile, file)
+                );
+                for line in 0..5 {
+                    prop_assert_eq!(
+                        hover_result(&profile, file, line),
+                        hover_oracle(&profile, file, line)
+                    );
+                }
+            }
+            let queries = [
+                "", "main", "WORK", "_json", "école", "ÉCOLE", "i̇", "σίσυφος", "Σ", "absent",
+            ];
+            for query in queries {
+                prop_assert_eq!(search_result(&profile, query), search_oracle(&profile, query));
+            }
+        }
+    }
+
+    #[test]
+    fn hover_rejects_lines_outside_u32() {
+        let server = EvpServer::new();
+        let id = open_profile(&server, &small_profile());
+        let hover = |rid: i64, line: i64| {
+            let params = Value::object([
+                ("profileId", Value::Int(id)),
+                ("file", Value::from("work.c")),
+                ("line", Value::Int(line)),
+            ]);
+            decode_response(&wire(&server, rid, "profile/hover", params)).outcome
+        };
+        let contexts = |result: Value| result.get("contexts").and_then(Value::as_i64);
+        assert_eq!(contexts(hover(1, 10).unwrap()), Some(1));
+        // 2^32 + 10 used to wrap to line 10, and -1 to u32::MAX.
+        for (rid, line) in (2..).zip([(1i64 << 32) + 10, -1, i64::MIN, i64::MAX]) {
+            let err = hover(rid, line).unwrap_err();
+            assert_eq!(err.0, codes::INVALID_PARAMS, "line {line}");
+            assert!(err.1.contains("out of range"), "{}", err.1);
+        }
+        assert_eq!(contexts(hover(9, 0).unwrap()), Some(0));
+        assert_eq!(contexts(hover(10, i64::from(u32::MAX)).unwrap()), Some(0));
+    }
+
+    #[test]
+    fn memoized_views_splice_into_tree_identical_frames() {
+        let server = EvpServer::new();
+        let id = open_profile(&server, &small_profile());
+        let pid = || ("profileId", Value::Int(id));
+        let cpu = || ("metric", Value::from("cpu"));
+        let flame = |view: &str| {
+            let params = Value::object([pid(), cpu(), ("view", Value::from(view))]);
+            ("profile/flameGraph", params)
+        };
+        let views = [
+            flame("topDown"),
+            flame("bottomUp"),
+            flame("flat"),
+            (
+                "profile/treeTable",
+                Value::object([pid(), cpu(), ("depth", Value::Int(2))]),
+            ),
+            ("profile/summary", Value::object([pid()])),
+        ];
+        for (rid, (method, params)) in (10..).zip(views) {
+            // A miss, then a hit: each frame must be the one the tree
+            // path frames from the same result and meta.
+            let results: Vec<String> = (0..2)
+                .map(|_| {
+                    let bytes = wire(&server, rid, method, params.clone());
+                    let response = decode_response(&bytes);
+                    let result = response.outcome.clone().unwrap();
+                    let meta = response.meta.unwrap();
+                    let rebuilt = Response::ok(rid, result.clone()).with_meta(meta);
+                    assert_eq!(
+                        String::from_utf8(bytes).unwrap(),
+                        String::from_utf8(encode_frame(&rebuilt.to_value())).unwrap(),
+                        "{method} {params}"
+                    );
+                    ev_json::to_string(&result)
+                })
+                .collect();
+            assert_eq!(
+                results[0], results[1],
+                "{method}: hit and miss answer alike"
+            );
+            // The Value API decodes the same cached bytes.
+            let handled = server.handle(&Request::new(rid, method, params)).unwrap();
+            assert_eq!(ev_json::to_string(&handled.outcome.unwrap()), results[0]);
+        }
+        let stats = server.view_cache_stats();
+        assert_eq!((stats.misses, stats.hits), (5, 10));
     }
 
     #[test]
