@@ -6,7 +6,7 @@
 //! per-context histograms of Fig. 4 and the snapshot-timeline leak
 //! analysis of §VII-C1.
 
-use ev_core::{Frame, MetricDescriptor, MetricId, MetricKind, NodeId, Profile};
+use ev_core::{MetricDescriptor, MetricId, MetricKind, NodeId, Profile};
 use ev_par::{parallel_map, parallel_tasks, ExecPolicy};
 use std::sync::Mutex;
 
@@ -47,6 +47,12 @@ impl Aggregate {
     pub fn profile_count(&self) -> usize {
         self.profiles
     }
+
+    /// Splits the aggregate into its unified tree and the per-node value
+    /// series (`series[node.index()]`), moving both out without a copy.
+    pub fn into_parts(self) -> (Profile, Vec<Vec<f64>>) {
+        (self.profile, self.series)
+    }
 }
 
 /// Merges `profiles` over the metric named `metric_name` (each input
@@ -79,26 +85,22 @@ struct Partial {
     width: usize,
 }
 
-/// Builds the leaf partial for a single input profile: a DFS insertion
-/// identical to the single-profile pass of the sequential algorithm.
+/// Builds the leaf partial for a single input profile: `profile`
+/// grafted into an empty tree.
 fn build_leaf(profile: &Profile, metric: MetricId) -> Partial {
     let mut tree = Profile::new("partial");
-    let mut series: Vec<Vec<f64>> = vec![vec![0.0]];
-    let mut work: Vec<(NodeId, NodeId)> = vec![(profile.root(), tree.root())];
-    while let Some((src, dst)) = work.pop() {
-        let value = profile.value(src, metric);
-        if value != 0.0 {
-            series[dst.index()][0] += value;
-        }
-        for &child in profile.node(src).children() {
-            let frame: Frame = profile.resolve_frame(child);
-            let new_dst = tree.child(dst, &frame);
-            if new_dst.index() >= series.len() {
-                series.resize(new_dst.index() + 1, vec![0.0]);
+    let mut series: Vec<Vec<f64>> = Vec::new();
+    tree.graft(
+        profile,
+        |_| true,
+        |tree, src, dst| {
+            series.resize_with(tree.node_count(), || vec![0.0]);
+            let value = profile.value(src, metric);
+            if value != 0.0 {
+                series[dst.index()][0] += value;
             }
-            work.push((child, new_dst));
-        }
-    }
+        },
+    );
     Partial {
         tree,
         series,
@@ -106,32 +108,28 @@ fn build_leaf(profile: &Profile, metric: MetricId) -> Partial {
     }
 }
 
-/// Merges `b` into `a`. The two cover adjacent profile runs, so their
-/// value columns concatenate; no floating-point value is ever combined
-/// with another, which keeps every thread count bit-identical.
+/// Merges `b` into `a` by grafting `b`'s tree onto `a`'s. The two cover
+/// adjacent profile runs, so their value columns concatenate; no
+/// floating-point value is ever combined with another, which keeps
+/// every thread count bit-identical.
 fn merge_partials(mut a: Partial, b: Partial) -> Partial {
-    let (wa, wb) = (a.width, b.width);
-    let width = wa + wb;
+    let (wa, width) = (a.width, a.width + b.width);
     for row in &mut a.series {
         row.resize(width, 0.0);
     }
-    let mut work: Vec<(NodeId, NodeId)> = vec![(b.tree.root(), a.tree.root())];
-    while let Some((src, dst)) = work.pop() {
-        let row = &b.series[src.index()];
-        for (j, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                a.series[dst.index()][wa + j] = v;
+    let series = &mut a.series;
+    a.tree.graft(
+        &b.tree,
+        |_| true,
+        |tree, src, dst| {
+            series.resize_with(tree.node_count(), || vec![0.0; width]);
+            for (j, &v) in b.series[src.index()].iter().enumerate() {
+                if v != 0.0 {
+                    series[dst.index()][wa + j] = v;
+                }
             }
-        }
-        for &child in b.tree.node(src).children() {
-            let frame: Frame = b.tree.resolve_frame(child);
-            let new_dst = a.tree.child(dst, &frame);
-            if new_dst.index() >= a.series.len() {
-                a.series.resize(new_dst.index() + 1, vec![0.0; width]);
-            }
-            work.push((child, new_dst));
-        }
-    }
+        },
+    );
     a.width = width;
     a
 }
@@ -267,7 +265,7 @@ pub fn aggregate_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_core::{MetricUnit, Profile};
+    use ev_core::{Frame, MetricUnit, Profile};
     use ev_test::prelude::*;
 
     fn snapshot(values: &[(&str, f64)]) -> Profile {

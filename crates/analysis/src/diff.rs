@@ -17,10 +17,8 @@
 //! bottom-up, and flat views (the merged tree is an ordinary
 //! [`Profile`]).
 
-use ev_core::{Frame, MetricDescriptor, MetricId, MetricKind, NodeId, Profile};
-use ev_par::{parallel_tasks, ExecPolicy};
+use ev_core::{MetricDescriptor, MetricId, MetricKind, NodeId, Profile};
 use std::fmt;
-use std::sync::Mutex;
 
 /// The difference class of one context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,7 +122,10 @@ impl DiffProfile {
 /// Differentiates `second` against `first` over the metric named
 /// `metric_name`, comparing exclusive values per matched context.
 ///
-/// Values within `epsilon` (absolute) count as unchanged.
+/// Values within `epsilon` (absolute) count as unchanged. The union
+/// tree is P₁ grafted into an empty profile, then P₂ grafted on top
+/// ([`Profile::graft`]), so node ids and string-table order depend only
+/// on the two inputs.
 ///
 /// # Errors
 ///
@@ -135,106 +136,10 @@ pub fn diff(
     metric_name: &str,
     epsilon: f64,
 ) -> Result<DiffProfile, usize> {
-    diff_with(first, second, metric_name, epsilon, ExecPolicy::auto())
-}
-
-/// One side of the differential, prepared independently of the union
-/// tree: a structure-only copy of the source CCT plus the accumulated
-/// exclusive value per node. Building this is the expensive half of a
-/// diff (it walks every source node), and the two sides are
-/// independent, so they run as two parallel tasks.
-struct Side {
-    tree: Profile,
-    values: Vec<f64>,
-}
-
-fn build_side(profile: &Profile, metric: MetricId) -> Side {
-    let mut tree = Profile::new("partial");
-    let mut values: Vec<f64> = vec![0.0];
-    let mut work: Vec<(NodeId, NodeId)> = vec![(profile.root(), tree.root())];
-    while let Some((src, dst)) = work.pop() {
-        values[dst.index()] += profile.value(src, metric);
-        for &child in profile.node(src).children() {
-            let frame: Frame = profile.resolve_frame(child);
-            let new_dst = tree.child(dst, &frame);
-            if new_dst.index() >= values.len() {
-                values.resize(new_dst.index() + 1, 0.0);
-            }
-            work.push((child, new_dst));
-        }
-    }
-    Side { tree, values }
-}
-
-/// Grafts a prepared [`Side`] into the union tree sequentially. The
-/// walk mirrors the direct-insertion walk over the original source
-/// profile (same stack discipline, same children order), so node IDs
-/// and string-table order in `out` are identical to what a purely
-/// sequential diff would produce.
-fn graft_side(
-    out: &mut Profile,
-    side: &Side,
-    accum: &mut Vec<f64>,
-    other: &mut Vec<f64>,
-    present: &mut Vec<bool>,
-    other_present: &mut Vec<bool>,
-) {
-    let mut work: Vec<(NodeId, NodeId)> = vec![(side.tree.root(), out.root())];
-    while let Some((src, dst)) = work.pop() {
-        accum[dst.index()] += side.values[src.index()];
-        present[dst.index()] = true;
-        for &child in side.tree.node(src).children() {
-            let frame: Frame = side.tree.resolve_frame(child);
-            let new_dst = out.child(dst, &frame);
-            if new_dst.index() >= accum.len() {
-                accum.resize(new_dst.index() + 1, 0.0);
-                other.resize(new_dst.index() + 1, 0.0);
-                present.resize(new_dst.index() + 1, false);
-                other_present.resize(new_dst.index() + 1, false);
-            }
-            work.push((child, new_dst));
-        }
-    }
-}
-
-/// [`diff`] with an explicit execution policy.
-///
-/// The two source profiles are scanned concurrently (two independent
-/// tasks); the union tree is then assembled sequentially from the two
-/// prepared sides in a fixed first-then-second order, so the result is
-/// bit-identical for every thread count.
-///
-/// # Errors
-///
-/// Returns `0` if `first` lacks the metric, `1` if `second` does.
-pub fn diff_with(
-    first: &Profile,
-    second: &Profile,
-    metric_name: &str,
-    epsilon: f64,
-    policy: ExecPolicy,
-) -> Result<DiffProfile, usize> {
     let _span = ev_trace::span("analysis.diff");
     let m1 = first.metric_by_name(metric_name).ok_or(0usize)?;
     let m2 = second.metric_by_name(metric_name).ok_or(1usize)?;
     let descriptor = first.metric(m1).clone();
-
-    let (side1, side2) = if policy.threads == 1 {
-        (build_side(first, m1), build_side(second, m2))
-    } else {
-        let slots: [Mutex<Option<Side>>; 2] = [Mutex::new(None), Mutex::new(None)];
-        parallel_tasks(2, policy, &|i| {
-            let side = if i == 0 {
-                build_side(first, m1)
-            } else {
-                build_side(second, m2)
-            };
-            *slots[i].lock().unwrap() = Some(side);
-        });
-        let s1 = slots[0].lock().unwrap().take().expect("side 1 built");
-        let s2 = slots[1].lock().unwrap().take().expect("side 2 built");
-        (s1, s2)
-    };
 
     let mut out = Profile::new(format!(
         "diff: {} vs {}",
@@ -255,35 +160,30 @@ pub fn diff_with(
             .with_description(format!("{metric_name} change (P2 - P1)")),
     );
 
-    // Insert P1, then P2, recording raw values per unified node.
-    let mut befores: Vec<f64> = vec![0.0];
-    let mut afters: Vec<f64> = vec![0.0];
-    let mut in_first: Vec<bool> = vec![true];
-    let mut in_second: Vec<bool> = vec![false];
+    // Graft P1, then P2, recording each side's raw value per unified
+    // node (`None` where the context is absent from that side).
+    let mut sides: [Vec<Option<f64>>; 2] = Default::default();
+    for (side, (source, metric)) in sides.iter_mut().zip([(first, m1), (second, m2)]) {
+        out.graft(
+            source,
+            |_| true,
+            |out, src, dst| {
+                side.resize(out.node_count(), None);
+                *side[dst.index()].get_or_insert(0.0) += source.value(src, metric);
+            },
+        );
+    }
+    let n = out.node_count();
+    let [firsts, seconds] = sides.map(|mut side| {
+        side.resize(n, None);
+        side
+    });
 
-    graft_side(
-        &mut out,
-        &side1,
-        &mut befores,
-        &mut afters,
-        &mut in_first,
-        &mut in_second,
-    );
-    in_second[NodeId::ROOT.index()] = true;
-    graft_side(
-        &mut out,
-        &side2,
-        &mut afters,
-        &mut befores,
-        &mut in_second,
-        &mut in_first,
-    );
-
-    let mut entries: Vec<DiffEntry> = Vec::with_capacity(out.node_count());
+    let mut entries: Vec<DiffEntry> = Vec::with_capacity(n);
     for node in out.node_ids().collect::<Vec<_>>() {
-        let b = befores[node.index()];
-        let a = afters[node.index()];
-        let tag = match (in_first[node.index()], in_second[node.index()]) {
+        let (p1, p2) = (firsts[node.index()], seconds[node.index()]);
+        let (b, a) = (p1.unwrap_or(0.0), p2.unwrap_or(0.0));
+        let tag = match (p1.is_some(), p2.is_some()) {
             (true, false) => DiffTag::Deleted,
             (false, true) => DiffTag::Added,
             _ => {
@@ -324,7 +224,7 @@ pub fn diff_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_core::MetricUnit;
+    use ev_core::{Frame, MetricUnit};
     use ev_test::prelude::*;
 
     fn profile(samples: &[(&[&str], f64)]) -> Profile {

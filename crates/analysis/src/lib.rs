@@ -14,7 +14,8 @@
 //!   merges profiles into a unified tree with sum/min/max/mean derived
 //!   metrics and a per-node value series (the histograms of Fig. 4);
 //!   [`diff`] differentiates two profiles with the paper's
-//!   `[A]`/`[D]`/`[+]`/`[−]` tags (Fig. 3).
+//!   `[A]`/`[D]`/`[+]`/`[−]` tags (Fig. 3). Both, like [`prune`], copy
+//!   trees with [`ev_core::Profile::graft`].
 //! * **Scaling analysis**: [`scaling_diff`] differentiates by division
 //!   instead of subtraction — the memory-scaling measurement of §V-B.
 //! * **Derived metrics**: [`derive_metric`] evaluates an arithmetic
@@ -59,9 +60,9 @@ pub use cache::{
     DEFAULT_CACHE_CAPACITY,
 };
 pub use derived::{derive_metric, MetricExpr};
-pub use diff::{diff, diff_with, DiffEntry, DiffProfile, DiffTag};
+pub use diff::{diff, DiffEntry, DiffProfile, DiffTag};
 pub use ev_par::ExecPolicy;
 pub use scaling::{scaling_diff, ScalingProfile};
 pub use timeline::{classify_timeline, TimelinePattern};
-pub use transform::{bottom_up, flatten, top_down};
+pub use transform::{bottom_up, flatten};
 pub use traverse::{collapse_recursion, prune, MetricView};

@@ -70,12 +70,10 @@ pub fn scaling_diff(
     let m2 = second.metric_by_name(metric_name).ok_or(1usize)?;
     let d = diff(first, second, metric_name, 0.0)?;
     let mut profile = d.profile.clone();
-    let unit = first.metric(m1).unit;
     let scaling = profile.add_metric(
         MetricDescriptor::new("scaling", MetricUnit::Ratio, MetricKind::Point)
             .with_description(format!("{metric_name} ratio P2/P1")),
     );
-    let _ = unit;
     for node in profile.node_ids().collect::<Vec<_>>() {
         let entry = d.entry(node);
         if entry.before > 0.0 && entry.after > 0.0 {

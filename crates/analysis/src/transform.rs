@@ -4,14 +4,6 @@
 use crate::traverse::MetricView;
 use ev_core::{ContextKind, Frame, MetricId, NodeId, Profile};
 
-/// The top-down shape — rooted at the program entry with callees as
-/// children. The profile already has this shape; the function returns a
-/// clone so all three transforms have the same signature and the caller
-/// can mutate the result freely.
-pub fn top_down(profile: &Profile) -> Profile {
-    profile.clone()
-}
-
 /// Builds the bottom-up tree for `metric`: every monitoring point's call
 /// path is reversed, so the first level holds leaf functions (the
 /// paper's "hot functions") and descending shows *where they are called
@@ -142,13 +134,6 @@ mod tests {
             &[(m, 2.0)],
         );
         (p, m)
-    }
-
-    #[test]
-    fn top_down_is_clone() {
-        let (p, _) = build();
-        let td = top_down(&p);
-        assert_eq!(td, p);
     }
 
     #[test]

@@ -347,27 +347,25 @@ pub fn prune(profile: &Profile, metric: MetricId, threshold: f64) -> Profile {
         out.add_metric(m.clone());
     }
 
-    // (source node, destination parent) work list.
-    let mut work: Vec<(NodeId, NodeId)> = vec![(profile.root(), out.root())];
-    while let Some((src, dst)) = work.pop() {
-        for v in profile.node(src).values() {
-            out.add_value(dst, v.0, v.1);
+    let kept = |child: NodeId| view.inclusive(child) >= cutoff;
+    let mut pruned_frame = None;
+    out.graft(profile, kept, |out, src, dst| {
+        for &(m, v) in profile.node(src).values() {
+            out.add_value(dst, m, v);
         }
         let mut pruned_total = 0.0;
         for &child in profile.node(src).children() {
-            if view.inclusive(child) >= cutoff {
-                let frame = profile.resolve_frame(child);
-                let new_child = out.child(dst, &frame);
-                work.push((child, new_child));
-            } else {
+            if !kept(child) {
                 pruned_total += view.inclusive(child);
             }
         }
         if pruned_total > 0.0 {
-            let pruned = out.child(dst, &Frame::function("«pruned»"));
+            let frame =
+                *pruned_frame.get_or_insert_with(|| out.intern_frame(&Frame::function("«pruned»")));
+            let pruned = out.child_ref(dst, frame);
             out.add_value(pruned, metric, pruned_total);
         }
-    }
+    });
     out
 }
 

@@ -3,12 +3,11 @@
 
 use crate::args::{Cli, Command, Options, Shape, TraceFormat};
 use crate::{CliError, USAGE};
-use ev_analysis::{
-    aggregate_with, classify_timeline, diff_with, view_key, ExecPolicy, MetricView, ViewCache,
-};
+use ev_analysis::{aggregate_with, classify_timeline, view_key, ExecPolicy, MetricView, ViewCache};
 use ev_core::{MetricId, Profile};
 use ev_flame::{render, DiffFlameGraph, FlameGraph, Histogram, TreeTable};
 use ev_script::ScriptHost;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
@@ -245,11 +244,11 @@ fn pick_metric(profile: &Profile, options: &Options) -> Result<MetricId, CliErro
     }
 }
 
-fn maybe_pruned(profile: &Profile, metric: MetricId, options: &Options) -> Profile {
+fn maybe_pruned<'p>(profile: &'p Profile, metric: MetricId, options: &Options) -> Cow<'p, Profile> {
     if options.threshold > 0.0 {
-        ev_analysis::prune(profile, metric, options.threshold)
+        Cow::Owned(ev_analysis::prune(profile, metric, options.threshold))
     } else {
-        profile.clone()
+        Cow::Borrowed(profile)
     }
 }
 
@@ -340,8 +339,8 @@ fn table(input: &str, options: &Options) -> Result<String, CliError> {
     let base = maybe_pruned(&profile, metric, options);
     let shaped = match options.shape {
         Shape::TopDown => base,
-        Shape::BottomUp => ev_analysis::bottom_up(&base, metric),
-        Shape::Flat => ev_analysis::flatten(&base, metric),
+        Shape::BottomUp => Cow::Owned(ev_analysis::bottom_up(&base, metric)),
+        Shape::Flat => Cow::Owned(ev_analysis::flatten(&base, metric)),
     };
     let metric = pick_metric(&shaped, options)?;
     let mut t = TreeTable::new(&shaped, &[metric]);
@@ -365,7 +364,7 @@ fn diff_cmd(before: &str, after: &str, options: &Options) -> Result<String, CliE
     for (tag, count) in dfg.diff().tag_counts() {
         let _ = writeln!(out, "{tag}  {count} context(s)");
     }
-    let d = diff_with(&p1, &p2, &metric_name, 0.0, policy(options)).expect("checked above");
+    let d = dfg.diff();
     let unit = p1.metric(metric).unit;
     let _ = writeln!(
         out,

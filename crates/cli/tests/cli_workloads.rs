@@ -47,6 +47,20 @@ fn spark_diff_via_cli_shows_tags() {
 }
 
 #[test]
+fn too_large_script_exits_1_with_a_clean_error() {
+    let input = save(&ev_gen::spark::rdd_profile(), "script_input.evpf");
+    let script = tmp("too_large.evs");
+    std::fs::write(&script, ev_gen::scripts::too_large(70_000, 63, 120)).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_easyview"))
+        .args(["script", &input, &script])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("program too large"), "{stderr}");
+}
+
+#[test]
 fn leak_workload_via_cli_aggregate() {
     let snaps = ev_gen::grpc_leak::snapshots(24, 5);
     let paths: Vec<String> = snaps

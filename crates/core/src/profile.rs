@@ -321,6 +321,54 @@ impl Profile {
         id
     }
 
+    /// Copies `src`'s calling context tree into this one by frame
+    /// identity, root onto root: every source node lands on the child of
+    /// its parent's destination with the same frame, created through
+    /// [`Profile::child_ref`] if absent. This is the one copy step behind
+    /// aggregation, differentiation and pruning (paper §V-A-a, §V-A-c).
+    ///
+    /// The walk is depth-first on a stack, so the last child is entered
+    /// first. Each source string is interned here once, on first use, in
+    /// name → module → file order, so node ids and string-table order
+    /// are exactly what inserting each resolved [`Frame`] with
+    /// [`Profile::child`] along the same walk would give.
+    ///
+    /// A source child and its subtree are copied only if `keep(child)`
+    /// holds. `visit(self, src_node, dst_node)` runs once per copied
+    /// node, after that node's kept children exist here and before any
+    /// of them is visited. Metric values are not copied: `visit` moves
+    /// whatever the caller needs.
+    pub fn graft(
+        &mut self,
+        src: &Profile,
+        mut keep: impl FnMut(NodeId) -> bool,
+        mut visit: impl FnMut(&mut Profile, NodeId, NodeId),
+    ) {
+        let _span = ev_trace::span("analysis.graft");
+        let mut remap: Vec<Option<StringId>> = vec![None; src.strings.len()];
+        let mut map = |strings: &mut StringTable, id: StringId| {
+            *remap[id.index()].get_or_insert_with(|| strings.intern(src.strings.resolve(id)))
+        };
+        let mut work: Vec<(NodeId, NodeId)> = vec![(NodeId::ROOT, NodeId::ROOT)];
+        while let Some((from, to)) = work.pop() {
+            for &child in &src.nodes[from.index()].children {
+                if !keep(child) {
+                    continue;
+                }
+                let frame = src.nodes[child.index()].frame;
+                // Fields initialise in the order written: name, module, file.
+                let frame = FrameRef {
+                    name: map(&mut self.strings, frame.name),
+                    module: map(&mut self.strings, frame.module),
+                    file: map(&mut self.strings, frame.file),
+                    ..frame
+                };
+                work.push((child, self.child_ref(to, frame)));
+            }
+            visit(self, from, to);
+        }
+    }
+
     /// Inserts a full call path (outermost frame first) and adds the
     /// metric values at the leaf. Returns the leaf node.
     pub fn add_sample(&mut self, path: &[Frame], values: &[(MetricId, f64)]) -> NodeId {
@@ -729,6 +777,78 @@ mod tests {
         p.meta_mut().profiler = "pprof".to_owned();
         p.meta_mut().timestamp_nanos = 12345;
         assert_eq!(p.meta().profiler, "pprof");
+    }
+
+    #[test]
+    fn graft_matches_child_insertion_along_the_walk() {
+        let mut src = Profile::new("src");
+        let m = metric(&mut src, "cpu");
+        let f = |name: &str, file: &str, line| {
+            Frame::function(name)
+                .with_module("app")
+                .with_source(file, line)
+                .with_address(0x40 + u64::from(line))
+        };
+        src.add_sample(&[f("main", "m.c", 1), f("größe", "g.c", 2)], &[(m, 1.0)]);
+        src.add_sample(&[f("main", "m.c", 1), f("größe", "h.c", 3)], &[(m, 2.0)]);
+        src.add_sample(&[f("aux", "a.c", 4)], &[(m, 3.0)]);
+
+        // Insert every resolved frame with `child` along the same stack walk.
+        let mut expect = Profile::new("dst");
+        expect.child(NodeId::ROOT, &Frame::function("seed"));
+        let mut work = vec![(NodeId::ROOT, NodeId::ROOT)];
+        while let Some((from, to)) = work.pop() {
+            for &c in src.node(from).children() {
+                work.push((c, expect.child(to, &src.resolve_frame(c))));
+            }
+        }
+
+        let mut got = Profile::new("dst");
+        got.child(NodeId::ROOT, &Frame::function("seed"));
+        let mut visited = Vec::new();
+        got.graft(
+            &src,
+            |_| true,
+            |dst, from, to| {
+                // Children exist before their parent is visited.
+                for &c in src.node(from).children() {
+                    let frame = src.resolve_frame(c);
+                    let copied = dst.node(to).children().iter();
+                    assert!(copied.clone().any(|&d| dst.resolve_frame(d) == frame));
+                }
+                visited.push((from, to));
+            },
+        );
+        // Equal node tables and string tables, in the same order.
+        assert_eq!(got, expect);
+        assert_eq!(visited.len(), src.node_count());
+        assert_eq!(visited[0], (NodeId::ROOT, NodeId::ROOT));
+    }
+
+    #[test]
+    fn graft_merges_into_existing_nodes_and_honours_keep() {
+        let (src, _) = sample_profile();
+        let mut dst = src.clone();
+        let before = dst.node_count();
+        let mut pairs = Vec::new();
+        dst.graft(&src, |_| true, |_, from, to| pairs.push((from, to)));
+        // Same tree: every node merges onto its twin.
+        assert_eq!(dst.node_count(), before);
+        assert!(pairs.iter().all(|(from, to)| from == to));
+
+        // Dropping `a` drops its subtree too.
+        let a = src
+            .node_ids()
+            .find(|&id| src.resolve_frame(id).name == "a")
+            .unwrap();
+        let mut pruned = Profile::new("pruned");
+        pruned.graft(&src, |c| c != a, |_, _, _| {});
+        let names: Vec<String> = pruned
+            .node_ids()
+            .map(|id| pruned.resolve_frame(id).name)
+            .collect();
+        assert_eq!(names, ["", "main", "b"]);
+        pruned.validate().unwrap();
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! string-heavy formatting (allocation + interned string constants).
 //! All three are pure functions of their parameters, so the VM and the
 //! reference interpreter can be timed on byte-identical sources.
+//! [`too_large`] is the hostile counterpart: a program no engine may run.
 
 /// A hot arithmetic loop: `iters` iterations of mixed add/mul/mod on
 /// loop-carried locals. Dominated by dispatch, scope access, and step
@@ -76,5 +77,26 @@ while i < {rounds} {{
 }}
 print(total_len + len(out));
 "#
+    )
+}
+
+/// A program too large for the bytecode's 16-bit tables: a list literal
+/// of `constants` distinct numbers, then `calls` recursive calls that
+/// each return a `terms`-term `+` chain. A tree-walking interpreter
+/// recurses once per call and once per chain term, so at 70,000
+/// constants, 63 calls and 120 terms it overflows a 2 MiB thread; the
+/// host must reject it before running anything.
+pub fn too_large(constants: usize, calls: usize, terms: usize) -> String {
+    let numbers: Vec<String> = (0..constants).map(|i| i.to_string()).collect();
+    let chain: String = (1..terms).map(|i| format!(" + {i}")).collect();
+    format!(
+        r#"let constants = [{}];
+fn chain(n) {{
+    if n < 1 {{ return 0; }}
+    return chain(n - 1){chain};
+}}
+print(len(constants), chain({calls}));
+"#,
+        numbers.join(", ")
     )
 }

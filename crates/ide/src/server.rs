@@ -789,17 +789,14 @@ impl EvpServer {
         })?;
         drop(inputs);
         drop(guards);
-        let node_count = agg.profile.node_count();
-        let series: Vec<Vec<f64>> = (0..node_count)
-            .map(|i| agg.series(NodeId::from_index(i)).to_vec())
-            .collect();
-        let metrics: Value = agg
-            .profile
+        let (profile, series) = agg.into_parts();
+        let node_count = profile.node_count();
+        let metrics: Value = profile
             .metrics()
             .iter()
             .map(|m| Value::from(m.name.clone()))
             .collect();
-        let new_id = self.register(agg.profile, Some(series));
+        let new_id = self.register(profile, Some(series));
         Ok(Value::object([
             ("profileId", Value::Int(new_id)),
             ("profiles", Value::Int(ids.len() as i64)),
@@ -868,7 +865,7 @@ impl EvpServer {
                 })
                 .collect::<Vec<_>>(),
         );
-        let new_id = self.register(d.profile.clone(), None);
+        let new_id = self.register(d.profile, None);
         Ok(Value::object([
             ("profileId", Value::Int(new_id)),
             ("tags", tags),
@@ -1963,8 +1960,16 @@ mod tests {
         let pid = || ("profileId", Value::Int(id));
         let deep = 100_000;
         let sources = [
-            format!("print({}1{});", "(".repeat(deep), ")".repeat(deep)),
-            format!("print({}1);", "-".repeat(deep)),
+            (
+                format!("print({}1{});", "(".repeat(deep), ")".repeat(deep)),
+                "nesting",
+            ),
+            (format!("print({}1);", "-".repeat(deep)), "nesting"),
+            // Too large to compile; no engine may walk it instead.
+            (
+                ev_gen::scripts::too_large(70_000, 63, 120),
+                "program too large",
+            ),
         ];
         let call = |rid: i64, method: &str, params: Value| {
             let frame = encode_frame(&Request::new(rid, method, params).to_value());
@@ -1972,10 +1977,10 @@ mod tests {
             let (value, _) = decode_frame(&bytes).unwrap().unwrap();
             Response::from_value(&value).unwrap().outcome
         };
-        for (rid, source) in (10..).zip(sources) {
+        for (rid, (source, expect)) in (10..).zip(sources) {
             let params = Value::object([pid(), ("source", Value::from(source))]);
             let err = call(rid, "profile/script", params).unwrap_err();
-            assert!(err.1.contains("nesting"), "{}", err.1);
+            assert!(err.1.contains(expect), "{}", err.1);
             // The same server keeps answering.
             let summary = call(rid + 100, "profile/summary", Value::object([pid()]));
             assert!(summary.is_ok(), "{summary:?}");

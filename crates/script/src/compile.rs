@@ -30,6 +30,7 @@
 //! runtime with the walker's exact local-then-global fallthrough.
 
 use crate::ast::{BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
+use crate::ScriptError;
 use std::collections::HashMap;
 
 /// "No slot" sentinel for [`Op`] local/global fields.
@@ -280,10 +281,22 @@ pub(crate) struct Chunk {
 }
 
 /// Static tables overflowed their index width (u16 constants/slots,
-/// u32 code offsets). The host falls back to the tree-walker, which
-/// has no such limits, rather than failing a program that would run.
+/// u32 code offsets). The host reports it as a "program too large"
+/// error before anything runs.
 #[derive(Debug)]
 pub(crate) struct Overflow;
+
+impl From<Overflow> for ScriptError {
+    /// More than 65,534 distinct number constants, strings, functions,
+    /// globals, locals in one function, list items, or call arguments
+    /// (the limit docs/EVSCRIPT.md states).
+    fn from(_: Overflow) -> ScriptError {
+        ScriptError::new(
+            "program too large: over 65534 constants, names, functions, list items or call arguments",
+            0,
+        )
+    }
+}
 
 /// Compiles a program. `Err(Overflow)` only for pathologically large
 /// programs (more than 65534 distinct constants/globals/protos).

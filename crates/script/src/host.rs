@@ -135,18 +135,15 @@ impl<'p> ScriptHost<'p> {
     /// # Errors
     ///
     /// Returns the first lex, parse, or runtime error with its line.
-    /// Errors (and step accounting) are identical across engines.
+    /// Errors (and step accounting) are identical across engines. On the
+    /// bytecode engine, a program whose static tables exceed the
+    /// bytecode's 16-bit indices fails before it runs with a "program
+    /// too large" error.
     pub fn run(&mut self, source: &str) -> Result<ScriptOutput, ScriptError> {
         let program = parse(source)?;
         match self.engine {
             ScriptEngine::Reference => self.run_reference(&program),
-            ScriptEngine::Bytecode => match compile(&program) {
-                Ok(chunk) => self.run_vm(&chunk),
-                // Static tables overflowed (u16 constants/slots): the
-                // walker has no such limits, so a program too large to
-                // compile still runs instead of failing.
-                Err(crate::compile::Overflow) => self.run_reference(&program),
-            },
+            ScriptEngine::Bytecode => self.run_vm(&compile(&program)?),
         }
     }
 
@@ -186,11 +183,15 @@ impl<'p> ScriptHost<'p> {
 }
 
 /// Compiles `source` and renders the chunk's disassembly (golden
-/// fixtures and debugging; `None` for programs whose static tables
-/// overflow the bytecode's index widths).
-pub fn disassemble_source(source: &str) -> Result<Option<String>, ScriptError> {
+/// fixtures and debugging).
+///
+/// # Errors
+///
+/// Returns the parse error, or "program too large" when the program's
+/// static tables overflow the bytecode's index widths.
+pub fn disassemble_source(source: &str) -> Result<String, ScriptError> {
     let program = parse(source)?;
-    Ok(compile(&program).ok().map(|chunk| crate::compile::disassemble(&chunk)))
+    Ok(crate::compile::disassemble(&compile(&program)?))
 }
 
 // ---- profile bindings ----------------------------------------------
@@ -595,6 +596,23 @@ mod tests {
     }
 
     #[test]
+    fn too_large_program_is_an_error_not_a_walk() {
+        let source = ev_gen::scripts::too_large(70_000, 63, 120);
+        let mut p = profile();
+        let before = p.clone();
+        let err = ScriptHost::new(&mut p).run(&source).unwrap_err();
+        assert!(err.message.starts_with("program too large"), "{err}");
+        assert_eq!(err.line, 0);
+        assert_eq!(p, before, "nothing ran");
+        assert_eq!(disassemble_source(&source).unwrap_err(), err);
+        // Under the limit, the same shape compiles and runs on the VM.
+        let out = ScriptHost::new(&mut p)
+            .run(&ev_gen::scripts::too_large(1_000, 63, 120))
+            .unwrap();
+        assert_eq!(out.stdout, format!("1000 {}\n", 63 * (119 * 120 / 2)));
+    }
+
+    #[test]
     fn error_lines_are_reported() {
         let mut p = profile();
         let err = ScriptHost::new(&mut p)
@@ -659,7 +677,6 @@ mod tests {
     /// disassembly (proto 0 is the top level).
     fn proto_purity(source: &str) -> Vec<bool> {
         disassemble_source(source)
-            .expect("parses")
             .expect("compiles")
             .lines()
             .filter(|l| l.starts_with("proto "))

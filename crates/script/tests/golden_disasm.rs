@@ -68,8 +68,7 @@ fn disassembly_matches_golden_fixtures() {
     let update = std::env::var("EV_UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0");
     for (name, source) in SCRIPTS {
         let listing = disassemble_source(source)
-            .expect("fixture script must parse")
-            .expect("fixture script must fit the bytecode's static tables");
+            .expect("fixture script must parse and fit the bytecode's static tables");
         let path = fixture_path(name);
         if update {
             std::fs::write(&path, &listing).expect("write golden");

@@ -37,6 +37,19 @@ for threads in 2 4; do
 done
 "$EV" diff "$SMOKE_DIR/smoke.folded" "$SMOKE_DIR/smoke.folded" --threads 4 > /dev/null
 "$EV" aggregate "$SMOKE_DIR/smoke.folded" "$SMOKE_DIR/smoke.folded" --threads 4 > /dev/null
+# The same contract for the multi-profile commands, on two profiles
+# that differ (added, deleted, grown and shrunk contexts).
+printf 'main;work;inner 25\nmain;idle 10\nmain;fresh 5\n' > "$SMOKE_DIR/smoke2.folded"
+for cmd in diff aggregate; do
+    "$EV" "$cmd" "$SMOKE_DIR/smoke.folded" "$SMOKE_DIR/smoke2.folded" --threads 1 \
+        > "$SMOKE_DIR/${cmd}_seq.txt"
+    "$EV" "$cmd" "$SMOKE_DIR/smoke.folded" "$SMOKE_DIR/smoke2.folded" --threads 4 \
+        > "$SMOKE_DIR/${cmd}_par.txt"
+    if ! diff "$SMOKE_DIR/${cmd}_seq.txt" "$SMOKE_DIR/${cmd}_par.txt" > /dev/null; then
+        echo "FAIL: $cmd output differs between --threads 1 and --threads 4" >&2
+        exit 1
+    fi
+done
 
 echo "== trace smoke (self-profiling) =="
 # Dogfood loop: a traced flame run over a gzip'd pprof input must emit

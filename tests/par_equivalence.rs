@@ -5,14 +5,12 @@
 //! format, so any divergence — values, tree shape, string-table order,
 //! node numbering — fails the test.
 
-use ev_analysis::{aggregate_with, diff_with, ExecPolicy, MetricView};
+use ev_analysis::{aggregate_with, ExecPolicy, MetricView};
 use ev_core::{MetricKind, Profile};
 use ev_flame::FlameGraph;
 use ev_gen::synthetic::SyntheticSpec;
 use ev_test::prelude::*;
-use ev_test::profiles::{
-    arb_profile_batch, arb_profile_pair, profile_from_samples_kind, SampleSpec,
-};
+use ev_test::profiles::{arb_profile_batch, profile_from_samples_kind, SampleSpec};
 use ev_test::Rng;
 
 const THREADS: [usize; 3] = [2, 4, 8];
@@ -68,19 +66,6 @@ property! {
         for &t in &THREADS {
             let par = ev_formats::pprof::parse_with(&multi, ExecPolicy::with_threads(t)).unwrap();
             prop_assert_eq!(&easyview_bytes(&par), &seq_bytes, "threads={}", t);
-        }
-    }
-
-    fn diff_matches_sequential(pair in arb_profile_pair(40, 6)) {
-        let (first, second) = pair;
-        let seq = diff_with(&first, &second, "cpu", 0.0, ExecPolicy::SEQUENTIAL).unwrap();
-        let seq_bytes = easyview_bytes(&seq.profile);
-        for &t in &THREADS {
-            let par = diff_with(&first, &second, "cpu", 0.0, ExecPolicy::with_threads(t)).unwrap();
-            prop_assert_eq!(&easyview_bytes(&par.profile), &seq_bytes, "threads={}", t);
-            for (node, entry) in seq.entries() {
-                prop_assert_eq!(par.entry(node), entry, "threads={}", t);
-            }
         }
     }
 }
