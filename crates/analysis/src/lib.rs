@@ -3,7 +3,8 @@
 //! The engine operates on the tree representation from `ev-core`:
 //!
 //! * **Tree traversal** (§V-A-a): [`MetricView`] computes
-//!   inclusive/exclusive metrics in one post-order pass; [`prune`]
+//!   inclusive/exclusive metrics in one sweep, children before
+//!   parents; [`prune`]
 //!   removes insignificant nodes; [`collapse_recursion`] folds recursive
 //!   call cycles.
 //! * **Tree transformation** (§V-A-b): [`bottom_up`] reverses call paths

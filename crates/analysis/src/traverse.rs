@@ -2,14 +2,9 @@
 //! recursion collapsing (paper §V-A-a).
 
 use ev_core::{ContextKind, Frame, MetricId, MetricKind, NodeId, Profile};
-use ev_par::{parallel_for, parallel_tasks, ExecPolicy, SharedSlice};
-
-/// Below this node count the parallel path is not worth the pool
-/// round-trip; `compute` falls back to the sequential reference.
-const PAR_NODE_THRESHOLD: usize = 4096;
 
 /// Inclusive and exclusive values of one metric over a profile, computed
-/// in a single post-order pass.
+/// in one sweep over node ids from high to low.
 ///
 /// The stored profile values are interpreted per the metric's
 /// [`MetricKind`]:
@@ -28,181 +23,46 @@ pub struct MetricView {
 
 impl MetricView {
     /// Computes the view for `metric` over `profile`.
-    pub fn compute(profile: &Profile, metric: MetricId) -> MetricView {
-        Self::compute_with(profile, metric, ExecPolicy::auto())
-    }
-
-    /// [`MetricView::compute`] with an explicit execution policy.
     ///
-    /// The parallel path splits the CCT at a frontier of subtree roots,
-    /// rolls each subtree up concurrently (disjoint writes, and inside
-    /// each subtree the accumulation is the same children-order left
-    /// fold the sequential pass performs), then finishes the few
-    /// interior nodes above the frontier sequentially. The result is
-    /// bit-identical for every thread count.
-    pub fn compute_with(profile: &Profile, metric: MetricId, policy: ExecPolicy) -> MetricView {
+    /// Every node's parent has a smaller id than the node: constructors
+    /// append nodes, and [`Profile::validate`] (run on every decode)
+    /// rejects anything else. So visiting ids from high to low finishes
+    /// every child before its parent, and each node folds its own value,
+    /// then its children's inclusive values in `children()` order — one
+    /// left fold per node, the same at any thread count.
+    pub fn compute(profile: &Profile, metric: MetricId) -> MetricView {
         let _span = ev_trace::span("analysis.metric_view");
         let n = profile.node_count();
-        if policy.is_sequential() || n < PAR_NODE_THRESHOLD {
-            return Self::compute_seq(profile, metric);
-        }
+        let kind = profile.metric(metric).kind;
         let mut inclusive = vec![0.0; n];
         let mut exclusive = vec![0.0; n];
-        match profile.metric(metric).kind {
-            MetricKind::Exclusive => {
-                {
-                    let inc = SharedSlice::new(&mut inclusive);
-                    let exc = SharedSlice::new(&mut exclusive);
-                    parallel_for(n, policy, 1024, &|range| {
-                        for i in range {
-                            let v = profile.value(NodeId::from_index(i), metric);
-                            unsafe {
-                                exc.set(i, v);
-                                inc.set(i, v);
-                            }
-                        }
-                    });
-                }
-                let (roots, interiors) = frontier_split(profile, policy);
-                {
-                    let inc = SharedSlice::new(&mut inclusive);
-                    parallel_tasks(roots.len(), policy, &|t| {
-                        subtree_rollup(profile, roots[t], &inc);
-                    });
-                }
-                // Interior nodes above the frontier, children first.
-                for &node in interiors.iter().rev() {
-                    let mut total = inclusive[node.index()];
-                    for &c in profile.node(node).children() {
+        for i in (0..n).rev() {
+            let node = profile.node(NodeId::from_index(i));
+            let own = node.value(metric);
+            let children = node.children();
+            match kind {
+                MetricKind::Exclusive => {
+                    let mut total = own;
+                    for &c in children {
                         total += inclusive[c.index()];
                     }
-                    inclusive[node.index()] = total;
+                    inclusive[i] = total;
+                    exclusive[i] = own;
                 }
-            }
-            MetricKind::Inclusive => {
-                {
-                    let inc = SharedSlice::new(&mut inclusive);
-                    parallel_for(n, policy, 1024, &|range| {
-                        for i in range {
-                            let v = profile.value(NodeId::from_index(i), metric);
-                            unsafe { inc.set(i, v) };
-                        }
-                    });
+                // A zero-valued interior node (common for synthetic
+                // roots) inherits its children's total.
+                MetricKind::Inclusive if own == 0.0 => {
+                    inclusive[i] = children.iter().map(|c| inclusive[c.index()]).sum();
+                    exclusive[i] = 0.0;
                 }
-                {
-                    let inc = SharedSlice::new(&mut inclusive);
-                    let exc = SharedSlice::new(&mut exclusive);
-                    parallel_for(n, policy, 1024, &|range| {
-                        for i in range {
-                            let id = NodeId::from_index(i);
-                            let child_sum: f64 = profile
-                                .node(id)
-                                .children()
-                                .iter()
-                                .map(|c| unsafe { inc.get(c.index()) })
-                                .sum();
-                            let own = unsafe { inc.get(i) };
-                            unsafe { exc.set(i, own - child_sum) };
-                        }
-                    });
+                MetricKind::Inclusive => {
+                    let stored: f64 = children.iter().map(|&c| profile.value(c, metric)).sum();
+                    inclusive[i] = own;
+                    exclusive[i] = own - stored;
                 }
-                // Zero-valued interiors inherit their children's total;
-                // this needs children finalized first, so it reuses the
-                // frontier scheme.
-                let (roots, interiors) = frontier_split(profile, policy);
-                {
-                    let inc = SharedSlice::new(&mut inclusive);
-                    let exc = SharedSlice::new(&mut exclusive);
-                    parallel_tasks(roots.len(), policy, &|t| {
-                        subtree_zero_fix(profile, roots[t], &inc, &exc);
-                    });
-                }
-                for &node in interiors.iter().rev() {
-                    if inclusive[node.index()] == 0.0 {
-                        let child_sum: f64 = profile
-                            .node(node)
-                            .children()
-                            .iter()
-                            .map(|c| inclusive[c.index()])
-                            .sum();
-                        inclusive[node.index()] = child_sum;
-                        exclusive[node.index()] = 0.0;
-                    }
-                }
-            }
-            MetricKind::Point => {
-                let inc = SharedSlice::new(&mut inclusive);
-                let exc = SharedSlice::new(&mut exclusive);
-                parallel_for(n, policy, 1024, &|range| {
-                    for i in range {
-                        let v = profile.value(NodeId::from_index(i), metric);
-                        unsafe {
-                            inc.set(i, v);
-                            exc.set(i, v);
-                        }
-                    }
-                });
-            }
-        }
-        MetricView {
-            metric,
-            inclusive,
-            exclusive,
-        }
-    }
-
-    /// The sequential reference implementation.
-    fn compute_seq(profile: &Profile, metric: MetricId) -> MetricView {
-        let n = profile.node_count();
-        let mut inclusive = vec![0.0; n];
-        let mut exclusive = vec![0.0; n];
-        match profile.metric(metric).kind {
-            MetricKind::Exclusive => {
-                for id in profile.node_ids() {
-                    let v = profile.value(id, metric);
-                    exclusive[id.index()] = v;
-                    inclusive[id.index()] = v;
-                }
-                // Post-order: children are finalized before parents.
-                for id in profile.post_order() {
-                    if let Some(parent) = profile.node(id).parent() {
-                        inclusive[parent.index()] += inclusive[id.index()];
-                    }
-                }
-            }
-            MetricKind::Inclusive => {
-                for id in profile.node_ids() {
-                    inclusive[id.index()] = profile.value(id, metric);
-                }
-                for id in profile.node_ids() {
-                    let child_sum: f64 = profile
-                        .node(id)
-                        .children()
-                        .iter()
-                        .map(|c| inclusive[c.index()])
-                        .sum();
-                    exclusive[id.index()] = inclusive[id.index()] - child_sum;
-                }
-                // A zero-valued interior node (common for synthetic roots)
-                // inherits its children's total.
-                for id in profile.post_order() {
-                    if inclusive[id.index()] == 0.0 {
-                        let child_sum: f64 = profile
-                            .node(id)
-                            .children()
-                            .iter()
-                            .map(|c| inclusive[c.index()])
-                            .sum();
-                        inclusive[id.index()] = child_sum;
-                        exclusive[id.index()] = 0.0;
-                    }
-                }
-            }
-            MetricKind::Point => {
-                for id in profile.node_ids() {
-                    let v = profile.value(id, metric);
-                    inclusive[id.index()] = v;
-                    exclusive[id.index()] = v;
+                MetricKind::Point => {
+                    inclusive[i] = own;
+                    exclusive[i] = own;
                 }
             }
         }
@@ -231,93 +91,6 @@ impl MetricView {
     /// Total program cost (inclusive value at the root).
     pub fn total(&self) -> f64 {
         self.inclusive[NodeId::ROOT.index()]
-    }
-}
-
-/// Splits the CCT into a frontier of disjoint subtree roots (enough to
-/// feed `policy.threads` workers) plus the interior nodes above them,
-/// listed parents-first. The split depends only on the tree shape, not
-/// on the thread count that later executes it — the per-node arithmetic
-/// is order-identical either way, so the shape does not need to be.
-fn frontier_split(profile: &Profile, policy: ExecPolicy) -> (Vec<NodeId>, Vec<NodeId>) {
-    let target = policy.threads.max(2) * 4;
-    let mut roots: Vec<NodeId> = vec![profile.root()];
-    let mut interiors: Vec<NodeId> = Vec::new();
-    while roots.len() < target {
-        let mut next: Vec<NodeId> = Vec::new();
-        let mut expanded = false;
-        for &r in &roots {
-            let children = profile.node(r).children();
-            if children.is_empty() {
-                next.push(r);
-            } else {
-                interiors.push(r);
-                next.extend_from_slice(children);
-                expanded = true;
-            }
-        }
-        roots = next;
-        if !expanded {
-            break;
-        }
-    }
-    (roots, interiors)
-}
-
-/// Bottom-up inclusive rollup of one subtree: for every node, in
-/// post-order, adds the children's inclusive values (in children order)
-/// to the node's own — exactly the left fold the sequential pass
-/// performs. `inc` must already hold each node's exclusive value.
-///
-/// Subtrees are disjoint, so concurrent rollups never touch the same
-/// index.
-fn subtree_rollup(profile: &Profile, root: NodeId, inc: &SharedSlice<'_, f64>) {
-    let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-    while let Some(&mut (node, ref mut next_child)) = stack.last_mut() {
-        let children = profile.node(node).children();
-        if *next_child < children.len() {
-            let c = children[*next_child];
-            *next_child += 1;
-            stack.push((c, 0));
-        } else {
-            let mut total = unsafe { inc.get(node.index()) };
-            for &c in children {
-                total += unsafe { inc.get(c.index()) };
-            }
-            unsafe { inc.set(node.index(), total) };
-            stack.pop();
-        }
-    }
-}
-
-/// Post-order zero-fix of one subtree for `Inclusive`-kind metrics:
-/// zero-valued interior nodes inherit their children's total.
-fn subtree_zero_fix(
-    profile: &Profile,
-    root: NodeId,
-    inc: &SharedSlice<'_, f64>,
-    exc: &SharedSlice<'_, f64>,
-) {
-    let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-    while let Some(&mut (node, ref mut next_child)) = stack.last_mut() {
-        let children = profile.node(node).children();
-        if *next_child < children.len() {
-            let c = children[*next_child];
-            *next_child += 1;
-            stack.push((c, 0));
-        } else {
-            if unsafe { inc.get(node.index()) } == 0.0 {
-                let child_sum: f64 = children
-                    .iter()
-                    .map(|c| unsafe { inc.get(c.index()) })
-                    .sum();
-                unsafe {
-                    inc.set(node.index(), child_sum);
-                    exc.set(node.index(), 0.0);
-                }
-            }
-            stack.pop();
-        }
     }
 }
 

@@ -2,8 +2,7 @@
 //! views (DESIGN.md design-choice ablations):
 //!
 //! * prefix-merged CCT construction vs. the profile sizes it absorbs;
-//! * the three tree transforms (top-down is a clone; bottom-up and flat
-//!   re-attribute);
+//! * the tree transforms (bottom-up and flat re-attribute);
 //! * aggregation and differentiation across profiles (§V-A-c);
 //! * flame-graph layout (the per-frame geometry pass);
 //! * the EVscript interpreter on a traversal-heavy customization.

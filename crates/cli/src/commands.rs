@@ -124,7 +124,7 @@ fn stats_cmd(input: Option<&str>, options: &Options) -> Result<String, CliError>
                 view_key(&profile, metric, &[shape_tag(options.shape), &threshold_tag]);
             let graph = view_cache().get_or_insert_with(key, || {
                 let pruned = maybe_pruned(&profile, metric, options);
-                layout(&pruned, metric, options.shape, exec)
+                layout(&pruned, metric, options.shape)
             });
             Ok((
                 profile.meta().name.clone(),
@@ -291,11 +291,11 @@ fn info(input: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn layout(profile: &Profile, metric: MetricId, shape: Shape, exec: ExecPolicy) -> FlameGraph {
+fn layout(profile: &Profile, metric: MetricId, shape: Shape) -> FlameGraph {
     match shape {
-        Shape::TopDown => FlameGraph::top_down_with(profile, metric, exec),
-        Shape::BottomUp => FlameGraph::bottom_up_with(profile, metric, exec),
-        Shape::Flat => FlameGraph::flat_with(profile, metric, exec),
+        Shape::TopDown => FlameGraph::top_down(profile, metric),
+        Shape::BottomUp => FlameGraph::bottom_up(profile, metric),
+        Shape::Flat => FlameGraph::flat(profile, metric),
     }
 }
 
@@ -308,8 +308,7 @@ fn shape_tag(shape: Shape) -> &'static str {
 }
 
 fn view(input: &str, options: &Options) -> Result<String, CliError> {
-    let exec = policy(options);
-    let profile = load(input, exec)?;
+    let profile = load(input, policy(options))?;
     let metric = pick_metric(&profile, options)?;
     // The transform chain descriptor covers everything between the
     // loaded profile and the rendered geometry. The policy is NOT part
@@ -318,7 +317,7 @@ fn view(input: &str, options: &Options) -> Result<String, CliError> {
     let key = view_key(&profile, metric, &[shape_tag(options.shape), &threshold_tag]);
     let graph = view_cache().get_or_insert_with(key, || {
         let pruned = maybe_pruned(&profile, metric, options);
-        layout(&pruned, metric, options.shape, exec)
+        layout(&pruned, metric, options.shape)
     });
     let mut out = render::ansi(&graph, options.width, options.color);
     if graph.elided() > 0 {

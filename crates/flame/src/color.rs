@@ -1,8 +1,6 @@
 //! Color semantics (paper §VI-B): hues encode provenance (module/file),
 //! darkness encodes source-mapping availability.
 
-use ev_core::Frame;
-
 /// An sRGB color.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Color {
@@ -22,7 +20,14 @@ impl Color {
 
     /// CSS hex form (`#rrggbb`).
     pub fn to_hex(self) -> String {
-        format!("#{:02x}{:02x}{:02x}", self.r, self.g, self.b)
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut hex = String::with_capacity(7);
+        hex.push('#');
+        for channel in [self.r, self.g, self.b] {
+            hex.push(char::from(DIGITS[usize::from(channel >> 4)]));
+            hex.push(char::from(DIGITS[usize::from(channel & 0xf)]));
+        }
+        hex
     }
 
     /// Scales all channels by `factor` (clamped to [0, 1]), darkening
@@ -94,26 +99,27 @@ fn hsl(h: f64, s: f64, l: f64) -> Color {
 }
 
 impl ColorScheme {
-    /// The color for `frame`. Frames lacking source mapping are rendered
-    /// darker (the paper's "darkness to represent the availability of
-    /// source line mapping").
-    pub fn color_for(self, frame: &Frame) -> Color {
+    /// The color for a frame with function `name`, load `module` and
+    /// source `file`; `mapped` says whether it has file/line mapping.
+    /// Frames lacking source mapping are rendered darker (the paper's
+    /// "darkness to represent the availability of source line mapping").
+    pub fn color_for(self, name: &str, module: &str, file: &str, mapped: bool) -> Color {
         let base = match self {
             ColorScheme::Warm => {
                 // Warm hues: 0–55° (red → yellow).
-                let hue = (fnv1a(&frame.name) % 56) as f64;
+                let hue = (fnv1a(name) % 56) as f64;
                 hsl(hue, 0.85, 0.55)
             }
             ColorScheme::ByModule => {
-                let hue = (fnv1a(&frame.module) % 360) as f64;
+                let hue = (fnv1a(module) % 360) as f64;
                 hsl(hue, 0.6, 0.55)
             }
             ColorScheme::ByFile => {
-                let hue = (fnv1a(&frame.file) % 360) as f64;
+                let hue = (fnv1a(file) % 360) as f64;
                 hsl(hue, 0.6, 0.55)
             }
         };
-        if frame.has_source_mapping() {
+        if mapped {
             base
         } else {
             base.darken(0.6)
@@ -137,11 +143,35 @@ pub fn diff_color(delta: f64, intensity: f64) -> Color {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ev_core::Frame;
+
+    /// [`ColorScheme::color_for`] on a [`Frame`]'s parts.
+    fn color_of(scheme: ColorScheme, frame: &Frame) -> Color {
+        scheme.color_for(
+            &frame.name,
+            &frame.module,
+            &frame.file,
+            frame.has_source_mapping(),
+        )
+    }
 
     #[test]
     fn hex_formatting() {
         assert_eq!(Color::new(255, 0, 16).to_hex(), "#ff0010");
         assert_eq!(Color::new(0, 0, 0).to_hex(), "#000000");
+    }
+
+    #[test]
+    fn hex_matches_format_at_channel_boundaries() {
+        let edges = [0u8, 1, 9, 10, 15, 16, 127, 128, 159, 160, 254, 255];
+        for &r in &edges {
+            for &g in &edges {
+                for &b in &edges {
+                    let c = Color::new(r, g, b);
+                    assert_eq!(c.to_hex(), format!("#{r:02x}{g:02x}{b:02x}"));
+                }
+            }
+        }
     }
 
     #[test]
@@ -169,12 +199,12 @@ mod tests {
         let f2 = Frame::function("alpha").with_source("a.c", 1);
         let f3 = Frame::function("beta").with_source("a.c", 1);
         assert_eq!(
-            ColorScheme::Warm.color_for(&f1),
-            ColorScheme::Warm.color_for(&f2)
+            color_of(ColorScheme::Warm, &f1),
+            color_of(ColorScheme::Warm, &f2)
         );
         assert_ne!(
-            ColorScheme::Warm.color_for(&f1),
-            ColorScheme::Warm.color_for(&f3)
+            color_of(ColorScheme::Warm, &f1),
+            color_of(ColorScheme::Warm, &f3)
         );
     }
 
@@ -184,12 +214,12 @@ mod tests {
         let b = Frame::function("y").with_module("libc.so").with_source("b.c", 2);
         let c = Frame::function("x").with_module("app").with_source("a.c", 1);
         assert_eq!(
-            ColorScheme::ByModule.color_for(&a),
-            ColorScheme::ByModule.color_for(&b)
+            color_of(ColorScheme::ByModule, &a),
+            color_of(ColorScheme::ByModule, &b)
         );
         assert_ne!(
-            ColorScheme::ByModule.color_for(&a),
-            ColorScheme::ByModule.color_for(&c)
+            color_of(ColorScheme::ByModule, &a),
+            color_of(ColorScheme::ByModule, &c)
         );
     }
 
@@ -197,8 +227,8 @@ mod tests {
     fn unmapped_frames_are_darker() {
         let mapped = Frame::function("f").with_source("a.c", 1);
         let unmapped = Frame::function("f");
-        let cm = ColorScheme::Warm.color_for(&mapped);
-        let cu = ColorScheme::Warm.color_for(&unmapped);
+        let cm = color_of(ColorScheme::Warm, &mapped);
+        let cu = color_of(ColorScheme::Warm, &unmapped);
         let luma = |c: Color| u32::from(c.r) + u32::from(c.g) + u32::from(c.b);
         assert!(luma(cu) < luma(cm));
     }

@@ -95,7 +95,7 @@ impl<'p> CorrelatedView<'p> {
             let value = link.value(self.metric);
             out.add_sample(&path, &[(m, value)]);
         }
-        FlameGraph::from_owned(out, m)
+        FlameGraph::top_down(&out, m)
     }
 }
 

@@ -47,7 +47,7 @@ impl DiffFlameGraph {
                 sized.set_value(node, magnitude, v);
             }
         }
-        let mut graph = FlameGraph::from_owned(sized, magnitude);
+        let mut graph = FlameGraph::top_down(&sized, magnitude);
         // Re-label and re-color each rect with its diff tag.
         let max_delta = d
             .entries()

@@ -3,16 +3,12 @@
 use crate::color::{Color, ColorScheme};
 use ev_analysis::MetricView;
 use ev_core::{MetricId, NodeId, Profile};
-use ev_par::{parallel_map, ExecPolicy};
+use std::collections::VecDeque;
 
 /// Rectangles narrower than this fraction of the total width are elided
 /// from the layout (they would be sub-pixel at any realistic viewport);
 /// the count of elided frames is kept for display.
 const MIN_WIDTH: f64 = 1e-5;
-
-/// Below this node count the level-parallel layout is not worth the
-/// pool round-trip.
-const PAR_NODE_THRESHOLD: usize = 4096;
 
 /// One frame rectangle of a laid-out flame graph.
 ///
@@ -20,8 +16,12 @@ const PAR_NODE_THRESHOLD: usize = 4096;
 /// the root row. Multiply by the viewport size to get pixels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlameRect {
-    /// The node this rectangle represents (an id in
-    /// [`FlameGraph::profile`]).
+    /// The node this rectangle represents. For [`FlameGraph::top_down`]
+    /// it is a node of the caller's profile. For
+    /// [`FlameGraph::bottom_up`] and [`FlameGraph::flat`] it is an id in
+    /// the transformed tree the layout built and dropped, so it does not
+    /// name a node of the caller's profile (the bottom-up code-link bug
+    /// in ROADMAP.md).
     pub node: NodeId,
     /// Row index (0 = root).
     pub depth: usize,
@@ -42,14 +42,10 @@ pub struct FlameRect {
     pub mapped: bool,
 }
 
-/// A laid-out flame graph over an owned profile.
-///
-/// Owning the (possibly transformed) profile keeps `NodeId`s in
-/// [`FlameRect::node`] valid for hit-testing, code links, and hovers.
+/// A laid-out flame graph. It holds only geometry: the profile it was
+/// laid out from stays with the caller.
 #[derive(Debug, Clone)]
 pub struct FlameGraph {
-    profile: Profile,
-    metric: MetricId,
     rects: Vec<FlameRect>,
     max_depth: usize,
     elided: usize,
@@ -59,120 +55,72 @@ pub struct FlameGraph {
 impl FlameGraph {
     /// Lays out the top-down view (paper Fig. 4): root at depth 0,
     /// callees below, width ∝ inclusive metric.
-    pub fn top_down(profile: &Profile, metric: MetricId) -> FlameGraph {
-        Self::from_owned(profile.clone(), metric)
-    }
-
-    /// [`FlameGraph::top_down`] with an explicit execution policy.
-    pub fn top_down_with(profile: &Profile, metric: MetricId, policy: ExecPolicy) -> FlameGraph {
-        Self::with_scheme_policy(profile.clone(), metric, ColorScheme::default(), policy)
-    }
-
-    /// Lays out the bottom-up view (paper Fig. 6): leaf functions at the
-    /// first level, callers below.
-    pub fn bottom_up(profile: &Profile, metric: MetricId) -> FlameGraph {
-        Self::bottom_up_with(profile, metric, ExecPolicy::auto())
-    }
-
-    /// [`FlameGraph::bottom_up`] with an explicit execution policy.
-    pub fn bottom_up_with(profile: &Profile, metric: MetricId, policy: ExecPolicy) -> FlameGraph {
-        let transformed = ev_analysis::bottom_up(profile, metric);
-        let m = transformed
-            .metric_by_name(&profile.metric(metric).name)
-            .expect("transform keeps the metric");
-        Self::with_scheme_policy(transformed, m, ColorScheme::default(), policy)
-    }
-
-    /// Lays out the flat view: load modules → files → functions.
-    pub fn flat(profile: &Profile, metric: MetricId) -> FlameGraph {
-        Self::flat_with(profile, metric, ExecPolicy::auto())
-    }
-
-    /// [`FlameGraph::flat`] with an explicit execution policy.
-    pub fn flat_with(profile: &Profile, metric: MetricId, policy: ExecPolicy) -> FlameGraph {
-        let transformed = ev_analysis::flatten(profile, metric);
-        let m = transformed
-            .metric_by_name(&profile.metric(metric).name)
-            .expect("transform keeps the metric");
-        Self::with_scheme_policy(transformed, m, ColorScheme::default(), policy)
-    }
-
-    /// Lays out an owned profile directly (used by the diff and
-    /// correlated views, which pre-shape their trees).
-    pub fn from_owned(profile: Profile, metric: MetricId) -> FlameGraph {
-        Self::with_scheme(profile, metric, ColorScheme::default())
-    }
-
-    /// Layout with an explicit color scheme.
-    pub fn with_scheme(profile: Profile, metric: MetricId, scheme: ColorScheme) -> FlameGraph {
-        Self::with_scheme_policy(profile, metric, scheme, ExecPolicy::auto())
-    }
-
-    /// Layout with an explicit color scheme and execution policy.
     ///
-    /// A frame's rectangle is a pure function of its `(node, depth, x)`
-    /// placement, and a node's placement depends only on its parent's,
-    /// so rows are laid out level by level with every frame of a level
-    /// in parallel. The final rect list is sorted by a total order
-    /// (depth, x, node id), making the output bit-identical for every
-    /// thread count.
-    pub fn with_scheme_policy(
-        profile: Profile,
-        metric: MetricId,
-        scheme: ColorScheme,
-        policy: ExecPolicy,
-    ) -> FlameGraph {
+    /// Rows are laid out breadth-first from the caller's profile, each
+    /// node's children left to right by decreasing value. The rect list
+    /// is then sorted by a total order (depth, x, node id).
+    pub fn top_down(profile: &Profile, metric: MetricId) -> FlameGraph {
         let _span = ev_trace::span("flame.layout");
-        let view = MetricView::compute_with(&profile, metric, policy);
+        let view = MetricView::compute(profile, metric);
+        let scheme = ColorScheme::default();
+        let strings = profile.strings();
         let total = view.total().max(f64::MIN_POSITIVE);
-        let mut rects = Vec::with_capacity(profile.node_count());
+        let mut rects = Vec::new();
         let mut max_depth = 0usize;
         let mut elided = 0usize;
-
-        if policy.is_sequential() || profile.node_count() < PAR_NODE_THRESHOLD {
-            // Work list of (node, depth, left edge).
-            let mut work: Vec<(NodeId, usize, f64)> = vec![(profile.root(), 0, 0.0)];
-            while let Some((node, depth, x)) = work.pop() {
-                let step = layout_one(&profile, &view, total, scheme, node, depth, x);
-                match step.rect {
-                    Some(rect) => {
-                        max_depth = max_depth.max(depth);
-                        rects.push(rect);
-                        work.extend(step.children);
-                    }
-                    None => elided += 1,
-                }
+        // Queue of (node, depth, left edge), and one buffer that orders
+        // each node's children.
+        let mut work: VecDeque<(NodeId, usize, f64)> = VecDeque::from([(profile.root(), 0, 0.0)]);
+        let mut ordered: Vec<(NodeId, f64)> = Vec::new();
+        while let Some((node, depth, x)) = work.pop_front() {
+            let inclusive = view.inclusive(node);
+            let width = inclusive / total;
+            let root = node == NodeId::ROOT;
+            if width < MIN_WIDTH && !root {
+                elided += 1;
+                continue;
             }
-        } else {
-            // Level-synchronous: every frame of a row laid out at once.
-            let mut level: Vec<(NodeId, usize, f64)> = vec![(profile.root(), 0, 0.0)];
-            while !level.is_empty() {
-                let steps = parallel_map(&level, policy, |&(node, depth, x)| {
-                    layout_one(&profile, &view, total, scheme, node, depth, x)
-                });
-                let mut next: Vec<(NodeId, usize, f64)> = Vec::new();
-                for step in steps {
-                    match step.rect {
-                        Some(rect) => {
-                            max_depth = max_depth.max(rect.depth);
-                            rects.push(rect);
-                            next.extend(step.children);
-                        }
-                        None => elided += 1,
-                    }
-                }
-                level = next;
+            let frame = profile.node(node).frame();
+            let name = strings.resolve(frame.name);
+            let file = strings.resolve(frame.file);
+            let mapped = !file.is_empty() && frame.line != 0;
+            max_depth = max_depth.max(depth);
+            rects.push(FlameRect {
+                node,
+                depth,
+                x,
+                width: if root { 1.0 } else { width },
+                label: if root { "ROOT" } else { name }.to_owned(),
+                value: inclusive,
+                self_value: view.exclusive(node),
+                color: scheme.color_for(name, strings.resolve(frame.module), file, mapped),
+                mapped,
+            });
+            // Children left to right by decreasing value (classic
+            // flame-graph ordering), each offset by the cumulative width
+            // of its earlier siblings.
+            ordered.clear();
+            ordered.extend(
+                profile
+                    .node(node)
+                    .children()
+                    .iter()
+                    .map(|&c| (c, view.inclusive(c))),
+            );
+            ordered.sort_by(|a, b| b.1.total_cmp(&a.1));
+            let mut cursor = x;
+            for &(child, inclusive) in &ordered {
+                work.push_back((child, depth + 1, cursor));
+                cursor += inclusive / total;
             }
         }
-        rects.sort_by(|a, b| {
+        rects.sort_unstable_by(|a, b| {
             a.depth
                 .cmp(&b.depth)
                 .then(a.x.total_cmp(&b.x))
                 .then(a.node.index().cmp(&b.node.index()))
         });
         FlameGraph {
-            profile,
-            metric,
             rects,
             max_depth,
             elided,
@@ -180,19 +128,28 @@ impl FlameGraph {
         }
     }
 
+    /// Lays out the bottom-up view (paper Fig. 6): leaf functions at the
+    /// first level, callers below.
+    pub fn bottom_up(profile: &Profile, metric: MetricId) -> FlameGraph {
+        let transformed = ev_analysis::bottom_up(profile, metric);
+        let m = transformed
+            .metric_by_name(&profile.metric(metric).name)
+            .expect("transform keeps the metric");
+        Self::top_down(&transformed, m)
+    }
+
+    /// Lays out the flat view: load modules → files → functions.
+    pub fn flat(profile: &Profile, metric: MetricId) -> FlameGraph {
+        let transformed = ev_analysis::flatten(profile, metric);
+        let m = transformed
+            .metric_by_name(&profile.metric(metric).name)
+            .expect("transform keeps the metric");
+        Self::top_down(&transformed, m)
+    }
+
     /// The laid-out rectangles, sorted by (depth, x).
     pub fn rects(&self) -> &[FlameRect] {
         &self.rects
-    }
-
-    /// The profile backing the layout (possibly a transformed copy).
-    pub fn profile(&self) -> &Profile {
-        &self.profile
-    }
-
-    /// The laid-out metric.
-    pub fn metric(&self) -> MetricId {
-        self.metric
     }
 
     /// Deepest row index.
@@ -234,73 +191,6 @@ impl FlameGraph {
             .iter()
             .filter(|r| r.depth == depth)
             .find(|r| x >= r.x && x < r.x + r.width)
-    }
-}
-
-/// The outcome of laying out one frame: its rectangle (or `None` when
-/// elided as sub-pixel, which also drops the subtree) and the placed
-/// children.
-struct LayoutStep {
-    rect: Option<FlameRect>,
-    children: Vec<(NodeId, usize, f64)>,
-}
-
-/// Lays out a single frame at `(depth, x)`. Pure: depends only on the
-/// profile, the metric view, and the placement — which is what makes
-/// whole rows computable in parallel.
-fn layout_one(
-    profile: &Profile,
-    view: &MetricView,
-    total: f64,
-    scheme: ColorScheme,
-    node: NodeId,
-    depth: usize,
-    x: f64,
-) -> LayoutStep {
-    let inclusive = view.inclusive(node);
-    let width = inclusive / total;
-    if width < MIN_WIDTH && node != NodeId::ROOT {
-        return LayoutStep {
-            rect: None,
-            children: Vec::new(),
-        };
-    }
-    let frame = profile.resolve_frame(node);
-    let label = if node == NodeId::ROOT {
-        "ROOT".to_owned()
-    } else {
-        frame.name.clone()
-    };
-    let rect = FlameRect {
-        node,
-        depth,
-        x,
-        width: if node == NodeId::ROOT { 1.0 } else { width },
-        label,
-        value: inclusive,
-        self_value: view.exclusive(node),
-        color: scheme.color_for(&frame),
-        mapped: frame.has_source_mapping(),
-    };
-    // Children laid out left-to-right by decreasing value (classic
-    // flame-graph ordering), each offset by the cumulative width of its
-    // earlier siblings.
-    let mut ordered: Vec<(NodeId, f64)> = profile
-        .node(node)
-        .children()
-        .iter()
-        .map(|&c| (c, view.inclusive(c)))
-        .collect();
-    ordered.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let mut children = Vec::with_capacity(ordered.len());
-    let mut cursor = x;
-    for (child, inclusive) in ordered {
-        children.push((child, depth + 1, cursor));
-        cursor += inclusive / total;
-    }
-    LayoutStep {
-        rect: Some(rect),
-        children,
     }
 }
 
@@ -465,7 +355,7 @@ mod tests {
             }
             // Every rect is contained in its parent's span.
             for rect in fg.rects() {
-                if let Some(parent) = fg.profile().node(rect.node).parent() {
+                if let Some(parent) = p.node(rect.node).parent() {
                     if let Some(pr) = fg.rects().iter().find(|r| r.node == parent) {
                         prop_assert!(rect.x >= pr.x - 1e-9);
                         prop_assert!(rect.x + rect.width <= pr.x + pr.width + 1e-9);

@@ -1137,10 +1137,18 @@ impl EvpServer {
                     .node_ids()
                     .map(|id| (id, view.exclusive(id)))
                     .collect();
-                by_self.sort_by(|a, b| b.1.total_cmp(&a.1));
+                // The five hottest by self value, ties by node id: the
+                // first five of a stable descending sort, found without
+                // sorting every node.
+                let hotter =
+                    |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+                if by_self.len() > 5 {
+                    by_self.select_nth_unstable_by(4, hotter);
+                    by_self.truncate(5);
+                }
+                by_self.sort_unstable_by(hotter);
                 hottest = by_self
                     .into_iter()
-                    .take(5)
                     .filter(|&(_, v)| v > 0.0)
                     .map(|(id, v)| {
                         Value::object([

@@ -34,7 +34,10 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: us
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
         Value::Int(i) => {
-            let _ = write!(out, "{i}");
+            if *i < 0 {
+                out.push('-');
+            }
+            write_digits(out, i.unsigned_abs());
         }
         Value::Float(f) => write_f64(out, *f),
         Value::String(s) => write_escaped(out, s),
@@ -87,14 +90,35 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
+/// Writes `n` in decimal.
+fn write_digits(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"));
+}
+
 /// Writes a float in a form that parses back to the same value. JSON has
 /// no NaN/Infinity; they serialize as `null`, matching common JS
 /// `JSON.stringify` behaviour.
 fn write_f64(out: &mut String, f: f64) {
     if f.is_finite() {
         if f == f.trunc() && f.abs() < 1e15 {
-            // Keep a trailing .0 so the value re-parses as Float, not Int.
-            let _ = write!(out, "{f:.1}");
+            // A whole number below 1e15 is exact as a u64. Keep the sign
+            // (so -0.0 stays -0.0) and a trailing .0 so the value
+            // re-parses as Float, not Int.
+            if f.is_sign_negative() {
+                out.push('-');
+            }
+            write_digits(out, f.abs() as u64);
+            out.push_str(".0");
         } else {
             let _ = write!(out, "{f}");
         }
@@ -103,23 +127,34 @@ fn write_f64(out: &mut String, f: f64) {
     }
 }
 
+/// Writes `s` as a JSON string literal, copying each run of bytes that
+/// needs no escape in one piece.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -17,6 +17,12 @@ else
     echo "clippy not installed; skipping lint step"
 fi
 
+echo "== benchmark build + self-test (offline) =="
+# perfbench is its own workspace over the program's crates, so the
+# workspace steps above do not compile it.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== CLI smoke =="
 EV=target/release/easyview
 SMOKE_DIR="$(mktemp -d)"
