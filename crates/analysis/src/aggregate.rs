@@ -254,6 +254,7 @@ pub fn aggregate_with(
         }
     }
 
+    out.finish();
     Ok(Aggregate {
         profile: out,
         metrics,

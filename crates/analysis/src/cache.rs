@@ -355,7 +355,7 @@ pub fn profile_fingerprint(profile: &Profile) -> u64 {
         f.line.hash(&mut h);
         f.address.hash(&mut h);
         node.parent().map(|p| p.index()).hash(&mut h);
-        for &(metric, value) in node.values() {
+        for (metric, value) in node.values() {
             metric.index().hash(&mut h);
             value.to_bits().hash(&mut h);
         }

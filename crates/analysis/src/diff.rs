@@ -212,6 +212,7 @@ pub fn diff(
         });
     }
 
+    out.finish();
     Ok(DiffProfile {
         profile: out,
         before,

@@ -41,6 +41,7 @@ pub fn bottom_up(profile: &Profile, metric: MetricId) -> Profile {
         }
         out.add_sample(&reversed, &[(m, value)]);
     }
+    out.finish();
     out
 }
 
@@ -96,6 +97,7 @@ pub fn flatten(profile: &Profile, metric: MetricId) -> Profile {
         );
         out.add_value(func, m, value);
     }
+    out.finish();
     out
 }
 

@@ -92,6 +92,29 @@ impl MetricView {
     pub fn total(&self) -> f64 {
         self.inclusive[NodeId::ROOT.index()]
     }
+
+    /// The `n` nodes with the highest positive exclusive value, hottest
+    /// first, ties by ascending node id: the first `n` of a stable
+    /// descending sort, found by partial selection instead of sorting
+    /// every node.
+    pub fn hottest(&self, n: usize) -> Vec<(NodeId, f64)> {
+        let mut hot: Vec<(NodeId, f64)> = self
+            .exclusive
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v > 0.0)
+            .map(|(i, &v)| (NodeId::from_index(i), v))
+            .collect();
+        let hotter = |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        if n == 0 {
+            hot.clear();
+        } else if hot.len() > n {
+            hot.select_nth_unstable_by(n - 1, hotter);
+            hot.truncate(n);
+        }
+        hot.sort_unstable_by(hotter);
+        hot
+    }
 }
 
 /// Copies `profile`, dropping every subtree whose inclusive share of
@@ -123,7 +146,7 @@ pub fn prune(profile: &Profile, metric: MetricId, threshold: f64) -> Profile {
     let kept = |child: NodeId| view.inclusive(child) >= cutoff;
     let mut pruned_frame = None;
     out.graft(profile, kept, |out, src, dst| {
-        for &(m, v) in profile.node(src).values() {
+        for (m, v) in profile.node(src).values() {
             out.add_value(dst, m, v);
         }
         let mut pruned_total = 0.0;
@@ -139,6 +162,7 @@ pub fn prune(profile: &Profile, metric: MetricId, threshold: f64) -> Profile {
             out.add_value(pruned, metric, pruned_total);
         }
     });
+    out.finish();
     out
 }
 
@@ -172,6 +196,7 @@ pub fn collapse_recursion(profile: &Profile) -> Profile {
             work.push((child, new_dst));
         }
     }
+    out.finish();
     out
 }
 
@@ -207,6 +232,31 @@ mod tests {
         assert_eq!(view.inclusive(a), 5.0);
         assert_eq!(view.exclusive(a), 1.0);
         assert_eq!(view.total(), 10.0);
+    }
+
+    #[test]
+    fn hottest_breaks_ties_by_node_id_like_a_stable_sort() {
+        let mut p = Profile::new("t");
+        let m = exclusive_metric(&mut p);
+        // Self values with ties, a zero, a negative and a NaN; ids 1..=9.
+        let values = [3.0, 7.0, 3.0, 0.0, 7.0, -1.0, f64::NAN, 3.0, 7.0];
+        for (i, &v) in values.iter().enumerate() {
+            p.add_sample(&[Frame::function(format!("f{i}"))], &[(m, v)]);
+        }
+        let view = MetricView::compute(&p, m);
+        // The reference: every positive node, stable-sorted descending.
+        let mut sorted: Vec<(NodeId, f64)> = p
+            .node_ids()
+            .map(|id| (id, view.exclusive(id)))
+            .filter(|&(_, v)| v > 0.0)
+            .collect();
+        sorted.sort_by(|a, b| b.1.total_cmp(&a.1));
+        for n in 0..=sorted.len() + 1 {
+            let expect: Vec<_> = sorted.iter().copied().take(n).collect();
+            assert_eq!(view.hottest(n), expect, "n = {n}");
+        }
+        let ids: Vec<usize> = view.hottest(5).iter().map(|(id, _)| id.index()).collect();
+        assert_eq!(ids, [2, 5, 9, 1, 3]);
     }
 
     #[test]

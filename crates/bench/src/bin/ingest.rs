@@ -89,6 +89,35 @@ fn peak_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (r, peak.saturating_sub(baseline))
 }
 
+/// The one-pass decode's two phases as EasyView's own spans time them:
+/// `wire.decode` (the walk over the body into entity tables) and
+/// `core.cct_build` (the sample replay into the CCT columns), in
+/// seconds per parse, each the minimum over `samples` traced parses.
+/// Tracing bumps the wire counters per field, so both read somewhat
+/// above their share of an untraced parse.
+fn decode_phases(raw: &[u8], samples: usize) -> (f64, f64) {
+    let was_enabled = ev_trace::enabled();
+    ev_trace::set_enabled(true);
+    let (mut walk, mut build) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..samples.max(1) {
+        let capture = ev_trace::start_capture();
+        std::hint::black_box(pprof::parse(raw).expect("traced pprof parse"));
+        let spans = capture.finish();
+        let secs = |name: &str| {
+            let ns: u64 = spans
+                .iter()
+                .filter(|s| s.name == name)
+                .map(|s| s.duration_ns())
+                .sum();
+            ns as f64 / 1e9
+        };
+        walk = walk.min(secs("wire.decode"));
+        build = build.min(secs("core.cct_build"));
+    }
+    ev_trace::set_enabled(was_enabled);
+    (walk, build)
+}
+
 /// Pinned CRC32 digests of the decompressed golden fixtures; a digest
 /// change means the fixture bytes changed, which must be deliberate.
 const FIXTURE_DIGESTS: [(&str, u32); 2] = [
@@ -252,9 +281,15 @@ fn main() {
         // Same correctness gate one layer up: the one-pass pprof
         // decoder must agree with the retained two-pass reference on
         // every workload (doubles as warm-up for the timed runs).
+        let live_before = LIVE.load(Ordering::Relaxed);
         let one = pprof::parse(&w.raw).expect("one-pass pprof parse");
+        // Heap the decoded profile keeps, per CCT node.
+        let heap_per_node = LIVE.load(Ordering::Relaxed).saturating_sub(live_before) as f64
+            / one.node_count() as f64;
         let two = pprof::parse_reference(&w.raw).expect("reference pprof parse");
         assert_eq!(one, two, "{}: pprof decoders disagree", w.name);
+        drop((one, two));
+        let (walk_secs, build_secs) = decode_phases(&w.raw, samples);
 
         // And the streaming decoder one layer further up: the
         // bounded-memory inflate→walk pipeline must produce the same
@@ -335,6 +370,12 @@ fn main() {
             peak_streaming as f64 / (1 << 20) as f64,
             peak_buffered as f64 / peak_streaming.max(1) as f64,
         );
+        println!(
+            "{:<44} traced wire_walk {:.3} ms  cct_build {:.3} ms  retained {heap_per_node:.1} B/node",
+            "",
+            walk_secs * 1e3,
+            build_secs * 1e3,
+        );
 
         entries.push(Value::object([
             ("name", Value::String(w.name.clone())),
@@ -350,12 +391,6 @@ fn main() {
                 Value::Float(m_ref.mib_per_sec(bytes)),
             ),
             ("inflate_speedup", Value::Float(speedup)),
-            // `wire_decode_mib_per_sec` keeps its historical name and
-            // tracks whatever `pprof::parse` is — the one-pass decoder.
-            (
-                "wire_decode_mib_per_sec",
-                Value::Float(m_wire.mib_per_sec(bytes)),
-            ),
             (
                 "wire_decode_onepass_mib_per_sec",
                 Value::Float(m_wire.mib_per_sec(bytes)),
@@ -365,6 +400,9 @@ fn main() {
                 Value::Float(m_wire_ref.mib_per_sec(bytes)),
             ),
             ("wire_decode_speedup", Value::Float(wire_speedup)),
+            ("wire_walk_secs", Value::Float(walk_secs)),
+            ("cct_build_secs", Value::Float(build_secs)),
+            ("heap_bytes_per_node", Value::Float(heap_per_node)),
             ("end_to_end_secs", Value::Float(secs(&m_e2e) / iters as f64)),
             (
                 "end_to_end_streaming_secs",

@@ -272,14 +272,8 @@ fn info(input: &str) -> Result<String, CliError> {
     if let Some(first) = profile.metrics().first() {
         let metric = profile.metric_by_name(&first.name).expect("exists");
         let view = MetricView::compute(&profile, metric);
-        let mut hot: Vec<_> = profile
-            .node_ids()
-            .map(|id| (id, view.exclusive(id)))
-            .filter(|&(_, v)| v > 0.0)
-            .collect();
-        hot.sort_by(|a, b| b.1.total_cmp(&a.1));
         let _ = writeln!(out, "hottest contexts by self {}:", first.name);
-        for (id, v) in hot.into_iter().take(5) {
+        for (id, v) in view.hottest(5) {
             let _ = writeln!(
                 out,
                 "  {:<44} {}",

@@ -122,7 +122,8 @@ impl ProfileBuilder {
 
     /// Finishes building, returning the profile. Any frames still on the
     /// stack are implicitly popped.
-    pub fn finish(self) -> Profile {
+    pub fn finish(mut self) -> Profile {
+        self.profile.finish();
         self.profile
     }
 }

@@ -36,7 +36,7 @@
 use crate::frame::{ContextKind, FrameRef};
 use crate::link::{ContextLink, LinkKind};
 use crate::metric::{MetricDescriptor, MetricId, MetricKind, MetricUnit};
-use crate::profile::{Node, NodeId, Profile, ProfileMeta};
+use crate::profile::{NodeId, Profile, ProfileMeta};
 use crate::string_table::{StringId, StringTable};
 use crate::CoreError;
 use ev_wire::{Reader, WireType, Writer};
@@ -90,7 +90,10 @@ pub fn to_bytes(profile: &Profile) -> Vec<u8> {
             }
         });
     }
-    for node in profile.nodes() {
+    let mut ids: Vec<u64> = Vec::new();
+    let mut vals: Vec<f64> = Vec::new();
+    for id in profile.node_ids() {
+        let node = profile.node(id);
         w.write_message_with(3, |m| {
             if let Some(parent) = node.parent() {
                 m.write_uint64(1, parent.index() as u64 + 1);
@@ -114,9 +117,13 @@ pub fn to_bytes(profile: &Profile) -> Vec<u8> {
             if frame.address != 0 {
                 m.write_uint64(7, frame.address);
             }
-            if !node.values().is_empty() {
-                let ids: Vec<u64> = node.values().iter().map(|&(id, _)| id.index() as u64).collect();
-                let vals: Vec<f64> = node.values().iter().map(|&(_, v)| v).collect();
+            ids.clear();
+            vals.clear();
+            for (metric, value) in node.values() {
+                ids.push(metric.index() as u64);
+                vals.push(value);
+            }
+            if !ids.is_empty() {
                 m.write_packed_uint64(8, &ids);
                 m.write_packed_double(9, &vals);
             }
@@ -182,6 +189,10 @@ pub fn from_bytes(data: &[u8]) -> Result<Profile, CoreError> {
     let mut strings: Vec<String> = Vec::new();
     let mut metrics: Vec<MetricDescriptor> = Vec::new();
     let mut raw_nodes: Vec<RawNode> = Vec::new();
+    // Every node's metric ids and values, back to back; each RawNode
+    // keeps its run lengths.
+    let mut metric_ids: Vec<u64> = Vec::new();
+    let mut values: Vec<f64> = Vec::new();
     let mut links: Vec<ContextLink> = Vec::new();
     let mut meta = ProfileMeta::default();
 
@@ -189,7 +200,11 @@ pub fn from_bytes(data: &[u8]) -> Result<Profile, CoreError> {
         match field {
             1 => strings.push(r.read_string()?.to_owned()),
             2 => metrics.push(read_metric(&mut r.read_message()?)?),
-            3 => raw_nodes.push(read_node(&mut r.read_message()?)?),
+            3 => raw_nodes.push(read_node(
+                &mut r.read_message()?,
+                &mut metric_ids,
+                &mut values,
+            )?),
             4 => links.push(read_link(&mut r.read_message()?)?),
             5 => meta = read_meta(&mut r.read_message()?)?,
             _ => r.skip(ty)?,
@@ -203,8 +218,9 @@ pub fn from_bytes(data: &[u8]) -> Result<Profile, CoreError> {
             "string table must start with the empty string".to_owned(),
         ));
     }
-    let table = StringTable::from_strings(strings.clone());
-    if table.len() != strings.len() {
+    let count = strings.len();
+    let table = StringTable::from_strings(strings);
+    if table.len() != count {
         return Err(CoreError::Format("duplicate strings in table".to_owned()));
     }
 
@@ -212,8 +228,10 @@ pub fn from_bytes(data: &[u8]) -> Result<Profile, CoreError> {
         return Err(CoreError::Format("profile has no nodes".to_owned()));
     }
 
-    // Materialize nodes and rebuild child lists.
-    let mut nodes: Vec<Node> = Vec::with_capacity(raw_nodes.len());
+    // Append the nodes straight into the profile's columns.
+    let metric_count = metrics.len() as u64;
+    let mut profile = Profile::from_parts(table, metrics, links, meta);
+    let (mut ids, mut vals) = (metric_ids.iter(), values.iter());
     for (i, raw) in raw_nodes.iter().enumerate() {
         let parent = match raw.parent_plus_1 {
             0 => None,
@@ -227,18 +245,11 @@ pub fn from_bytes(data: &[u8]) -> Result<Profile, CoreError> {
                 Some(NodeId::from_index(idx))
             }
         };
-        if raw.metric_ids.len() != raw.values.len() {
+        if raw.metric_ids != raw.values {
             return Err(CoreError::Format(format!(
                 "node {i} metric id/value length mismatch"
             )));
         }
-        let mut values: Vec<(MetricId, f64)> = raw
-            .metric_ids
-            .iter()
-            .zip(&raw.values)
-            .map(|(&id, &v)| (MetricId::from_index(id as usize), v))
-            .collect();
-        values.sort_by_key(|&(id, _)| id);
         let frame = FrameRef {
             kind: ContextKind::from_code(raw.kind),
             name: StringId::from_index(raw.name as usize),
@@ -247,25 +258,27 @@ pub fn from_bytes(data: &[u8]) -> Result<Profile, CoreError> {
             line: raw.line as u32,
             address: raw.address,
         };
-        nodes.push(Node {
-            frame,
-            parent,
-            children: Vec::new(),
-            values,
-        });
-    }
-    for i in 0..nodes.len() {
-        if let Some(parent) = nodes[i].parent {
-            let child = NodeId::from_index(i);
-            nodes[parent.index()].children.push(child);
+        let node = profile.push_decoded(parent, frame);
+        for (&id, &value) in ids.by_ref().zip(vals.by_ref()).take(raw.values) {
+            if id >= metric_count {
+                return Err(CoreError::Format(format!(
+                    "node {i} references unknown metric"
+                )));
+            }
+            // Dense columns hold one value per node and metric.
+            if !profile.insert_value(node, MetricId::from_index(id as usize), value) {
+                return Err(CoreError::Format(format!("node {i} repeats metric {id}")));
+            }
         }
     }
 
-    let profile = Profile::from_parts(table, metrics, nodes, links, meta);
     profile.validate().map_err(CoreError::Format)?;
+    profile.finish();
     Ok(profile)
 }
 
+/// A node's scalar fields, plus how many metric ids and values it
+/// appended to the decoder's shared runs.
 struct RawNode {
     parent_plus_1: u64,
     kind: u64,
@@ -274,8 +287,8 @@ struct RawNode {
     file: u64,
     line: u64,
     address: u64,
-    metric_ids: Vec<u64>,
-    values: Vec<f64>,
+    metric_ids: usize,
+    values: usize,
 }
 
 fn read_metric(r: &mut Reader<'_>) -> Result<MetricDescriptor, CoreError> {
@@ -292,7 +305,12 @@ fn read_metric(r: &mut Reader<'_>) -> Result<MetricDescriptor, CoreError> {
     Ok(metric)
 }
 
-fn read_node(r: &mut Reader<'_>) -> Result<RawNode, CoreError> {
+fn read_node(
+    r: &mut Reader<'_>,
+    metric_ids: &mut Vec<u64>,
+    values: &mut Vec<f64>,
+) -> Result<RawNode, CoreError> {
+    let (ids_before, values_before) = (metric_ids.len(), values.len());
     let mut node = RawNode {
         parent_plus_1: 0,
         kind: 0,
@@ -301,8 +319,8 @@ fn read_node(r: &mut Reader<'_>) -> Result<RawNode, CoreError> {
         file: 0,
         line: 0,
         address: 0,
-        metric_ids: Vec::new(),
-        values: Vec::new(),
+        metric_ids: 0,
+        values: 0,
     };
     while let Some((field, ty)) = r.read_tag()? {
         match field {
@@ -313,11 +331,13 @@ fn read_node(r: &mut Reader<'_>) -> Result<RawNode, CoreError> {
             5 => node.file = r.read_varint()?,
             6 => node.line = r.read_varint()?,
             7 => node.address = r.read_varint()?,
-            8 => r.read_packed_uint64(&mut node.metric_ids)?,
-            9 => r.read_packed_double(&mut node.values)?,
+            8 => r.read_packed_uint64(metric_ids)?,
+            9 => r.read_packed_double(values)?,
             _ => r.skip(ty)?,
         }
     }
+    node.metric_ids = metric_ids.len() - ids_before;
+    node.values = values.len() - values_before;
     Ok(node)
 }
 
@@ -488,6 +508,48 @@ mod tests {
         extra.write_string(99, "from the future");
         bytes.extend_from_slice(extra.as_bytes());
         assert_eq!(from_bytes(&bytes).unwrap(), p);
+    }
+
+    /// A hand-built EVPF body: one metric, a root and one child whose
+    /// value pairs are `metric_ids` / `values`.
+    fn evpf_with_child_values(metric_ids: &[u64], values: &[f64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.write_string(1, "");
+        w.write_string(1, "f");
+        w.write_message_with(2, |m| m.write_string(1, "cpu"));
+        w.write_message_with(3, |_| {});
+        w.write_message_with(3, |m| {
+            m.write_uint64(1, 1);
+            m.write_uint64(3, 1);
+            m.write_packed_uint64(8, metric_ids);
+            m.write_packed_double(9, values);
+        });
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(VERSION);
+        bytes.extend_from_slice(w.as_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_node_repeating_a_metric_is_rejected() {
+        let ok = from_bytes(&evpf_with_child_values(&[0], &[-0.0])).unwrap();
+        let child = NodeId::from_index(1);
+        assert_eq!(
+            ok.value(child, MetricId::from_index(0)).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert!(matches!(
+            from_bytes(&evpf_with_child_values(&[0, 0], &[1.0, 2.0])),
+            Err(CoreError::Format(msg)) if msg.contains("repeats metric 0")
+        ));
+        // Out-of-range ids are rejected rather than truncated to a
+        // registered one.
+        for id in [1, 1 << 16] {
+            assert!(matches!(
+                from_bytes(&evpf_with_child_values(&[id], &[1.0])),
+                Err(CoreError::Format(msg)) if msg.contains("unknown metric")
+            ));
+        }
     }
 
     #[test]

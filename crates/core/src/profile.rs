@@ -1,10 +1,17 @@
 //! The calling context tree (CCT) at the heart of the representation.
+//!
+//! The tree is stored as columns, one entry per node: the parent, the
+//! frame (an id into a deduplicated frame table) and one dense value
+//! column per metric. Children are not stored; they are derived from
+//! the parent column on first use (DESIGN §4f).
 
+use crate::fast_hash::{FxHashMap, PackedHashMap};
 use crate::frame::{Frame, FrameRef};
 use crate::link::ContextLink;
 use crate::metric::{MetricDescriptor, MetricId};
-use crate::fast_hash::FxHashMap;
 use crate::string_table::{StringId, StringTable};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A handle to a node in a [`Profile`]'s calling context tree.
 ///
@@ -28,57 +35,165 @@ impl NodeId {
     }
 }
 
-/// One monitoring point: a frame in the CCT plus its metric values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Node {
-    pub(crate) frame: FrameRef,
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) children: Vec<NodeId>,
-    /// Sparse metric values, sorted by [`MetricId`].
-    pub(crate) values: Vec<(MetricId, f64)>,
+/// A handle to a distinct frame in a [`Profile`]'s frame table. Two
+/// nodes of one profile have equal `FrameId`s iff their [`FrameRef`]s
+/// are equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FrameId(u32);
+
+impl FrameId {
+    /// The raw index of this id.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
-impl Node {
+/// The parent-column entry of the root.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One monitoring point: a borrowed view of a node's frame, parent,
+/// children and metric values. Created by [`Profile::node`].
+#[derive(Clone, Copy)]
+pub struct Node<'a> {
+    profile: &'a Profile,
+    index: usize,
+}
+
+impl<'a> Node<'a> {
     /// The interned frame of this node.
-    pub fn frame(&self) -> FrameRef {
-        self.frame
+    pub fn frame(self) -> FrameRef {
+        self.profile.frames[self.profile.frame[self.index].index()]
     }
 
     /// The parent node, `None` for the root.
-    pub fn parent(&self) -> Option<NodeId> {
-        self.parent
+    pub fn parent(self) -> Option<NodeId> {
+        match self.profile.parent[self.index] {
+            NO_PARENT => None,
+            p => Some(NodeId(p)),
+        }
     }
 
-    /// Child nodes in insertion order.
-    pub fn children(&self) -> &[NodeId] {
-        &self.children
+    /// Child nodes in insertion order (ascending id).
+    pub fn children(self) -> &'a [NodeId] {
+        self.profile.children().of(self.index)
     }
 
-    /// Sparse `(metric, value)` pairs attached to this node.
-    pub fn values(&self) -> &[(MetricId, f64)] {
-        &self.values
+    /// The `(metric, value)` pairs stored at this node, by metric id.
+    pub fn values(self) -> impl Iterator<Item = (MetricId, f64)> + 'a {
+        let index = self.index;
+        self.profile
+            .columns
+            .iter()
+            .enumerate()
+            .filter(move |(_, column)| column.is_present(index))
+            .map(move |(m, column)| (MetricId(m as u16), column.get(index)))
     }
 
     /// The value of `metric` at this node, 0 if absent.
-    pub fn value(&self, metric: MetricId) -> f64 {
-        match self.values.binary_search_by_key(&metric, |&(m, _)| m) {
-            Ok(i) => self.values[i].1,
-            Err(_) => 0.0,
-        }
+    pub fn value(self, metric: MetricId) -> f64 {
+        self.profile
+            .columns
+            .get(metric.index())
+            .map_or(0.0, |column| column.get(self.index))
+    }
+}
+
+impl fmt::Debug for Node<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Node")
+            .field("id", &self.index)
+            .field("frame", &self.frame())
+            .field("parent", &self.parent())
+            .field("values", &self.values().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// One metric's values: dense, with a presence bit per node so a stored
+/// `0.0` or `-0.0` stays distinct from an absent value (which reads as
+/// `0.0`). Both vectors may stop short of the node count; the missing
+/// tail is absent.
+#[derive(Debug, Clone, Default)]
+struct Column {
+    values: Vec<f64>,
+    present: Vec<u64>,
+}
+
+impl Column {
+    fn get(&self, index: usize) -> f64 {
+        self.values.get(index).copied().unwrap_or(0.0)
     }
 
-    pub(crate) fn add_value(&mut self, metric: MetricId, delta: f64) {
-        match self.values.binary_search_by_key(&metric, |&(m, _)| m) {
-            Ok(i) => self.values[i].1 += delta,
-            Err(i) => self.values.insert(i, (metric, delta)),
-        }
+    fn is_present(&self, index: usize) -> bool {
+        self.present
+            .get(index / 64)
+            .is_some_and(|word| word >> (index % 64) & 1 == 1)
     }
 
-    pub(crate) fn set_value(&mut self, metric: MetricId, value: f64) {
-        match self.values.binary_search_by_key(&metric, |&(m, _)| m) {
-            Ok(i) => self.values[i].1 = value,
-            Err(i) => self.values.insert(i, (metric, value)),
+    /// The slot of `index`, marked present; `true` if it already was.
+    fn slot(&mut self, index: usize) -> (&mut f64, bool) {
+        if self.values.len() <= index {
+            self.values.resize(index + 1, 0.0);
         }
+        let word = index / 64;
+        if self.present.len() <= word {
+            self.present.resize(word + 1, 0);
+        }
+        let bit = 1u64 << (index % 64);
+        let was = self.present[word] & bit != 0;
+        self.present[word] |= bit;
+        (&mut self.values[index], was)
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.values.shrink_to_fit();
+        self.present.shrink_to_fit();
+    }
+}
+
+/// Children in compressed sparse rows: node `i`'s children are
+/// `ids[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone)]
+struct Children {
+    offsets: Vec<u32>,
+    ids: Vec<NodeId>,
+}
+
+impl Children {
+    /// Every insert appends, so a node's children are exactly the later
+    /// nodes naming it as parent: a counting sort of the parent column
+    /// lists them in ascending id order.
+    fn derive(parent: &[u32]) -> Children {
+        static BUILDS: OnceLock<&'static ev_trace::Counter> = OnceLock::new();
+        BUILDS
+            .get_or_init(|| ev_trace::counter("core.cct_children"))
+            .inc();
+        let n = parent.len();
+        let mut offsets = vec![0u32; n + 1];
+        for &p in &parent[1..] {
+            offsets[p as usize] += 1;
+        }
+        // Exclusive prefix sum: offsets[p] becomes p's first slot.
+        let mut sum = 0;
+        for slot in &mut offsets[..n] {
+            let count = *slot;
+            *slot = sum;
+            sum += count;
+        }
+        let mut ids = vec![NodeId::ROOT; n - 1];
+        for (i, &p) in parent.iter().enumerate().skip(1) {
+            let slot = &mut offsets[p as usize];
+            ids[*slot as usize] = NodeId(i as u32);
+            *slot += 1;
+        }
+        // offsets[p] now ends p's run, which is where p + 1's starts.
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        Children { offsets, ids }
+    }
+
+    fn of(&self, index: usize) -> &[NodeId] {
+        &self.ids[self.offsets[index] as usize..self.offsets[index + 1] as usize]
     }
 }
 
@@ -127,15 +242,26 @@ pub struct ProfileMeta {
 pub struct Profile {
     strings: StringTable,
     metrics: Vec<MetricDescriptor>,
-    nodes: Vec<Node>,
+    /// Distinct frames, indexed by [`FrameId`].
+    frames: Vec<FrameRef>,
+    /// Per node: the parent's index, [`NO_PARENT`] for the root.
+    parent: Vec<u32>,
+    /// Per node: its frame.
+    frame: Vec<FrameId>,
+    /// Per metric: its values.
+    columns: Vec<Column>,
     links: Vec<ContextLink>,
     meta: ProfileMeta,
-    /// Fast child lookup: (parent, frame) → child. Not serialized.
-    child_index: FxHashMap<(NodeId, FrameRef), NodeId>,
-    /// True when `child_index` lags behind `nodes` (after bulk builds
-    /// via [`Profile::push_child_unchecked`] or deserialization).
-    /// [`Profile::child_ref`] rebuilds lazily before its first probe.
-    index_stale: bool,
+    /// Derived from `parent` by [`Profile::finish`] or on first use;
+    /// every node insert drops it.
+    children: OnceLock<Children>,
+    /// Build-time index, frame → id. Complete iff it has one entry per
+    /// frame; filled lazily and dropped by [`Profile::finish`].
+    frame_index: FxHashMap<FrameRef, FrameId>,
+    /// Build-time child index, `(parent << 32) | frame id` → child.
+    /// Complete iff it has one entry per non-root node; filled lazily
+    /// and dropped by [`Profile::finish`].
+    edges: PackedHashMap<NodeId>,
 }
 
 impl Profile {
@@ -144,19 +270,18 @@ impl Profile {
         Profile {
             strings: StringTable::new(),
             metrics: Vec::new(),
-            nodes: vec![Node {
-                frame: FrameRef::root(),
-                parent: None,
-                children: Vec::new(),
-                values: Vec::new(),
-            }],
+            frames: vec![FrameRef::root()],
+            parent: vec![NO_PARENT],
+            frame: vec![FrameId(0)],
+            columns: Vec::new(),
             links: Vec::new(),
             meta: ProfileMeta {
                 name: name.into(),
                 ..ProfileMeta::default()
             },
-            child_index: FxHashMap::default(),
-            index_stale: false,
+            children: OnceLock::new(),
+            frame_index: FxHashMap::default(),
+            edges: PackedHashMap::default(),
         }
     }
 
@@ -188,6 +313,22 @@ impl Profile {
         frame.intern(&mut self.strings)
     }
 
+    /// The frame-table id of `frame`, adding it to the table if new.
+    /// Producers that insert one frame under many parents look its id
+    /// up once and insert with [`Profile::child_id`].
+    pub fn frame_id(&mut self, frame: FrameRef) -> FrameId {
+        if self.frame_index.len() != self.frames.len() {
+            self.frame_index = (0..self.frames.len() as u32)
+                .map(|i| (self.frames[i as usize], FrameId(i)))
+                .collect();
+        }
+        let frames = &mut self.frames;
+        *self.frame_index.entry(frame).or_insert_with(|| {
+            frames.push(frame);
+            FrameId(frames.len() as u32 - 1)
+        })
+    }
+
     /// Registers a metric, returning its id.
     ///
     /// # Panics
@@ -197,6 +338,7 @@ impl Profile {
         assert!(self.metrics.len() < u16::MAX as usize, "too many metrics");
         let id = MetricId(self.metrics.len() as u16);
         self.metrics.push(descriptor);
+        self.columns.push(Column::default());
         id
     }
 
@@ -232,18 +374,22 @@ impl Profile {
     /// # Panics
     ///
     /// Panics if `id` is not a node of this profile.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        assert!(id.index() < self.parent.len(), "invalid node id {}", id.0);
+        Node {
+            profile: self,
+            index: id.index(),
+        }
     }
 
     /// Number of nodes, including the root.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.parent.len()
     }
 
     /// All node ids in creation order (root first).
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.parent.len() as u32).map(NodeId)
     }
 
     /// Returns the child of `parent` matching `frame`, creating it if
@@ -253,85 +399,84 @@ impl Profile {
         self.child_ref(parent, frame_ref)
     }
 
-    /// Pre-reserves capacity for about `additional` more nodes.
-    /// Converters that know the scale of the profile they are building
-    /// (e.g. its sample count) call this once up front so CCT
-    /// construction does not repeatedly regrow a million-node table
-    /// mid-build. The child index is left alone: bulk builders go
-    /// through [`Profile::push_child_unchecked`] and never populate it.
-    pub fn reserve_nodes(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
-    }
-
     /// Like [`Profile::child`] for an already-interned frame.
     ///
     /// # Panics
     ///
     /// Panics if `parent` is not a node of this profile.
     pub fn child_ref(&mut self, parent: NodeId, frame: FrameRef) -> NodeId {
-        assert!(parent.index() < self.nodes.len(), "invalid parent id");
-        if self.index_stale {
-            self.rebuild_index();
-        }
-        // Entry API: one hash of the (parent, frame) key per call instead
-        // of a get-then-insert pair on the create path.
-        let id = NodeId(self.nodes.len() as u32);
-        match self.child_index.entry((parent, frame)) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(id);
-                self.nodes.push(Node {
-                    frame,
-                    parent: Some(parent),
-                    children: Vec::new(),
-                    values: Vec::new(),
-                });
-                self.nodes[parent.index()].children.push(id);
-                id
-            }
-        }
+        let frame = self.frame_id(frame);
+        self.child_id(parent, frame)
     }
 
-    /// Appends a new child of `parent` without consulting or updating
-    /// the child-lookup index — the bulk-construction primitive for
-    /// decoders that maintain their own (cheaper) edge dedup.
-    ///
-    /// The caller must guarantee `parent` has no existing child whose
-    /// frame equals `frame`, or [`Profile::validate`] will later reject
-    /// the profile (duplicate child frames). The child index is marked
-    /// stale; the next [`Profile::child`]/[`Profile::child_ref`] call
-    /// rebuilds it in one pass, so mixing this with the checked API
-    /// stays correct — bulk builders just shouldn't interleave the two
-    /// per node, or the rebuild cost comes back.
+    /// Like [`Profile::child`] for a frame-table id: one probe of the
+    /// child index keyed by `(parent, frame)`, built on the first call
+    /// after the index was dropped or never built (decoded profiles).
     ///
     /// # Panics
     ///
-    /// Panics if `parent` is not a node of this profile.
-    pub fn push_child_unchecked(&mut self, parent: NodeId, frame: FrameRef) -> NodeId {
-        assert!(parent.index() < self.nodes.len(), "invalid parent id");
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            frame,
-            parent: Some(parent),
-            children: Vec::new(),
-            values: Vec::new(),
-        });
-        self.nodes[parent.index()].children.push(id);
-        self.index_stale = true;
-        id
+    /// Panics if `parent` is not a node, or `frame` not a frame, of
+    /// this profile.
+    pub fn child_id(&mut self, parent: NodeId, frame: FrameId) -> NodeId {
+        assert!(parent.index() < self.parent.len(), "invalid parent id");
+        assert!(frame.index() < self.frames.len(), "invalid frame id");
+        if self.edges.len() + 1 != self.parent.len() {
+            self.edges = (1..self.parent.len())
+                .map(|i| (edge_key(self.parent[i], self.frame[i]), NodeId(i as u32)))
+                .collect();
+        }
+        let next = NodeId(self.parent.len() as u32);
+        let mut created = false;
+        let child = *self
+            .edges
+            .entry(edge_key(parent.0, frame))
+            .or_insert_with(|| {
+                created = true;
+                next
+            });
+        if created {
+            self.push_node(parent.0, frame);
+        }
+        child
+    }
+
+    /// Appends a node without consulting the child index; the caller
+    /// keeps the CCT invariant (decoders of already-merged trees).
+    pub(crate) fn push_node(&mut self, parent: u32, frame: FrameId) {
+        self.parent.push(parent);
+        self.frame.push(frame);
+        self.children.take();
+    }
+
+    /// Readies a built profile for readers. It releases what only
+    /// building needs, the frame and child indexes (the next insert
+    /// rebuilds them) and spare column capacity, then derives the child
+    /// lists that every view walks, so the first view does not pay for
+    /// them. Decoders, converters and transforms call it before handing
+    /// a profile on.
+    pub fn finish(&mut self) {
+        self.frame_index = FxHashMap::default();
+        self.edges = PackedHashMap::default();
+        self.frames.shrink_to_fit();
+        self.parent.shrink_to_fit();
+        self.frame.shrink_to_fit();
+        for column in &mut self.columns {
+            column.shrink_to_fit();
+        }
+        self.children();
     }
 
     /// Copies `src`'s calling context tree into this one by frame
     /// identity, root onto root: every source node lands on the child of
     /// its parent's destination with the same frame, created through
-    /// [`Profile::child_ref`] if absent. This is the one copy step behind
+    /// [`Profile::child_id`] if absent. This is the one copy step behind
     /// aggregation, differentiation and pruning (paper §V-A-a, §V-A-c).
     ///
     /// The walk is depth-first on a stack, so the last child is entered
-    /// first. Each source string is interned here once, on first use, in
-    /// name → module → file order, so node ids and string-table order
-    /// are exactly what inserting each resolved [`Frame`] with
-    /// [`Profile::child`] along the same walk would give.
+    /// first. Each source frame is translated here once, on first use,
+    /// interning its strings in name → module → file order, so node ids
+    /// and string-table order are exactly what inserting each resolved
+    /// [`Frame`] with [`Profile::child`] along the same walk would give.
     ///
     /// A source child and its subtree are copied only if `keep(child)`
     /// holds. `visit(self, src_node, dst_node)` runs once per copied
@@ -345,25 +490,35 @@ impl Profile {
         mut visit: impl FnMut(&mut Profile, NodeId, NodeId),
     ) {
         let _span = ev_trace::span("analysis.graft");
-        let mut remap: Vec<Option<StringId>> = vec![None; src.strings.len()];
-        let mut map = |strings: &mut StringTable, id: StringId| {
-            *remap[id.index()].get_or_insert_with(|| strings.intern(src.strings.resolve(id)))
-        };
+        let mut strings: Vec<Option<StringId>> = vec![None; src.strings.len()];
+        let mut frames: Vec<Option<FrameId>> = vec![None; src.frames.len()];
+        let src_children = src.children();
         let mut work: Vec<(NodeId, NodeId)> = vec![(NodeId::ROOT, NodeId::ROOT)];
         while let Some((from, to)) = work.pop() {
-            for &child in &src.nodes[from.index()].children {
+            for &child in src_children.of(from.index()) {
                 if !keep(child) {
                     continue;
                 }
-                let frame = src.nodes[child.index()].frame;
-                // Fields initialise in the order written: name, module, file.
-                let frame = FrameRef {
-                    name: map(&mut self.strings, frame.name),
-                    module: map(&mut self.strings, frame.module),
-                    file: map(&mut self.strings, frame.file),
-                    ..frame
+                let src_frame = src.frame[child.index()];
+                let frame = match frames[src_frame.index()] {
+                    Some(frame) => frame,
+                    None => {
+                        let mut map = |id: StringId| {
+                            *strings[id.index()]
+                                .get_or_insert_with(|| self.strings.intern(src.strings.resolve(id)))
+                        };
+                        let frame = src.frames[src_frame.index()];
+                        // Fields initialise in the order written: name, module, file.
+                        let frame = FrameRef {
+                            name: map(frame.name),
+                            module: map(frame.module),
+                            file: map(frame.file),
+                            ..frame
+                        };
+                        *frames[src_frame.index()].insert(self.frame_id(frame))
+                    }
                 };
-                work.push((child, self.child_ref(to, frame)));
+                work.push((child, self.child_id(to, frame)));
             }
             visit(self, from, to);
         }
@@ -382,30 +537,64 @@ impl Profile {
         node
     }
 
-    /// Adds `delta` to the value of `metric` at `node`.
+    /// The stored slot of `metric` at `node`, marked present; `true` if
+    /// it already was.
+    fn slot(&mut self, node: NodeId, metric: MetricId) -> (&mut f64, bool) {
+        assert!(
+            node.index() < self.parent.len(),
+            "invalid node id {}",
+            node.0
+        );
+        self.columns
+            .get_mut(metric.index())
+            .unwrap_or_else(|| panic!("invalid metric id {}", metric.0))
+            .slot(node.index())
+    }
+
+    /// Adds `delta` to the value of `metric` at `node`. A first value is
+    /// stored as given, so a first `-0.0` stays `-0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `metric` is not part of this profile.
     pub fn add_value(&mut self, node: NodeId, metric: MetricId, delta: f64) {
-        self.nodes[node.index()].add_value(metric, delta);
+        match self.slot(node, metric) {
+            (value, true) => *value += delta,
+            (value, false) => *value = delta,
+        }
     }
 
     /// Overwrites the value of `metric` at `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` or `metric` is not part of this profile.
     pub fn set_value(&mut self, node: NodeId, metric: MetricId, value: f64) {
-        self.nodes[node.index()].set_value(metric, value);
+        *self.slot(node, metric).0 = value;
     }
 
     /// The value of `metric` at `node`, 0 if absent.
     pub fn value(&self, node: NodeId, metric: MetricId) -> f64 {
-        self.nodes[node.index()].value(metric)
+        self.node(node).value(metric)
     }
 
-    /// Sum of `metric` over all nodes — for exclusive metrics this is the
-    /// program total.
+    /// Sum of `metric` over all nodes in id order — for exclusive
+    /// metrics this is the program total.
     pub fn total(&self, metric: MetricId) -> f64 {
-        self.nodes.iter().map(|n| n.value(metric)).sum()
+        let n = self.node_count();
+        match self.columns.get(metric.index()) {
+            Some(column) => {
+                let tail = n - column.values.len().min(n);
+                let stored = column.values.iter().take(n).copied();
+                stored.chain(std::iter::repeat_n(0.0, tail)).sum()
+            }
+            None => std::iter::repeat_n(0.0, n).sum(),
+        }
     }
 
     /// Resolves a node's frame to owned strings.
     pub fn resolve_frame(&self, node: NodeId) -> Frame {
-        self.node(node).frame.resolve(&self.strings)
+        self.node(node).frame().resolve(&self.strings)
     }
 
     /// The call path from the root (exclusive) down to `node` (inclusive),
@@ -418,7 +607,7 @@ impl Profile {
                 break;
             }
             path.push(id);
-            current = self.node(id).parent;
+            current = self.node(id).parent();
         }
         path.reverse();
         path
@@ -427,10 +616,10 @@ impl Profile {
     /// Depth of `node` (root = 0).
     pub fn depth(&self, node: NodeId) -> usize {
         let mut depth = 0;
-        let mut current = self.node(node).parent;
+        let mut current = self.node(node).parent();
         while let Some(id) = current {
             depth += 1;
-            current = self.node(id).parent;
+            current = self.node(id).parent();
         }
         depth
     }
@@ -450,12 +639,12 @@ impl Profile {
 
     /// Post-order (children before parent) traversal from the root.
     pub fn post_order(&self) -> PostOrder {
-        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut order = Vec::with_capacity(self.node_count());
         // Reverse pre-order with child order flipped gives post-order.
         let mut stack = vec![NodeId::ROOT];
         while let Some(id) = stack.pop() {
             order.push(id);
-            stack.extend(self.node(id).children.iter().copied());
+            stack.extend(self.node(id).children().iter().copied());
         }
         PostOrder { order }
     }
@@ -477,52 +666,43 @@ impl Profile {
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        if self.nodes.is_empty() {
-            return Err("profile has no root".to_owned());
-        }
-        if self.nodes[0].parent.is_some() {
+        if self.parent.first() != Some(&NO_PARENT) {
             return Err("root has a parent".to_owned());
         }
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let Some(parent) = node.parent {
-                if parent.index() >= self.nodes.len() {
-                    return Err(format!("node {i} has out-of-range parent"));
-                }
-                if parent.index() >= i {
-                    return Err(format!("node {i} precedes its parent"));
-                }
-                if !self.nodes[parent.index()].children.contains(&NodeId(i as u32)) {
-                    return Err(format!("node {i} missing from parent's child list"));
-                }
-            } else if i != 0 {
-                return Err(format!("non-root node {i} has no parent"));
+        let bad_frame: Vec<bool> = self
+            .frames
+            .iter()
+            .map(|f| {
+                [f.name, f.module, f.file]
+                    .iter()
+                    .any(|&s| self.strings.get(s).is_none())
+            })
+            .collect();
+        for i in 1..self.parent.len() {
+            match self.parent[i] {
+                NO_PARENT => return Err(format!("non-root node {i} has no parent")),
+                p if p as usize >= i => return Err(format!("node {i} precedes its parent")),
+                _ => {}
             }
-            // Prefix-merge invariant: sibling merge keys are unique.
-            let mut seen = std::collections::HashSet::new();
-            for &child in &node.children {
-                if child.index() >= self.nodes.len() {
-                    return Err(format!("node {i} has out-of-range child"));
-                }
-                let key = self.nodes[child.index()].frame.merge_key();
-                if !seen.insert(key) {
-                    return Err(format!("node {i} has duplicate child frames"));
-                }
+        }
+        // Prefix-merge invariant: sibling frames are distinct. Frame ids
+        // are a bijection with frame content, so comparing ids suffices.
+        let children = self.children();
+        let mut siblings: Vec<FrameId> = Vec::new();
+        for i in 0..self.parent.len() {
+            siblings.clear();
+            siblings.extend(children.of(i).iter().map(|c| self.frame[c.index()]));
+            siblings.sort_unstable();
+            if siblings.windows(2).any(|w| w[0] == w[1]) {
+                return Err(format!("node {i} has duplicate child frames"));
             }
-            for &(metric, _) in &node.values {
-                if metric.index() >= self.metrics.len() {
-                    return Err(format!("node {i} references unknown metric"));
-                }
-            }
-            // Frame string ids must resolve.
-            for sid in [node.frame.name, node.frame.module, node.frame.file] {
-                if self.strings.get(sid).is_none() {
-                    return Err(format!("node {i} references unknown string"));
-                }
+            if bad_frame[self.frame[i].index()] {
+                return Err(format!("node {i} references unknown string"));
             }
         }
         for (i, link) in self.links.iter().enumerate() {
             for &node in link.endpoints() {
-                if node.index() >= self.nodes.len() {
+                if node.index() >= self.parent.len() {
                     return Err(format!("link {i} references unknown node"));
                 }
             }
@@ -530,52 +710,71 @@ impl Profile {
         Ok(())
     }
 
-    /// Rebuilds the child-lookup index from the node table. Runs
-    /// lazily, on the first [`Profile::child_ref`] after the index went
-    /// stale — deserialized or bulk-built profiles that are only ever
-    /// read never pay for it.
-    pub(crate) fn rebuild_index(&mut self) {
-        self.child_index.clear();
-        self.child_index.reserve(self.nodes.len().saturating_sub(1));
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let Some(parent) = node.parent {
-                self.child_index.insert((parent, node.frame), NodeId(i as u32));
-            }
-        }
-        self.index_stale = false;
+    /// The derived child lists, built on first use.
+    fn children(&self) -> &Children {
+        self.children.get_or_init(|| Children::derive(&self.parent))
     }
 
-    /// Constructs a profile from raw parts (used by deserialization).
+    /// Constructs an empty profile from decoded parts: only the root,
+    /// whose frame [`Profile::push_node`]-built nodes never need.
     pub(crate) fn from_parts(
         strings: StringTable,
         metrics: Vec<MetricDescriptor>,
-        nodes: Vec<Node>,
         links: Vec<ContextLink>,
         meta: ProfileMeta,
     ) -> Profile {
+        let columns = metrics.iter().map(|_| Column::default()).collect();
         Profile {
             strings,
             metrics,
-            nodes,
+            columns,
             links,
             meta,
-            child_index: FxHashMap::default(),
-            // Lazy: read-only consumers (views, exporters) never probe
-            // the child index, so don't build it on deserialization.
-            index_stale: true,
+            parent: Vec::new(),
+            frame: Vec::new(),
+            frames: Vec::new(),
+            ..Profile::new("")
         }
     }
 
-    pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
+    /// Appends a decoded node: its parent (`None` for the root) and
+    /// frame. The decoder validates the tree afterwards.
+    pub(crate) fn push_decoded(&mut self, parent: Option<NodeId>, frame: FrameRef) -> NodeId {
+        let id = NodeId(self.parent.len() as u32);
+        let frame = self.frame_id(frame);
+        self.push_node(parent.map_or(NO_PARENT, |p| p.0), frame);
+        id
+    }
+
+    /// Stores a decoded value; `false` if `node` already had one for
+    /// `metric`.
+    pub(crate) fn insert_value(&mut self, node: NodeId, metric: MetricId, value: f64) -> bool {
+        let (slot, was) = self.slot(node, metric);
+        *slot = value;
+        !was
     }
 }
 
+/// The child-index key of `(parent, frame)`.
+fn edge_key(parent: u32, frame: FrameId) -> u64 {
+    (u64::from(parent) << 32) | u64::from(frame.0)
+}
+
 impl PartialEq for Profile {
+    /// Content equality: per node, the same parent, the same frame (not
+    /// frame-table id) and the same stored values, bit for bit.
     fn eq(&self, other: &Profile) -> bool {
+        let n = self.node_count();
         self.strings == other.strings
             && self.metrics == other.metrics
-            && self.nodes == other.nodes
+            && self.parent == other.parent
+            && (0..n)
+                .all(|i| self.frames[self.frame[i].index()] == other.frames[other.frame[i].index()])
+            && self.columns.iter().zip(&other.columns).all(|(a, b)| {
+                (0..n).all(|i| {
+                    a.is_present(i) == b.is_present(i) && a.get(i).to_bits() == b.get(i).to_bits()
+                })
+            })
             && self.links == other.links
             && self.meta == other.meta
     }
@@ -680,8 +879,39 @@ mod tests {
         assert_eq!(p.value(b, m), 2.5);
         p.add_value(b, m, 0.5);
         assert_eq!(p.value(b, m), 3.0);
-        let unregistered = MetricId::from_index(0);
+        let unregistered = MetricId::from_index(7);
         assert_eq!(p.node(NodeId::ROOT).value(unregistered), 0.0);
+    }
+
+    #[test]
+    fn stored_zeros_stay_distinct_from_absent_values() {
+        let mut p = Profile::new("t");
+        let m = metric(&mut p, "cpu");
+        let a = p.child(NodeId::ROOT, &Frame::function("a"));
+        let b = p.child(NodeId::ROOT, &Frame::function("b"));
+        p.add_value(a, m, -0.0);
+        assert_eq!(p.value(a, m).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(p.node(a).values().collect::<Vec<_>>().len(), 1);
+        assert!(p.node(b).values().next().is_none());
+        assert_eq!(p.value(b, m).to_bits(), 0.0f64.to_bits());
+        let mut q = p.clone();
+        assert_eq!(p, q);
+        q.set_value(b, m, 0.0);
+        assert_ne!(p, q, "a stored 0.0 differs from an absent value");
+    }
+
+    #[test]
+    fn totals_fold_in_id_order_like_a_node_sum() {
+        let mut p = Profile::new("t");
+        let m = metric(&mut p, "cpu");
+        let a = p.child(NodeId::ROOT, &Frame::function("a"));
+        p.child(NodeId::ROOT, &Frame::function("b"));
+        p.add_value(a, m, -0.0);
+        let folded: f64 = p.node_ids().map(|id| p.value(id, m)).sum();
+        assert_eq!(p.total(m).to_bits(), folded.to_bits());
+        let unset = metric(&mut p, "unset");
+        let folded: f64 = p.node_ids().map(|id| p.value(id, unset)).sum();
+        assert_eq!(p.total(unset).to_bits(), folded.to_bits());
     }
 
     #[test]
@@ -692,7 +922,7 @@ mod tests {
         let n = p.add_sample(&[Frame::function("f")], &[(cpu, 1.0), (mem, 64.0)]);
         assert_eq!(p.value(n, cpu), 1.0);
         assert_eq!(p.value(n, mem), 64.0);
-        assert_eq!(p.node(n).values().len(), 2);
+        assert_eq!(p.node(n).values().count(), 2);
     }
 
     #[test]
@@ -768,6 +998,48 @@ mod tests {
         assert_eq!(p.pre_order().count(), 100_001);
         assert_eq!(p.post_order().count(), 100_001);
         assert_eq!(p.depth(node), 100_000);
+    }
+
+    #[test]
+    fn children_are_later_nodes_naming_the_parent() {
+        let (mut p, _) = sample_profile();
+        let main = p.child(NodeId::ROOT, &Frame::function("main"));
+        let b = p.child(main, &Frame::function("b"));
+        let a = p.child(main, &Frame::function("a"));
+        assert_eq!(p.node(main).children(), &[a, b]);
+        // An insert after the lists were derived shows up in them.
+        let d = p.child(main, &Frame::function("d"));
+        assert_eq!(p.node(main).children(), &[a, b, d]);
+        // After the indexes are dropped, inserts rebuild them and still
+        // merge with the existing children.
+        let mut q = p.clone();
+        q.finish();
+        assert_eq!(q.child(main, &Frame::function("a")), a);
+        assert_eq!(q.node_count(), p.node_count());
+        assert_eq!(q.child(main, &Frame::function("e")).index(), p.node_count());
+        q.validate().unwrap();
+    }
+
+    #[test]
+    fn equality_compares_frames_not_frame_ids() {
+        let mut p = Profile::new("t");
+        let mut q = Profile::new("t");
+        // Same strings in the same order, frames registered in
+        // different orders.
+        let fa = p.intern_frame(&Frame::function("a"));
+        let fb = p.intern_frame(&Frame::function("b"));
+        q.intern_frame(&Frame::function("a"));
+        q.intern_frame(&Frame::function("b"));
+        q.frame_id(fb);
+        q.frame_id(fa);
+        let pa = p.child_ref(NodeId::ROOT, fa);
+        p.child_ref(pa, fb);
+        let qa = q.child_ref(NodeId::ROOT, fa);
+        q.child_ref(qa, fb);
+        assert_ne!(p.frame[1], q.frame[1]);
+        assert_eq!(p, q);
+        q.child_ref(qa, fa);
+        assert_ne!(p, q);
     }
 
     #[test]
@@ -856,15 +1128,8 @@ mod tests {
         let (mut p, _) = sample_profile();
         // Forge a duplicate child by bypassing the index.
         let main = p.child(NodeId::ROOT, &Frame::function("main"));
-        let dup = NodeId(p.nodes.len() as u32);
-        let frame = p.nodes[main.index()].frame;
-        p.nodes.push(Node {
-            frame,
-            parent: Some(NodeId::ROOT),
-            children: Vec::new(),
-            values: Vec::new(),
-        });
-        p.nodes[NodeId::ROOT.index()].children.push(dup);
+        let frame = p.frame[main.index()];
+        p.push_node(NodeId::ROOT.0, frame);
         assert!(p.validate().is_err());
     }
 }

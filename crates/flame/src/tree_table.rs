@@ -22,22 +22,22 @@ pub struct TableRow {
     pub expanded: bool,
 }
 
-/// A fold/unfold tree table over a profile with one or more metric
-/// columns. Call [`TreeTable::expand`]/[`TreeTable::collapse`] (the
-/// "manually unfold any call paths" interaction), then [`TreeTable::rows`]
-/// for the visible rows.
+/// A fold/unfold tree table over a borrowed profile with one or more
+/// metric columns. Call [`TreeTable::expand`]/[`TreeTable::collapse`]
+/// (the "manually unfold any call paths" interaction), then
+/// [`TreeTable::rows`] for the visible rows.
 #[derive(Debug, Clone)]
-pub struct TreeTable {
-    profile: Profile,
+pub struct TreeTable<'a> {
+    profile: &'a Profile,
     metrics: Vec<MetricId>,
     views: Vec<MetricView>,
     expanded: Vec<bool>,
 }
 
-impl TreeTable {
+impl<'a> TreeTable<'a> {
     /// Builds a table over `profile` with the given metric columns.
     /// Initially only the root is expanded.
-    pub fn new(profile: &Profile, metrics: &[MetricId]) -> TreeTable {
+    pub fn new(profile: &'a Profile, metrics: &[MetricId]) -> TreeTable<'a> {
         let views = metrics
             .iter()
             .map(|&m| MetricView::compute(profile, m))
@@ -45,7 +45,7 @@ impl TreeTable {
         let mut expanded = vec![false; profile.node_count()];
         expanded[NodeId::ROOT.index()] = true;
         TreeTable {
-            profile: profile.clone(),
+            profile,
             metrics: metrics.to_vec(),
             views,
             expanded,
@@ -67,10 +67,15 @@ impl TreeTable {
         self.expanded[node.index()] = false;
     }
 
-    /// Expands every ancestor chain down to `depth`.
+    /// Expands every ancestor chain down to `depth`. Parents precede
+    /// their children, so one forward sweep finds every node's depth.
     pub fn expand_to_depth(&mut self, depth: usize) {
+        let mut depths = vec![0usize; self.profile.node_count()];
         for id in self.profile.node_ids() {
-            if self.profile.depth(id) < depth {
+            if let Some(parent) = self.profile.node(id).parent() {
+                depths[id.index()] = depths[parent.index()] + 1;
+            }
+            if depths[id.index()] < depth {
                 self.expanded[id.index()] = true;
             }
         }
@@ -180,7 +185,7 @@ mod tests {
     use super::*;
     use ev_core::{Frame, MetricDescriptor, MetricKind, MetricUnit};
 
-    fn table() -> TreeTable {
+    fn profile() -> (Profile, [MetricId; 2]) {
         let mut p = Profile::new("t");
         let cpu = p.add_metric(MetricDescriptor::new(
             "cpu",
@@ -200,12 +205,13 @@ mod tests {
             &[Frame::function("main"), Frame::function("small"), Frame::function("leaf")],
             &[(cpu, 30.0)],
         );
-        TreeTable::new(&p, &[cpu, mem])
+        (p, [cpu, mem])
     }
 
     #[test]
     fn initially_only_root_level_visible() {
-        let t = table();
+        let (p, metrics) = profile();
+        let t = TreeTable::new(&p, &metrics);
         let rows = t.rows();
         assert_eq!(rows.len(), 2); // ROOT + main
         assert_eq!(rows[0].label, "ROOT");
@@ -216,7 +222,8 @@ mod tests {
 
     #[test]
     fn expanding_reveals_children_sorted_by_value() {
-        let mut t = table();
+        let (p, metrics) = profile();
+        let mut t = TreeTable::new(&p, &metrics);
         let main = t.rows()[1].node;
         t.expand(main);
         let rows = t.rows();
@@ -229,7 +236,8 @@ mod tests {
 
     #[test]
     fn collapse_hides_subtree() {
-        let mut t = table();
+        let (p, metrics) = profile();
+        let mut t = TreeTable::new(&p, &metrics);
         t.expand_to_depth(10);
         assert_eq!(t.rows().len(), 5);
         let main = t.rows()[1].node;
@@ -239,7 +247,8 @@ mod tests {
 
     #[test]
     fn hot_path_expansion() {
-        let mut t = table();
+        let (p, metrics) = profile();
+        let mut t = TreeTable::new(&p, &metrics);
         t.expand_hot_path(0);
         let labels: Vec<String> = t.rows().into_iter().map(|r| r.label).collect();
         // Hot path: ROOT -> main -> big. small stays collapsed but is
@@ -250,7 +259,8 @@ mod tests {
 
     #[test]
     fn multiple_metric_columns() {
-        let mut t = table();
+        let (p, metrics) = profile();
+        let mut t = TreeTable::new(&p, &metrics);
         t.expand_to_depth(10);
         let rows = t.rows();
         let big = rows.iter().find(|r| r.label == "big").unwrap();
@@ -260,7 +270,8 @@ mod tests {
 
     #[test]
     fn render_shows_markers_and_units() {
-        let mut t = table();
+        let (p, metrics) = profile();
+        let mut t = TreeTable::new(&p, &metrics);
         t.expand_to_depth(10);
         let text = t.render();
         assert!(text.contains("cpu(I)"));

@@ -221,7 +221,7 @@ pub fn parse_auto_with(
     data: &[u8],
     policy: ev_flate::ExecPolicy,
 ) -> Result<Profile, FormatError> {
-    match detect(data) {
+    let mut profile = match detect(data) {
         Format::EasyView => easyview::parse(data),
         Format::Pprof if ev_flate::is_gzip(data) && data.len() >= STREAM_SIZE_THRESHOLD => {
             pprof::parse_streaming_with(data, policy, ev_flate::DEFAULT_CHUNK_SIZE)
@@ -237,7 +237,10 @@ pub fn parse_auto_with(
         Format::Scalene => scalene::parse(&String::from_utf8_lossy(data)),
         Format::HpcToolkit => hpctoolkit::parse(&String::from_utf8_lossy(data)),
         Format::Unknown => Err(FormatError::UnknownFormat),
-    }
+    }?;
+    // Every converter's output reaches readers finished.
+    profile.finish();
+    Ok(profile)
 }
 
 /// Compressed sizes at or above this route gzip'd pprof input through

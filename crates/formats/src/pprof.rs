@@ -16,8 +16,8 @@ use crate::FormatError;
 use ev_core::arena::{Arena, Span};
 use ev_core::fast_hash::FxHashMap;
 use ev_core::{
-    ContextKind, Frame, FrameRef, MetricDescriptor, MetricId, MetricKind, MetricUnit, NodeId,
-    Profile, StringId,
+    ContextKind, Frame, FrameId, FrameRef, MetricDescriptor, MetricId, MetricKind, MetricUnit,
+    NodeId, Profile, StringId,
 };
 use ev_flate::{
     gzip_compress, gzip_decompress_with, is_gzip, CompressionLevel, ExecPolicy, FlateError,
@@ -524,14 +524,9 @@ fn fixup_profile(
     // (`Profile` equality compares string tables entry for entry, so
     // the order is part of the conformance contract, not a detail.)
     let mut sid_memo = vec![u32::MAX; strings.len()];
-    // Frames dedup to small integer *tokens* at materialization:
-    // `token_map` maps frame content to its token, `frame_by_token`
-    // maps back, and `tokens` holds each location's frame run as a
-    // token span. Tokens are what make the index-free CCT build below
-    // sound — (parent, token) identifies a child edge exactly.
-    let mut token_map: FxHashMap<FrameRef, u32> = FxHashMap::default();
-    let mut frame_by_token: Vec<FrameRef> = Vec::new();
-    let mut tokens: Arena<u32> = Arena::with_capacity(t.lines.len().max(t.locs.len()));
+    // Each location's frame run, outermost first, as frame-table ids
+    // in one shared arena.
+    let mut frame_ids: Arena<FrameId> = Arena::with_capacity(t.lines.len().max(t.locs.len()));
     // `Span::default()` (empty) marks "not yet materialized": every
     // materialized location yields at least one frame (unsymbolized
     // locations synthesize one from the address).
@@ -546,28 +541,14 @@ fn fixup_profile(
     //      against the previous sample's raw location ids resumes the
     //      walk at the divergence point — no table lookups, let alone
     //      hashing, for the shared part;
-    //   2. the remaining steps build the tree with
-    //      `push_child_unchecked`, deduping edges through a
-    //      (parent node, frame token) memo — one u64-keyed probe per
-    //      frame instead of hashing a 32-byte (parent, FrameRef) key
-    //      into the profile's child index. The token↔frame-content
-    //      bijection is what makes the unchecked push sound: two memo
-    //      keys are equal iff the checked API would merge the edges.
+    //   2. each remaining step is one `Profile::child_id` call: a
+    //      probe of the child index keyed by one u64 (parent, frame
+    //      id), appending to the node columns on a miss.
     if ev_trace::enabled() {
         onepass_samples_counter().add(sample_count as u64);
     }
-    let _wire_span = ev_trace::span("wire.decode");
+    let _build_span = ev_trace::span("core.cct_build");
     let root = profile.root();
-    // Pre-size the CCT structures for a mid-size profile. The cap is
-    // deliberately modest: nodes scale with *distinct call paths*, not
-    // samples, and a long capture has millions of samples over a tiny
-    // CCT — sizing by sample count there strands tens of MiB of node
-    // capacity in the returned profile (and defeats the streaming
-    // path's bounded-memory contract). Beyond the floor, growth is
-    // amortized doubling of a u64-keyed map and a memcpy'd vec, a few
-    // percent of construction even at millions of nodes.
-    let reserve = sample_count.min(1 << 16);
-    profile.reserve_nodes(reserve);
     let mut location_ids: Vec<u64> = Vec::new();
     let mut values: Vec<i64> = Vec::new();
     // The previous sample's raw leaf-first location ids, and the node
@@ -575,8 +556,6 @@ fn fixup_profile(
     // the node after the step over `prev_ids[prev_ids.len() - 1 - i]`).
     let mut prev_ids: Vec<u64> = Vec::new();
     let mut prev_nodes: Vec<NodeId> = Vec::new();
-    let mut edge_memo: FxHashMap<u64, NodeId> =
-        FxHashMap::with_capacity_and_hasher(reserve, Default::default());
     loop {
         location_ids.clear();
         values.clear();
@@ -610,9 +589,7 @@ fn fixup_profile(
                 span = materialize_frames(
                     slot as usize,
                     &mut profile,
-                    &mut tokens,
-                    &mut token_map,
-                    &mut frame_by_token,
+                    &mut frame_ids,
                     &mut frame_spans,
                     &mut sid_memo,
                     strings,
@@ -624,17 +601,8 @@ fn fixup_profile(
                     &mapping_index,
                 );
             }
-            for &token in tokens.get(span) {
-                let key = ((node.index() as u64) << 32) | u64::from(token);
-                node = match edge_memo.get(&key) {
-                    Some(&cached) => cached,
-                    None => {
-                        let n =
-                            profile.push_child_unchecked(node, frame_by_token[token as usize]);
-                        edge_memo.insert(key, n);
-                        n
-                    }
-                };
+            for &frame in frame_ids.get(span) {
+                node = profile.child_id(node, frame);
             }
             prev_nodes.push(node);
         }
@@ -648,21 +616,20 @@ fn fixup_profile(
         }
     }
 
+    profile.finish();
     Ok(profile)
 }
 
 /// Expands location `slot` into its frame run (outermost inline frame
-/// first) in the shared arena, interning the strings it touches. Called
-/// at a location's first use by a sample, so intern order matches the
-/// reference decoder's per-step `Frame::intern` order: name, module,
-/// file, per frame.
+/// first) in the shared arena, interning the strings it touches and
+/// the frames it yields. Called at a location's first use by a sample,
+/// so intern order matches the reference decoder's per-step
+/// `Frame::intern` order: name, module, file, per frame.
 #[allow(clippy::too_many_arguments)]
 fn materialize_frames(
     slot: usize,
     profile: &mut Profile,
-    tokens: &mut Arena<u32>,
-    token_map: &mut FxHashMap<FrameRef, u32>,
-    frame_by_token: &mut Vec<FrameRef>,
+    frame_ids: &mut Arena<FrameId>,
     frame_spans: &mut [Span],
     sid_memo: &mut [u32],
     strings: &[&str],
@@ -677,7 +644,7 @@ fn materialize_frames(
     let module_idx = mapping_index
         .get(loc.mapping_id)
         .map(|mslot| mappings[mslot as usize].filename);
-    let mark = tokens.mark();
+    let mark = frame_ids.mark();
     if loc.lines.is_empty() {
         // Unsymbolized location: synthesize a frame from the address.
         let name = profile.intern(&format!("0x{:x}", loc.address));
@@ -693,7 +660,7 @@ fn materialize_frames(
             line: 0,
             address: loc.address,
         };
-        tokens.push(token_for(token_map, frame_by_token, frame));
+        frame_ids.push(profile.frame_id(frame));
     } else {
         // lines[0] is the leaf-most inline frame; emit outermost first.
         for line in lines.get(loc.lines).iter().rev() {
@@ -712,26 +679,12 @@ fn materialize_frames(
                 line: line.line.max(0) as u32,
                 address: loc.address,
             };
-            tokens.push(token_for(token_map, frame_by_token, frame));
+            frame_ids.push(profile.frame_id(frame));
         }
     }
-    let span = tokens.span_since(mark);
+    let span = frame_ids.span_since(mark);
     frame_spans[slot] = span;
     span
-}
-
-/// The token for a frame's content, assigning the next one on first
-/// sight. Distinct tokens ⇔ distinct frame content, which is the
-/// invariant the replay's (parent, token) edge memo relies on.
-fn token_for(
-    token_map: &mut FxHashMap<FrameRef, u32>,
-    frame_by_token: &mut Vec<FrameRef>,
-    frame: FrameRef,
-) -> u32 {
-    *token_map.entry(frame).or_insert_with(|| {
-        frame_by_token.push(frame);
-        (frame_by_token.len() - 1) as u32
-    })
 }
 
 /// Resolves a `Line`'s function id, defaulting (like the reference's
@@ -1256,7 +1209,7 @@ pub fn write(profile: &Profile, options: WriteOptions) -> Vec<u8> {
     let mut samples: Vec<(Vec<u64>, Vec<i64>)> = Vec::new();
     for node in profile.node_ids() {
         let n = profile.node(node);
-        if n.values().is_empty() {
+        if n.values().next().is_none() {
             continue;
         }
         // Walk parent pointers: leaf-first, exactly pprof's order.

@@ -63,8 +63,8 @@ impl SyntheticSpec {
             .collect();
 
         // Function universe with stable names/files/modules, interned
-        // once so sample insertion works on Copy `FrameRef`s.
-        let universe: Vec<ev_core::FrameRef> = (0..self.functions.max(1))
+        // once so sample insertion works on frame-table ids.
+        let universe: Vec<ev_core::FrameId> = (0..self.functions.max(1))
             .map(|i| {
                 let module = format!("module{}.so", i % self.modules.max(1));
                 let file = format!("src/file_{}.go", i % (self.functions / 7 + 1));
@@ -72,7 +72,8 @@ impl SyntheticSpec {
                     .with_module(module)
                     .with_source(file, (i % 500 + 1) as u32)
                     .with_address(0x400000 + (i as u64) * 0x40);
-                profile.intern_frame(&frame)
+                let frame = profile.intern_frame(&frame);
+                profile.frame_id(frame)
             })
             .collect();
 
@@ -119,7 +120,7 @@ impl SyntheticSpec {
             }
             let mut node = profile.root();
             for &i in &path_indices {
-                node = profile.child_ref(node, universe[i]);
+                node = profile.child_id(node, universe[i]);
             }
             for &m in &metrics {
                 profile.add_value(node, m, rng.gen_range(1..10_000) as f64);

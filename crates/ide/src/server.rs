@@ -1132,24 +1132,9 @@ impl EvpServer {
             let mut hottest: Vec<Value> = Vec::new();
             if let Some(first) = profile.metrics().first() {
                 let metric = profile.metric_by_name(&first.name).expect("exists");
-                let view = MetricView::compute(profile, metric);
-                let mut by_self: Vec<(NodeId, f64)> = profile
-                    .node_ids()
-                    .map(|id| (id, view.exclusive(id)))
-                    .collect();
-                // The five hottest by self value, ties by node id: the
-                // first five of a stable descending sort, found without
-                // sorting every node.
-                let hotter =
-                    |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-                if by_self.len() > 5 {
-                    by_self.select_nth_unstable_by(4, hotter);
-                    by_self.truncate(5);
-                }
-                by_self.sort_unstable_by(hotter);
-                hottest = by_self
+                hottest = MetricView::compute(profile, metric)
+                    .hottest(5)
                     .into_iter()
-                    .filter(|&(_, v)| v > 0.0)
                     .map(|(id, v)| {
                         Value::object([
                             ("label", Value::from(profile.resolve_frame(id).name)),
@@ -1298,7 +1283,7 @@ fn code_lens_result(profile: &Profile, file: &str) -> Value {
             let slot = lines
                 .entry(frame.line)
                 .or_insert_with(|| vec![0.0; profile.metrics().len()]);
-            for &(m, v) in node.values() {
+            for (m, v) in node.values() {
                 slot[m.index()] += v;
             }
         }
@@ -1339,7 +1324,7 @@ fn hover_result(profile: &Profile, file: &str, line: u32) -> Value {
                 continue;
             }
             contexts += 1;
-            for &(m, v) in node.values() {
+            for (m, v) in node.values() {
                 totals[m.index()] += v;
             }
         }
@@ -1495,7 +1480,7 @@ mod tests {
             let slot = lines
                 .entry(frame.line)
                 .or_insert_with(|| vec![0.0; profile.metrics().len()]);
-            for &(m, v) in profile.node(node).values() {
+            for (m, v) in profile.node(node).values() {
                 slot[m.index()] += v;
             }
         }
@@ -1532,7 +1517,7 @@ mod tests {
                 continue;
             }
             contexts += 1;
-            for &(m, v) in profile.node(node).values() {
+            for (m, v) in profile.node(node).values() {
                 totals[m.index()] += v;
             }
         }

@@ -64,8 +64,8 @@ echo "== trace smoke (self-profiling) =="
 "$EV" flame "$SMOKE_DIR/smoke.pprof" \
     --trace-out "$SMOKE_DIR/self.evpf" --trace-format easyview > /dev/null
 "$EV" flame "$SMOKE_DIR/self.evpf" > /dev/null
-for stage in flate.inflate wire.decode convert.pprof analysis.metric_view \
-             flame.layout flame.render; do
+for stage in flate.inflate wire.decode core.cct_build convert.pprof \
+             analysis.metric_view flame.layout flame.render; do
     "$EV" search "$SMOKE_DIR/self.evpf" "$stage" | grep -q "$stage" \
         || { echo "FAIL: self-profile misses the $stage stage" >&2; exit 1; }
 done
@@ -87,6 +87,9 @@ grep -Eq '^counter wire\.onepass_fields [1-9]' "$SMOKE_DIR/stats.txt" \
     || { echo "FAIL: stats did not report nonzero wire.onepass_fields" >&2; exit 1; }
 grep -Eq '^counter wire\.onepass_samples [1-9]' "$SMOKE_DIR/stats.txt" \
     || { echo "FAIL: stats did not report nonzero wire.onepass_samples" >&2; exit 1; }
+# The decoded CCT's child lists are derived once, for the first view.
+grep -q '^counter core\.cct_children 1$' "$SMOKE_DIR/stats.txt" \
+    || { echo "FAIL: stats did not report one core.cct_children derivation" >&2; exit 1; }
 
 echo "== multi-member gzip smoke =="
 # The golden 3-member fixture must render identically at any thread
@@ -117,6 +120,12 @@ target/release/ingest --quick \
     || { echo "FAIL: BENCH_ingest.json missing or empty" >&2; exit 1; }
 grep -q '"schema": "ev-bench-ingest/v1"' BENCH_ingest.json \
     || { echo "FAIL: BENCH_ingest.json malformed (schema key missing)" >&2; exit 1; }
+# Per workload: the decode's walk and CCT-build phases, timed by
+# EasyView's own spans, and the heap the decoded profile keeps.
+for row in wire_walk_secs cct_build_secs heap_bytes_per_node; do
+    grep -q "\"$row\"" BENCH_ingest.json \
+        || { echo "FAIL: BENCH_ingest.json misses the $row row" >&2; exit 1; }
+done
 # Restore the committed full-mode report; the quick run is a gate, not
 # the artifact of record.
 git checkout -- BENCH_ingest.json 2>/dev/null || true

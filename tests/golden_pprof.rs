@@ -147,6 +147,36 @@ fn fixtures_round_trip_through_native_format() {
     }
 }
 
+/// CRC-32 of `ev_core::format::to_bytes` for every fixture that decodes,
+/// taken from the per-node storage the columnar CCT replaced. How a
+/// profile is stored must never move the bytes it serializes to.
+const NATIVE_CRCS: [(&str, u32); 5] = [
+    ("grpc_leak.pb.gz", 0x20f3_de1d),
+    ("multi_member.pb.gz", 0x20f3_de1d),
+    ("odd_deep_nesting.pb", 0xf27d_462c),
+    ("odd_degenerate_tables.pb", 0xf425_2000),
+    ("synthetic_cpu.pb.gz", 0x42e9_ebd3),
+];
+
+#[test]
+fn fixtures_serialize_to_pinned_native_bytes() {
+    let mut decoded = Vec::new();
+    for entry in std::fs::read_dir(fixture_dir()).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if let Ok(profile) = ev_formats::pprof::parse(&std::fs::read(&path).unwrap()) {
+            let crc = ev_flate::crc32(&ev_core::format::to_bytes(&profile));
+            decoded.push((name, crc));
+        }
+    }
+    decoded.sort();
+    let pinned: Vec<(String, u32)> = NATIVE_CRCS
+        .iter()
+        .map(|&(name, crc)| (name.to_owned(), crc))
+        .collect();
+    assert_eq!(decoded, pinned);
+}
+
 /// The views themselves are pinned to the code they replaced in
 /// `tests/open_oracle.rs` (`golden_fixture_views_match_oracle`).
 #[test]

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: randomized profiles exercise the full
 //! serialization, conversion, analysis, and protocol stack.
 
-use ev_core::{MetricId, Profile};
+use ev_core::{format, Frame, MetricDescriptor, MetricId, MetricKind, MetricUnit, NodeId, Profile};
 use ev_gen::synthetic::SyntheticSpec;
 use ev_ide::EvpServer;
 use ev_test::prelude::*;
@@ -28,12 +28,48 @@ fn arb_spec() -> impl Gen<Value = SyntheticSpec> {
 property! {
     #![cases(24)]
 
-    fn native_format_roundtrips_generated_profiles(spec in arb_spec()) {
-        let profile = spec.build();
+    fn native_format_roundtrips_generated_profiles(
+        spec in arb_spec(),
+        picks in vec(any_u32(), 1..40),
+    ) {
+        let mut profile = spec.build();
         profile.validate().unwrap();
-        let bytes = ev_core::format::to_bytes(&profile);
-        let decoded = ev_core::format::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(decoded, profile);
+        // A metric added after the nodes exist, stored on only some of
+        // them, holding the values a dense column must keep apart from
+        // an absent one: explicit zeros of both signs and NaN.
+        let late = profile.add_metric(MetricDescriptor::new(
+            "late",
+            MetricUnit::Count,
+            MetricKind::Exclusive,
+        ));
+        let odd = [0.0, -0.0, f64::NAN, -2.5];
+        let n = profile.node_count();
+        for (k, &pick) in picks.iter().enumerate() {
+            let node = NodeId::from_index(pick as usize % n);
+            match k % 3 {
+                0 => profile.set_value(node, late, odd[k % odd.len()]),
+                _ => profile.add_value(node, late, odd[k % odd.len()]),
+            }
+        }
+        // A first add_value(-0.0) stores -0.0, not +0.0 plus the delta.
+        let fresh = profile.child(NodeId::ROOT, &Frame::function("fresh"));
+        profile.add_value(fresh, MetricId::from_index(0), -0.0);
+        prop_assert_eq!(
+            profile.node(fresh).values().map(|(m, v)| (m, v.to_bits())).collect::<Vec<_>>(),
+            vec![(MetricId::from_index(0), (-0.0f64).to_bits())]
+        );
+
+        let pairs = |p: &Profile| -> Vec<(NodeId, MetricId, u64)> {
+            p.node_ids()
+                .flat_map(|id| p.node(id).values().map(move |(m, v)| (id, m, v.to_bits())))
+                .collect()
+        };
+        let bytes = format::to_bytes(&profile);
+        for copy in [format::from_bytes(&bytes).unwrap(), profile.clone()] {
+            prop_assert_eq!(pairs(&copy), pairs(&profile));
+            prop_assert!(copy == profile);
+            prop_assert_eq!(format::to_bytes(&copy), bytes.clone());
+        }
     }
 
     fn pprof_roundtrip_preserves_shape_and_mass(spec in arb_spec()) {
