@@ -13,9 +13,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// `HashMap` keyed by one packed `u64`, hashed with [`PackedHasher`].
-pub type PackedHashMap<V> = HashMap<u64, V, BuildHasherDefault<PackedHasher>>;
-
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// The FxHash word-at-a-time hasher.
@@ -32,9 +29,14 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// Folds the high half into the low one. The last step multiplies,
+    /// so the low bits of `hash` depend only on the low bits of the last
+    /// word; a hash table picks buckets by its low bits, and every key
+    /// packed as `(parent << 32) | frame` with one frame would start
+    /// probing at the same bucket.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash ^ (self.hash >> 32)
     }
 
     #[inline]
@@ -74,40 +76,6 @@ impl Hasher for FxHasher {
     #[inline]
     fn write_usize(&mut self, i: usize) {
         self.add_to_hash(i as u64);
-    }
-}
-
-/// A hasher for one packed `u64` key such as `(parent << 32) | frame`.
-///
-/// [`FxHasher`] hashes a `u64` to `key * SEED`, whose low bits depend
-/// only on the key's low bits; a hash table indexes buckets by those
-/// bits, so every key sharing its low half would start probing at the
-/// same bucket. Folding the high half of the 128-bit product back in
-/// lets every key bit reach every hash bit, for one multiply.
-#[derive(Debug, Default, Clone)]
-pub struct PackedHasher {
-    hash: u64,
-}
-
-impl Hasher for PackedHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        let product = u128::from(self.hash ^ i) * u128::from(SEED);
-        self.hash = (product as u64) ^ ((product >> 64) as u64);
     }
 }
 
@@ -154,18 +122,9 @@ mod tests {
         // Keys that differ only in their high half must still land in
         // different buckets of a small table.
         let buckets: std::collections::HashSet<u64> = (0..64u64)
-            .map(|parent| {
-                let mut h = PackedHasher::default();
-                h.write_u64((parent << 32) | 7);
-                h.finish() & 63
-            })
+            .map(|parent| hash_of(&((parent << 32) | 7)) & 63)
             .collect();
         assert!(buckets.len() > 32, "{} distinct buckets", buckets.len());
-        let mut map: PackedHashMap<u32> = PackedHashMap::default();
-        for i in 0..1000u64 {
-            map.insert(i << 32 | (i % 3), i as u32);
-        }
-        assert_eq!(map.get(&(500 << 32 | 2)), Some(&500));
     }
 
     #[test]

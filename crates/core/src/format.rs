@@ -227,6 +227,15 @@ pub fn from_bytes(data: &[u8]) -> Result<Profile, CoreError> {
     if raw_nodes.is_empty() {
         return Err(CoreError::Format("profile has no nodes".to_owned()));
     }
+    // As many as `Profile::add_metric` registers; a metric id past them
+    // would not fit a `MetricId`.
+    if metrics.len() > usize::from(u16::MAX) {
+        return Err(CoreError::Format(format!(
+            "{} metrics, at most {} allowed",
+            metrics.len(),
+            u16::MAX
+        )));
+    }
 
     // Append the nodes straight into the profile's columns.
     let metric_count = metrics.len() as u64;
@@ -510,20 +519,32 @@ mod tests {
         assert_eq!(from_bytes(&bytes).unwrap(), p);
     }
 
-    /// A hand-built EVPF body: one metric, a root and one child whose
-    /// value pairs are `metric_ids` / `values`.
-    fn evpf_with_child_values(metric_ids: &[u64], values: &[f64]) -> Vec<u8> {
+    /// A hand-built EVPF body: `metrics` metrics, a root and a chain of
+    /// `depth` nodes below it, the last of which holds the value pairs
+    /// `metric_ids` / `values`.
+    fn evpf_with_leaf_values(
+        metrics: usize,
+        depth: usize,
+        metric_ids: &[u64],
+        values: &[f64],
+    ) -> Vec<u8> {
         let mut w = Writer::new();
         w.write_string(1, "");
         w.write_string(1, "f");
-        w.write_message_with(2, |m| m.write_string(1, "cpu"));
+        for _ in 0..metrics {
+            w.write_message_with(2, |m| m.write_string(1, "cpu"));
+        }
         w.write_message_with(3, |_| {});
-        w.write_message_with(3, |m| {
-            m.write_uint64(1, 1);
-            m.write_uint64(3, 1);
-            m.write_packed_uint64(8, metric_ids);
-            m.write_packed_double(9, values);
-        });
+        for parent in 0..depth as u64 {
+            w.write_message_with(3, |m| {
+                m.write_uint64(1, parent + 1);
+                m.write_uint64(3, 1);
+                if parent + 1 == depth as u64 {
+                    m.write_packed_uint64(8, metric_ids);
+                    m.write_packed_double(9, values);
+                }
+            });
+        }
         let mut bytes = MAGIC.to_vec();
         bytes.push(VERSION);
         bytes.extend_from_slice(w.as_bytes());
@@ -532,24 +553,57 @@ mod tests {
 
     #[test]
     fn a_node_repeating_a_metric_is_rejected() {
-        let ok = from_bytes(&evpf_with_child_values(&[0], &[-0.0])).unwrap();
+        let ok = from_bytes(&evpf_with_leaf_values(1, 1, &[0], &[-0.0])).unwrap();
         let child = NodeId::from_index(1);
         assert_eq!(
             ok.value(child, MetricId::from_index(0)).to_bits(),
             (-0.0f64).to_bits()
         );
         assert!(matches!(
-            from_bytes(&evpf_with_child_values(&[0, 0], &[1.0, 2.0])),
+            from_bytes(&evpf_with_leaf_values(1, 1, &[0, 0], &[1.0, 2.0])),
             Err(CoreError::Format(msg)) if msg.contains("repeats metric 0")
         ));
         // Out-of-range ids are rejected rather than truncated to a
         // registered one.
         for id in [1, 1 << 16] {
             assert!(matches!(
-                from_bytes(&evpf_with_child_values(&[id], &[1.0])),
+                from_bytes(&evpf_with_leaf_values(1, 1, &[id], &[1.0])),
                 Err(CoreError::Format(msg)) if msg.contains("unknown metric")
             ));
         }
+        // So is a body declaring more metrics than ids: id 65,536 would
+        // wrap onto metric 0. The most `add_metric` registers loads.
+        for (metrics, id) in [(65_536, 0), (65_537, 65_536)] {
+            assert!(matches!(
+                from_bytes(&evpf_with_leaf_values(metrics, 1, &[id], &[1.0])),
+                Err(CoreError::Format(msg)) if msg.contains("at most 65535")
+            ));
+        }
+        let p = from_bytes(&evpf_with_leaf_values(65_535, 1, &[65_534], &[2.0])).unwrap();
+        let values: Vec<(MetricId, f64)> = p.node(child).values().collect();
+        assert_eq!(values, [(MetricId::from_index(65_534), 2.0)]);
+    }
+
+    #[test]
+    fn many_metrics_on_one_deep_leaf_stay_small() {
+        // Dense columns would hold metrics x depth slots (80 MB here);
+        // the sparse layout holds the 500 stored values.
+        let (metrics, depth) = (500, 20_000);
+        let ids: Vec<u64> = (0..metrics as u64).collect();
+        let values: Vec<f64> = ids.iter().map(|&id| id as f64 + 0.5).collect();
+        let bytes = evpf_with_leaf_values(metrics, depth, &ids, &values);
+        let p = from_bytes(&bytes).unwrap();
+        assert_eq!(p.dense_slots(), 0);
+        let leaf = NodeId::from_index(depth);
+        let stored: Vec<(MetricId, f64)> = p.node(leaf).values().collect();
+        assert_eq!(stored.len(), metrics);
+        assert!(stored
+            .iter()
+            .all(|&(m, v)| v == m.index() as f64 + 0.5 && p.value(leaf, m) == v));
+        let above = NodeId::from_index(depth - 1);
+        assert_eq!(p.value(above, MetricId::from_index(7)), 0.0);
+        assert_eq!(p.total(MetricId::from_index(3)), 3.5);
+        assert_eq!(from_bytes(&to_bytes(&p)).unwrap(), p);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The calling context tree (CCT) at the heart of the representation.
 //!
 //! The tree is stored as columns, one entry per node: the parent, the
-//! frame (an id into a deduplicated frame table) and one dense value
-//! column per metric. Children are not stored; they are derived from
-//! the parent column on first use (DESIGN §4f).
+//! frame (an id into a deduplicated frame table) and one value column
+//! per metric, dense where enough nodes set the metric. Children are not
+//! stored; they are derived from the parent column on first use
+//! (DESIGN §4f).
 
-use crate::fast_hash::{FxHashMap, PackedHashMap};
+use crate::fast_hash::FxHashMap;
 use crate::frame::{Frame, FrameRef};
 use crate::link::ContextLink;
 use crate::metric::{MetricDescriptor, MetricId};
@@ -109,45 +110,97 @@ impl fmt::Debug for Node<'_> {
     }
 }
 
-/// One metric's values: dense, with a presence bit per node so a stored
-/// `0.0` or `-0.0` stays distinct from an absent value (which reads as
-/// `0.0`). Both vectors may stop short of the node count; the missing
-/// tail is absent.
+/// A column's dense part holds at least one stored value per this many
+/// nodes.
+const DENSITY: usize = 8;
+
+/// One metric's values. Nodes below `values.len()` are dense: a slot and
+/// a presence bit each, so a stored `0.0` or `-0.0` stays distinct from
+/// an absent value (which reads as `0.0`). Values of later nodes wait in
+/// `sparse` until the dense part can take them all and still hold one
+/// stored value per [`DENSITY`] nodes. So a metric's memory grows with
+/// its stored values, not with the depth of the nodes holding them.
 #[derive(Debug, Clone, Default)]
 struct Column {
     values: Vec<f64>,
     present: Vec<u64>,
+    /// Values of nodes at or past `values.len()`.
+    sparse: FxHashMap<u32, f64>,
+    /// One past the highest node in `sparse`, 0 if it is empty.
+    sparse_end: usize,
+    /// Stored values, dense and sparse.
+    count: usize,
 }
 
 impl Column {
+    // `get` and `is_present` run once per column per node in other
+    // crates' sweeps; `#[inline]` lets them inline there, and the map
+    // probe stays out of line in `sparse_value`.
+    #[inline]
     fn get(&self, index: usize) -> f64 {
-        self.values.get(index).copied().unwrap_or(0.0)
+        match self.values.get(index) {
+            Some(&value) => value,
+            None if index >= self.sparse_end => 0.0,
+            None => self.sparse_value(index).unwrap_or(0.0),
+        }
     }
 
+    #[inline]
     fn is_present(&self, index: usize) -> bool {
-        self.present
-            .get(index / 64)
-            .is_some_and(|word| word >> (index % 64) & 1 == 1)
+        if index < self.values.len() {
+            self.present[index / 64] >> (index % 64) & 1 == 1
+        } else {
+            index < self.sparse_end && self.sparse_value(index).is_some()
+        }
+    }
+
+    fn sparse_value(&self, index: usize) -> Option<f64> {
+        self.sparse.get(&(index as u32)).copied()
     }
 
     /// The slot of `index`, marked present; `true` if it already was.
     fn slot(&mut self, index: usize) -> (&mut f64, bool) {
-        if self.values.len() <= index {
-            self.values.resize(index + 1, 0.0);
+        if index >= self.values.len() {
+            let end = self.sparse_end.max(index + 1);
+            if (self.count + 1) * DENSITY < end {
+                let mut was = true;
+                let value = self.sparse.entry(index as u32).or_insert_with(|| {
+                    was = false;
+                    0.0
+                });
+                if !was {
+                    self.count += 1;
+                    self.sparse_end = end;
+                }
+                return (value, was);
+            }
+            self.grow(end);
         }
-        let word = index / 64;
-        if self.present.len() <= word {
-            self.present.resize(word + 1, 0);
-        }
-        let bit = 1u64 << (index % 64);
+        let (word, bit) = (index / 64, 1u64 << (index % 64));
         let was = self.present[word] & bit != 0;
-        self.present[word] |= bit;
+        if !was {
+            self.present[word] |= bit;
+            self.count += 1;
+        }
         (&mut self.values[index], was)
+    }
+
+    /// Makes the first `end` nodes dense, moving every sparse value in.
+    fn grow(&mut self, end: usize) {
+        self.values.resize(end, 0.0);
+        self.present.resize(end.div_ceil(64), 0);
+        for (index, value) in std::mem::take(&mut self.sparse) {
+            let index = index as usize;
+            self.values[index] = value;
+            self.present[index / 64] |= 1 << (index % 64);
+        }
+        self.sparse_end = 0;
     }
 
     fn shrink_to_fit(&mut self) {
         self.values.shrink_to_fit();
         self.present.shrink_to_fit();
+        self.sparse.shrink_to_fit();
     }
 }
 
@@ -261,7 +314,7 @@ pub struct Profile {
     /// Build-time child index, `(parent << 32) | frame id` → child.
     /// Complete iff it has one entry per non-root node; filled lazily
     /// and dropped by [`Profile::finish`].
-    edges: PackedHashMap<NodeId>,
+    edges: FxHashMap<u64, NodeId>,
 }
 
 impl Profile {
@@ -281,7 +334,7 @@ impl Profile {
             },
             children: OnceLock::new(),
             frame_index: FxHashMap::default(),
-            edges: PackedHashMap::default(),
+            edges: FxHashMap::default(),
         }
     }
 
@@ -456,7 +509,7 @@ impl Profile {
     /// a profile on.
     pub fn finish(&mut self) {
         self.frame_index = FxHashMap::default();
-        self.edges = PackedHashMap::default();
+        self.edges = FxHashMap::default();
         self.frames.shrink_to_fit();
         self.parent.shrink_to_fit();
         self.frame.shrink_to_fit();
@@ -584,9 +637,9 @@ impl Profile {
         let n = self.node_count();
         match self.columns.get(metric.index()) {
             Some(column) => {
-                let tail = n - column.values.len().min(n);
-                let stored = column.values.iter().take(n).copied();
-                stored.chain(std::iter::repeat_n(0.0, tail)).sum()
+                let dense = column.values.iter().take(n).copied();
+                let rest = (column.values.len().min(n)..n).map(|i| column.get(i));
+                dense.chain(rest).sum()
             }
             None => std::iter::repeat_n(0.0, n).sum(),
         }
@@ -755,6 +808,14 @@ impl Profile {
     }
 }
 
+#[cfg(test)]
+impl Profile {
+    /// Dense value slots over every column, stored or not.
+    pub(crate) fn dense_slots(&self) -> usize {
+        self.columns.iter().map(|column| column.values.len()).sum()
+    }
+}
+
 /// The child-index key of `(parent, frame)`.
 fn edge_key(parent: u32, frame: FrameId) -> u64 {
     (u64::from(parent) << 32) | u64::from(frame.0)
@@ -898,6 +959,70 @@ mod tests {
         assert_eq!(p, q);
         q.set_value(b, m, 0.0);
         assert_ne!(p, q, "a stored 0.0 differs from an absent value");
+    }
+
+    #[test]
+    fn columns_go_dense_only_where_enough_nodes_set_them() {
+        let mut p = Profile::new("t");
+        let m = metric(&mut p, "cpu");
+        let mut node = NodeId::ROOT;
+        for i in 0..1000u64 {
+            node = p.child(node, &Frame::function("f").with_address(i));
+        }
+        // Every 5th node, deepest first: sparse until one stored value
+        // per DENSITY nodes covers the deepest, then dense.
+        let mut stored = Vec::new();
+        for i in (5..=1000u32).rev().step_by(5) {
+            p.add_value(NodeId(i), m, f64::from(i));
+            stored.push(i);
+            let dense = p.dense_slots();
+            assert!(dense <= DENSITY * stored.len(), "{dense} slots");
+            let sparse = stored.len() * DENSITY < 1001;
+            assert_eq!(dense == 0, sparse, "{} stored", stored.len());
+        }
+        assert_eq!(p.dense_slots(), 1001);
+        // A value far past the dense part waits in the sparse part.
+        for i in 0..2000u64 {
+            node = p.child(node, &Frame::function("g").with_address(i));
+        }
+        p.add_value(node, m, -0.0);
+        assert_eq!(p.dense_slots(), 1001);
+        assert_eq!(p.value(node, m).to_bits(), (-0.0f64).to_bits());
+        p.add_value(node, m, 2.0);
+        stored.push(node.0);
+        for id in p.node_ids() {
+            let expect = stored.contains(&id.0).then_some(f64::from(id.0));
+            let expect = expect.map(|v| if id == node { 2.0 } else { v });
+            let got: Vec<(MetricId, f64)> = p.node(id).values().collect();
+            assert_eq!(got, expect.map(|v| (m, v)).into_iter().collect::<Vec<_>>());
+            assert_eq!(p.value(id, m), expect.unwrap_or(0.0));
+        }
+        let folded: f64 = p.node_ids().map(|id| p.value(id, m)).sum();
+        assert_eq!(p.total(m).to_bits(), folded.to_bits());
+        assert_eq!(p, p.clone());
+    }
+
+    #[test]
+    fn sparse_and_dense_columns_compare_by_content() {
+        // The same values, reached through different layouts.
+        let build = |order: &[u32]| {
+            let mut p = Profile::new("t");
+            let m = metric(&mut p, "cpu");
+            let mut node = NodeId::ROOT;
+            for i in 0..64 {
+                node = p.child(node, &Frame::function(format!("f{i}")));
+            }
+            for &i in order {
+                p.set_value(NodeId(i), m, f64::from(i) - 32.0);
+            }
+            p
+        };
+        let deep_first = build(&[64, 40, 2, 3]);
+        let shallow_first = build(&[2, 3, 40, 64]);
+        assert_eq!(deep_first.dense_slots(), 0);
+        assert!(shallow_first.dense_slots() > 0);
+        assert_eq!(deep_first, shallow_first);
+        assert_ne!(deep_first, build(&[64, 40, 2]));
     }
 
     #[test]

@@ -498,6 +498,7 @@ fn fixup_profile(
 
     let string_at = |idx: i64| -> &str { strings.get(idx.max(0) as usize).copied().unwrap_or("") };
 
+    check_sample_type_count(t.sample_types.len())?;
     let metric_ids: Vec<MetricId> = t
         .sample_types
         .iter()
@@ -618,6 +619,18 @@ fn fixup_profile(
 
     profile.finish();
     Ok(profile)
+}
+
+/// Each sample type becomes a metric, and a profile holds at most
+/// `u16::MAX` of them.
+fn check_sample_type_count(count: usize) -> Result<(), FormatError> {
+    if count > usize::from(u16::MAX) {
+        return Err(FormatError::Schema(format!(
+            "{count} sample types, at most {} allowed",
+            u16::MAX
+        )));
+    }
+    Ok(())
 }
 
 /// Expands location `slot` into its frame run (outermost inline frame
@@ -1015,6 +1028,7 @@ fn parse_twopass(body: &[u8]) -> Result<Profile, FormatError> {
     profile.meta_mut().profiler = "pprof".to_owned();
     profile.meta_mut().timestamp_nanos = time_nanos.max(0) as u64;
 
+    check_sample_type_count(sample_types.len())?;
     let metric_ids: Vec<MetricId> = sample_types
         .iter()
         .map(|vt| {
@@ -1394,6 +1408,26 @@ mod tests {
         assert_eq!(q.resolve_frame(parent).line, 10);
         assert_eq!(q.resolve_frame(handler).file, "h.go");
         assert_eq!(q.resolve_frame(handler).module, "app");
+    }
+
+    #[test]
+    fn more_sample_types_than_metrics_is_a_schema_error() {
+        let body = |types: usize| {
+            let mut w = Writer::new();
+            for _ in 0..types {
+                w.write_message_with(1, |m| m.write_int64(1, 1));
+            }
+            w.write_string(6, "");
+            w.write_string(6, "cpu");
+            w.as_bytes().to_vec()
+        };
+        assert_eq!(parse(&body(65_535)).unwrap().metrics().len(), 65_535);
+        let bytes = body(65_536);
+        let expect = FormatError::Schema("65536 sample types, at most 65535 allowed".to_owned());
+        assert_eq!(parse(&bytes).unwrap_err(), expect);
+        assert_eq!(parse_reference(&bytes).unwrap_err(), expect);
+        let streamed = parse_streaming_with(&bytes, ExecPolicy::SEQUENTIAL, 4096);
+        assert_eq!(streamed.unwrap_err(), expect);
     }
 
     #[test]

@@ -2289,4 +2289,46 @@ mod tests {
         assert!(caps.iter().any(|c| c.as_str() == Some("profile/codeLink")));
         assert!(caps.iter().any(|c| c.as_str() == Some("session/open")));
     }
+
+    #[test]
+    fn summary_lists_the_five_hottest_positive_contexts_past_a_nan() {
+        let mut p = Profile::new("nan");
+        let m = p.add_metric(MetricDescriptor::new(
+            "cpu",
+            MetricUnit::Count,
+            MetricKind::Exclusive,
+        ));
+        for (name, v) in [("a", 1.0), ("nan", f64::NAN), ("b", 6.0), ("c", 2.0)] {
+            p.add_sample(&[Frame::function(name)], &[(m, v)]);
+        }
+        for (name, v) in [("d", 5.0), ("e", -1.0), ("f", 6.0), ("g", 3.0)] {
+            p.add_sample(&[Frame::function(name)], &[(m, v)]);
+        }
+        let server = EvpServer::new();
+        let id = open_profile(&server, &p);
+        let summary = server
+            .handle(&Request::new(
+                2,
+                "profile/summary",
+                Value::object([("profileId", Value::Int(id))]),
+            ))
+            .unwrap()
+            .outcome
+            .unwrap();
+        // NaN ranks above every number in the total order but is not
+        // positive: it takes no slot, as in `easyview info`.
+        let hottest: Vec<(String, f64)> = summary
+            .get("hottest")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .map(|h| {
+                let label = h.get("label").and_then(Value::as_str).unwrap().to_owned();
+                (label, h.get("self").and_then(Value::as_f64).unwrap())
+            })
+            .collect();
+        let expect = [("b", 6.0), ("f", 6.0), ("d", 5.0), ("g", 3.0), ("c", 2.0)];
+        let expect: Vec<(String, f64)> = expect.iter().map(|&(l, v)| (l.to_owned(), v)).collect();
+        assert_eq!(hottest, expect);
+    }
 }
