@@ -89,16 +89,17 @@ fn peak_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (r, peak.saturating_sub(baseline))
 }
 
-/// The one-pass decode's two phases as EasyView's own spans time them:
-/// `wire.decode` (the walk over the body into entity tables) and
-/// `core.cct_build` (the sample replay into the CCT columns), in
-/// seconds per parse, each the minimum over `samples` traced parses.
-/// Tracing bumps the wire counters per field, so both read somewhat
-/// above their share of an untraced parse.
-fn decode_phases(raw: &[u8], samples: usize) -> (f64, f64) {
+/// The one-pass decode's three phases as EasyView's own spans time
+/// them: `wire.decode` (the walk over the body into entity tables),
+/// `formats.pprof_samples` (sample payload decode and location
+/// resolution) and `core.cct_build` (the batch inserts into the CCT
+/// columns), in seconds per parse, each the minimum over `samples`
+/// traced parses. Tracing bumps the wire counters per field, so all
+/// read somewhat above their share of an untraced parse.
+fn decode_phases(raw: &[u8], samples: usize) -> (f64, f64, f64) {
     let was_enabled = ev_trace::enabled();
     ev_trace::set_enabled(true);
-    let (mut walk, mut build) = (f64::INFINITY, f64::INFINITY);
+    let (mut walk, mut resolve, mut build) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..samples.max(1) {
         let capture = ev_trace::start_capture();
         std::hint::black_box(pprof::parse(raw).expect("traced pprof parse"));
@@ -112,10 +113,11 @@ fn decode_phases(raw: &[u8], samples: usize) -> (f64, f64) {
             ns as f64 / 1e9
         };
         walk = walk.min(secs("wire.decode"));
+        resolve = resolve.min(secs("formats.pprof_samples"));
         build = build.min(secs("core.cct_build"));
     }
     ev_trace::set_enabled(was_enabled);
-    (walk, build)
+    (walk, resolve, build)
 }
 
 /// Pinned CRC32 digests of the decompressed golden fixtures; a digest
@@ -210,6 +212,48 @@ fn minsecs_interleaved(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) 
     (best_a, best_b)
 }
 
+/// Runs `a` and `b` in `pairs` back-to-back pairs, alternating which
+/// side runs first, and returns the median seconds of each side and
+/// the median of the per-pair ratios `a / b`. A slow spell of host
+/// load spoils only the pairs it overlaps, and the median passes over
+/// them; a ratio of minima instead compares whichever runs of each
+/// side the spells happened to miss.
+fn median_pairs_interleaved(
+    pairs: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (f64, f64, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let t = std::time::Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut secs_a, mut secs_b, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs.max(1) {
+        let (ta, tb) = if pair % 2 == 0 {
+            let ta = time(&mut a);
+            (ta, time(&mut b))
+        } else {
+            let tb = time(&mut b);
+            (time(&mut a), tb)
+        };
+        secs_a.push(ta);
+        secs_b.push(tb);
+        ratios.push(ta / tb);
+    }
+    (median(secs_a), median(secs_b), median(ratios))
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    if n % 2 == 1 {
+        values[n / 2]
+    } else {
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
+    }
+}
+
 /// Re-wraps `raw` as `parts` concatenated gzip members — the RFC 1952
 /// multi-member shape the member-streaming decoder fans out in
 /// parallel.
@@ -289,7 +333,7 @@ fn main() {
         let two = pprof::parse_reference(&w.raw).expect("reference pprof parse");
         assert_eq!(one, two, "{}: pprof decoders disagree", w.name);
         drop((one, two));
-        let (walk_secs, build_secs) = decode_phases(&w.raw, samples);
+        let (walk_secs, resolve_secs, build_secs) = decode_phases(&w.raw, samples);
 
         // And the streaming decoder one layer further up: the
         // bounded-memory inflate→walk pipeline must produce the same
@@ -371,9 +415,11 @@ fn main() {
             peak_buffered as f64 / peak_streaming.max(1) as f64,
         );
         println!(
-            "{:<44} traced wire_walk {:.3} ms  cct_build {:.3} ms  retained {heap_per_node:.1} B/node",
+            "{:<44} traced wire_walk {:.3} ms  resolve {:.3} ms  cct_build {:.3} ms  \
+             retained {heap_per_node:.1} B/node",
             "",
             walk_secs * 1e3,
+            resolve_secs * 1e3,
             build_secs * 1e3,
         );
 
@@ -401,6 +447,7 @@ fn main() {
             ),
             ("wire_decode_speedup", Value::Float(wire_speedup)),
             ("wire_walk_secs", Value::Float(walk_secs)),
+            ("resolve_secs", Value::Float(resolve_secs)),
             ("cct_build_secs", Value::Float(build_secs)),
             ("heap_bytes_per_node", Value::Float(heap_per_node)),
             ("end_to_end_secs", Value::Float(secs(&m_e2e) / iters as f64)),
@@ -522,6 +569,8 @@ fn main() {
     // for: the StreamReader double-parse bug alone cost 25% on any
     // host (0.83 -> ~0.62 here).
     let tp_floor = if ExecPolicy::auto().threads >= 2 { 0.9 } else { 0.7 };
+    // Interleaved buffered/streaming pairs behind the throughput ratio.
+    const LONGRUN_PAIRS: usize = 15;
     let mut streaming_gate = Value::object([("skipped", Value::Bool(true))]);
     if !quick {
         let longrun_samples = 1_000_000usize;
@@ -536,13 +585,12 @@ fn main() {
         });
         assert_eq!(streamed, buffered, "longrun: streaming differs from buffered");
         drop((buffered, streamed));
-        // One parse here runs for seconds, so a handful of interleaved
-        // samples under the min-of-N estimator beats many samples of a
-        // noisy mean; host-load swings of ±20% are routine on this
-        // workload.
-        let longrun_bench_samples = samples.min(8);
-        let (buf_secs, stream_secs) = minsecs_interleaved(
-            longrun_bench_samples,
+        // One parse here runs for about a second, and on a 2-vCPU host
+        // a min-of-8 ratio of the same code landed anywhere from 0.79x
+        // to above the 0.9 floor, decided by which side a spell of load
+        // hit. The gate takes the median of per-pair ratios instead.
+        let (buf_secs, stream_secs, pair_ratio) = median_pairs_interleaved(
+            LONGRUN_PAIRS,
             || {
                 std::hint::black_box(pprof::parse(std::hint::black_box(&gz)).unwrap());
             },
@@ -558,7 +606,7 @@ fn main() {
             },
         );
         peak_gate_ratio = peak_buffered as f64 / peak_streaming.max(1) as f64;
-        stream_tp_ratio = buf_secs / stream_secs;
+        stream_tp_ratio = pair_ratio;
         println!(
             "{:<44} e2e buffered {:>8.1} MiB/s  streaming {:>8.1} MiB/s ({:.2}x)  \
              peak {:.1} MiB -> {:.1} MiB ({:.1}x)",
@@ -579,6 +627,7 @@ fn main() {
             ("peak_bytes_buffered", Value::Int(peak_buffered as i64)),
             ("peak_bytes_streaming", Value::Int(peak_streaming as i64)),
             ("peak_reduction", Value::Float(peak_gate_ratio)),
+            ("timed_pairs", Value::Int(LONGRUN_PAIRS as i64)),
             ("end_to_end_secs", Value::Float(buf_secs)),
             ("end_to_end_streaming_secs", Value::Float(stream_secs)),
             ("throughput_vs_buffered", Value::Float(stream_tp_ratio)),

@@ -52,6 +52,10 @@ impl FrameId {
 /// The parent-column entry of the root.
 const NO_PARENT: u32 = u32::MAX;
 
+/// The last map of the depth-partitioned child index: children of
+/// parents at this depth or deeper share it.
+const LAST_LEVEL: usize = 63;
+
 /// One monitoring point: a borrowed view of a node's frame, parent,
 /// children and metric values. Created by [`Profile::node`].
 #[derive(Clone, Copy)]
@@ -315,6 +319,13 @@ pub struct Profile {
     /// Complete iff it has one entry per non-root node; filled lazily
     /// and dropped by [`Profile::finish`].
     edges: FxHashMap<u64, NodeId>,
+    /// Build-time child index of [`Profile::insert_paths`], keyed like
+    /// `edges` but partitioned by the parent's depth: `levels[d]` holds
+    /// the children of parents at depth `d`, and parents deeper than
+    /// [`LAST_LEVEL`] share the last map. Complete iff it has one entry
+    /// per non-root node; rebuilt when it is not, dropped by
+    /// [`Profile::finish`].
+    levels: Vec<FxHashMap<u64, NodeId>>,
 }
 
 impl Profile {
@@ -335,6 +346,7 @@ impl Profile {
             children: OnceLock::new(),
             frame_index: FxHashMap::default(),
             edges: FxHashMap::default(),
+            levels: Vec::new(),
         }
     }
 
@@ -493,6 +505,191 @@ impl Profile {
         child
     }
 
+    /// Inserts a batch of call paths, outermost frame first, and returns
+    /// each path's leaf (the root for an empty path). Path `i` is
+    /// `frames[ends[i - 1]..ends[i]]`, where path 0 starts at 0.
+    ///
+    /// The tree, node ids and leaves are exactly those of one
+    /// [`Profile::child_id`] call per frame step, path after path. The
+    /// batch is built one depth at a time instead: at depth `d` the
+    /// `(parent, frame)` keys of the paths that reach `d` are deduped in
+    /// path order, in a map that holds only that depth's keys; a key
+    /// whose parent predates the batch is looked up in a child index
+    /// partitioned by depth, so each probe goes to a map of one depth's
+    /// nodes, not of the whole tree. New nodes get temporary ids and are
+    /// then numbered by (first path reaching them, depth), the order the
+    /// per-step calls create them in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ends` decreases or passes `frames.len()`, or if a
+    /// frame is not a frame of this profile.
+    pub fn insert_paths(&mut self, frames: &[FrameId], ends: &[u32]) -> Vec<NodeId> {
+        static BATCHES: OnceLock<&'static ev_trace::Counter> = OnceLock::new();
+        BATCHES
+            .get_or_init(|| ev_trace::counter("core.cct_batches"))
+            .inc();
+        let _span = ev_trace::span("core.cct_build");
+        assert!(
+            ends.windows(2).all(|w| w[0] <= w[1])
+                && ends.last().is_none_or(|&end| end as usize <= frames.len()),
+            "path ends out of order"
+        );
+        let frame_count = self.frames.len();
+        assert!(
+            frames.iter().all(|frame| frame.index() < frame_count),
+            "invalid frame id"
+        );
+        self.index_levels();
+
+        // Ids from `base` on are temporary: new node `base + t` is the
+        // `t`th created, depth by depth.
+        let base = self.parent.len() as u32;
+        // Per path, the node it has reached.
+        let mut at = vec![NodeId::ROOT.0; ends.len()];
+        // The paths that reach the current depth, in path order, each
+        // with the position of its frame at that depth.
+        let mut alive: Vec<(u32, u32)> = ends
+            .iter()
+            .enumerate()
+            .filter_map(|(path, &end)| {
+                let start = if path == 0 { 0 } else { ends[path - 1] };
+                (start < end).then_some((path as u32, start))
+            })
+            .collect();
+        // Per new node: its parent (real or temporary id), its frame and
+        // the first path reaching it.
+        let mut new_parent: Vec<u32> = Vec::new();
+        let mut new_frame: Vec<FrameId> = Vec::new();
+        let mut new_first: Vec<u32> = Vec::new();
+        // Per depth, the first temporary id created there.
+        let mut level_starts: Vec<usize> = Vec::new();
+        let mut keys: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut depth = 0;
+        while !alive.is_empty() {
+            // Clearing costs the map's capacity: a map sized for an
+            // earlier, wider depth is dropped instead.
+            if keys.capacity() > 4 * alive.len().max(16) {
+                keys = FxHashMap::default();
+            } else {
+                keys.clear();
+            }
+            level_starts.push(new_parent.len());
+            let index = self.levels.get(depth.min(LAST_LEVEL));
+            // Neighbouring paths mostly share their prefixes, so a key
+            // equal to the previous one skips the map. No key is
+            // `u64::MAX`: frame ids stay below `u32::MAX`.
+            let mut last = (u64::MAX, 0);
+            let mut kept = 0;
+            for k in 0..alive.len() {
+                let (path, pos) = alive[k];
+                let parent = at[path as usize];
+                let frame = frames[pos as usize];
+                let key = edge_key(parent, frame);
+                if key != last.0 {
+                    let child = *keys.entry(key).or_insert_with(|| {
+                        let old = match index {
+                            Some(index) if parent < base => index.get(&key),
+                            _ => None,
+                        };
+                        old.map_or_else(
+                            || {
+                                new_parent.push(parent);
+                                new_frame.push(frame);
+                                new_first.push(path);
+                                base + new_parent.len() as u32 - 1
+                            },
+                            |child| child.0,
+                        )
+                    });
+                    last = (key, child);
+                }
+                at[path as usize] = last.1;
+                if pos + 1 < ends[path as usize] {
+                    alive[kept] = (path, pos + 1);
+                    kept += 1;
+                }
+            }
+            alive.truncate(kept);
+            depth += 1;
+        }
+        level_starts.push(new_parent.len());
+
+        // A counting sort by first path. Within one path, creation order
+        // is depth order, so the ids come out by (first path, depth).
+        let mut next = vec![0u32; ends.len() + 1];
+        for &path in &new_first {
+            next[path as usize + 1] += 1;
+        }
+        for path in 1..next.len() {
+            next[path] += next[path - 1];
+        }
+        let renumber: Vec<u32> = new_first
+            .iter()
+            .map(|&path| {
+                let slot = &mut next[path as usize];
+                *slot += 1;
+                base + *slot - 1
+            })
+            .collect();
+        let real = |id: u32| {
+            if id < base {
+                id
+            } else {
+                renumber[(id - base) as usize]
+            }
+        };
+
+        let end = base as usize + new_parent.len();
+        self.parent.resize(end, NO_PARENT);
+        self.frame.resize(end, FrameId(0));
+        for (t, &id) in renumber.iter().enumerate() {
+            self.parent[id as usize] = real(new_parent[t]);
+            self.frame[id as usize] = new_frame[t];
+        }
+        // Keep the depth index complete for the next batch.
+        for (depth, run) in level_starts.windows(2).enumerate() {
+            let level = depth.min(LAST_LEVEL);
+            if self.levels.len() <= level {
+                self.levels.resize_with(level + 1, FxHashMap::default);
+            }
+            let index = &mut self.levels[level];
+            index.reserve(run[1] - run[0]);
+            for t in run[0]..run[1] {
+                let id = renumber[t];
+                index.insert(edge_key(self.parent[id as usize], new_frame[t]), NodeId(id));
+            }
+        }
+        if !new_parent.is_empty() {
+            self.children.take();
+            // Stale now; `child_id` would rebuild it from scratch anyway.
+            self.edges = FxHashMap::default();
+        }
+        at.into_iter().map(|id| NodeId(real(id))).collect()
+    }
+
+    /// Makes the depth-partitioned child index complete, rebuilding it
+    /// from the columns when nodes were added without it.
+    fn index_levels(&mut self) {
+        let indexed: usize = self.levels.iter().map(FxHashMap::len).sum();
+        if indexed + 1 == self.parent.len() {
+            return;
+        }
+        self.levels = Vec::new();
+        // Per node, its depth capped at `LAST_LEVEL`: the map its
+        // children go in. Parents precede their children.
+        let mut level = vec![0u8; self.parent.len()];
+        for i in 1..self.parent.len() {
+            let parent = self.parent[i];
+            let at = usize::from(level[parent as usize]);
+            level[i] = (at + 1).min(LAST_LEVEL) as u8;
+            if self.levels.len() <= at {
+                self.levels.resize_with(at + 1, FxHashMap::default);
+            }
+            self.levels[at].insert(edge_key(parent, self.frame[i]), NodeId(i as u32));
+        }
+    }
+
     /// Appends a node without consulting the child index; the caller
     /// keeps the CCT invariant (decoders of already-merged trees).
     pub(crate) fn push_node(&mut self, parent: u32, frame: FrameId) {
@@ -510,6 +707,7 @@ impl Profile {
     pub fn finish(&mut self) {
         self.frame_index = FxHashMap::default();
         self.edges = FxHashMap::default();
+        self.levels = Vec::new();
         self.frames.shrink_to_fit();
         self.parent.shrink_to_fit();
         self.frame.shrink_to_fit();
@@ -880,6 +1078,8 @@ impl Iterator for PostOrder {
 mod tests {
     use super::*;
     use crate::metric::{MetricKind, MetricUnit};
+    use ev_test::prelude::*;
+    use ev_test::Rng;
 
     fn metric(p: &mut Profile, name: &str) -> MetricId {
         p.add_metric(MetricDescriptor::new(
@@ -1246,6 +1446,166 @@ mod tests {
             .collect();
         assert_eq!(names, ["", "main", "b"]);
         pruned.validate().unwrap();
+    }
+
+    /// A batch-insert scenario: a frame table and batches of call
+    /// paths over it.
+    #[derive(Debug)]
+    struct PathScript {
+        frames: usize,
+        batches: Vec<ScriptBatch>,
+    }
+
+    /// Single `child_id` steps as `(node seed, frame)`, then one batch
+    /// of paths as frame-table indexes, outermost first.
+    #[derive(Debug)]
+    struct ScriptBatch {
+        singles: Vec<(usize, u32)>,
+        paths: Vec<Vec<u32>>,
+    }
+
+    fn path_script(rng: &mut Rng, size: usize) -> PathScript {
+        let frames = rng.gen_range(1..size + 3);
+        let mut paths: Vec<Vec<u32>> = Vec::new();
+        for _ in 0..rng.gen_range(0..4 * size + 2) {
+            let frame = |rng: &mut Rng| rng.gen_range(0..frames as u32);
+            let path = match rng.gen_range(0..20u32) {
+                0..=1 => Vec::new(),
+                2..=4 if !paths.is_empty() => paths[rng.gen_range(0..paths.len())].clone(),
+                5..=11 if !paths.is_empty() => {
+                    let base = &paths[rng.gen_range(0..paths.len())];
+                    let keep = rng.gen_range(0..base.len() + 1);
+                    let mut path = base[..keep].to_vec();
+                    for _ in 0..rng.gen_range(0..6usize) {
+                        path.push(frame(rng));
+                    }
+                    path
+                }
+                // Deep enough to share the last map of the depth index.
+                12 => (0..rng.gen_range(60..150usize))
+                    .map(|_| frame(rng))
+                    .collect(),
+                _ => (0..rng.gen_range(1..9usize)).map(|_| frame(rng)).collect(),
+            };
+            paths.push(path);
+        }
+        let mut batches = Vec::new();
+        let mut rest = &paths[..];
+        loop {
+            let singles = (0..rng.gen_range(0..3usize))
+                .map(|_| (rng.next_u64() as usize, rng.gen_range(0..frames as u32)))
+                .collect();
+            let take = rng.gen_range(0..rest.len() + 1);
+            let paths = rest[..take].to_vec();
+            batches.push(ScriptBatch { singles, paths });
+            rest = &rest[take..];
+            if rest.is_empty() && rng.gen_bool(0.7) {
+                break;
+            }
+        }
+        PathScript { frames, batches }
+    }
+
+    /// Plays `script` into two profiles, one through `insert_paths`
+    /// batches and one through a `child_id` call per frame step, and
+    /// checks they agree after every batch.
+    fn check_against_per_step_inserts(script: &PathScript) {
+        let fresh = || {
+            let mut p = Profile::new("paths");
+            let m = metric(&mut p, "cpu");
+            let ids: Vec<FrameId> = (0..script.frames)
+                .map(|i| {
+                    let frame = p.intern_frame(&Frame::function(format!("f{i}")));
+                    p.frame_id(frame)
+                })
+                .collect();
+            (p, m, ids)
+        };
+        let (mut got, m, ids) = fresh();
+        let (mut want, _, _) = fresh();
+        let mut value = 0.0;
+        for ScriptBatch { singles, paths } in &script.batches {
+            for &(node, frame) in singles {
+                let node = NodeId((node % want.node_count()) as u32);
+                let a = got.child_id(node, ids[frame as usize]);
+                assert_eq!(a, want.child_id(node, ids[frame as usize]));
+            }
+            let mut frames = Vec::new();
+            let mut ends = Vec::new();
+            for path in paths {
+                frames.extend(path.iter().map(|&f| ids[f as usize]));
+                ends.push(frames.len() as u32);
+            }
+            let leaves = got.insert_paths(&frames, &ends);
+            let oracle: Vec<NodeId> = paths
+                .iter()
+                .map(|path| {
+                    path.iter().fold(NodeId::ROOT, |node, &f| {
+                        want.child_id(node, ids[f as usize])
+                    })
+                })
+                .collect();
+            assert_eq!(leaves, oracle);
+            for &leaf in &leaves {
+                value += 1.0;
+                got.add_value(leaf, m, value);
+                want.add_value(leaf, m, value);
+            }
+            assert_eq!(got.parent, want.parent);
+            assert_eq!(got.frame, want.frame);
+        }
+        assert_eq!(got, want);
+        assert_eq!(
+            crate::format::to_bytes(&got),
+            crate::format::to_bytes(&want)
+        );
+        got.validate().unwrap();
+        got.finish();
+        assert!(
+            got.levels.is_empty(),
+            "a finished profile holds no depth index"
+        );
+    }
+
+    property! {
+        fn batch_inserts_match_one_child_id_per_step(script in seeded(1..24, path_script)) {
+            check_against_per_step_inserts(&script);
+        }
+    }
+
+    #[test]
+    fn empty_batches_and_paths_end_at_the_root() {
+        let mut p = Profile::new("t");
+        assert!(p.insert_paths(&[], &[]).is_empty());
+        assert_eq!(p.insert_paths(&[], &[0, 0]), [NodeId::ROOT, NodeId::ROOT]);
+        assert_eq!(p.node_count(), 1);
+    }
+
+    #[test]
+    fn wide_then_deep_batches_stay_linear() {
+        // Per-depth work follows the paths alive at that depth: a batch
+        // of many root children, then deep paths sharing a long prefix,
+        // take no time a per-depth clear of the widest map would.
+        let wide = 50_000u32;
+        let mut p = Profile::new("t");
+        let ids: Vec<FrameId> = (0..wide)
+            .map(|i| {
+                let frame = p.intern_frame(&Frame::function("f").with_address(u64::from(i)));
+                p.frame_id(frame)
+            })
+            .collect();
+        let ends: Vec<u32> = (1..=wide).collect();
+        p.insert_paths(&ids, &ends);
+        let deep: Vec<FrameId> = (0..20_000).map(|i| ids[i % 7]).collect();
+        let mut other = deep[..12_000].to_vec();
+        other.extend(std::iter::repeat_n(ids[9], 8_000));
+        let first = p.insert_paths(&deep, &[deep.len() as u32])[0];
+        let second = p.insert_paths(&other, &[other.len() as u32])[0];
+        assert_eq!(p.depth(first), 20_000);
+        assert_eq!(p.depth(second), 20_000);
+        // Both deep paths start at an existing root child.
+        assert_eq!(p.node_count(), 1 + wide as usize + 19_999 + 8_000);
+        p.validate().unwrap();
     }
 
     #[test]

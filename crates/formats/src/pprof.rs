@@ -17,7 +17,7 @@ use ev_core::arena::{Arena, Span};
 use ev_core::fast_hash::FxHashMap;
 use ev_core::{
     ContextKind, Frame, FrameId, FrameRef, MetricDescriptor, MetricId, MetricKind, MetricUnit,
-    NodeId, Profile, StringId,
+    Profile, StringId,
 };
 use ev_flate::{
     gzip_compress, gzip_decompress_with, is_gzip, CompressionLevel, ExecPolicy, FlateError,
@@ -533,53 +533,33 @@ fn fixup_profile(
     // locations synthesize one from the address).
     let mut frame_spans: Vec<Span> = vec![Span::default(); t.locs.len()];
 
-    // Replay the deferred samples. Two exact shortcuts make this the
-    // fast half of the decode:
-    //   1. consecutive samples share call-path prefixes (aggregating
-    //      writers emit samples in CCT traversal order), and a CCT is a
-    //      trie — so the node a shared prefix reaches is the node the
-    //      previous sample reached at that depth. A plain compare
-    //      against the previous sample's raw location ids resumes the
-    //      walk at the divergence point — no table lookups, let alone
-    //      hashing, for the shared part;
-    //   2. each remaining step is one `Profile::child_id` call: a
-    //      probe of the child index keyed by one u64 (parent, frame
-    //      id), appending to the node columns on a miss.
+    // Replay the deferred samples in batches. Each sample's locations
+    // resolve to frame ids outermost first, as the reference walks them,
+    // so intern order and the first dangling id reported match it. Its
+    // frames join the batch; a full batch goes into the CCT in one
+    // `Profile::insert_paths`, level by level, and then its samples'
+    // values go to their leaves in sample order, so every sum adds in
+    // the order the reference adds it.
     if ev_trace::enabled() {
         onepass_samples_counter().add(sample_count as u64);
     }
-    let _build_span = ev_trace::span("core.cct_build");
-    let root = profile.root();
     let mut location_ids: Vec<u64> = Vec::new();
     let mut values: Vec<i64> = Vec::new();
-    // The previous sample's raw leaf-first location ids, and the node
-    // reached after each *outermost-first* step (`prev_nodes[i]` is
-    // the node after the step over `prev_ids[prev_ids.len() - 1 - i]`).
-    let mut prev_ids: Vec<u64> = Vec::new();
-    let mut prev_nodes: Vec<NodeId> = Vec::new();
+    let mut batch = Batch::default();
+    let mut samples_span = ev_trace::span("formats.pprof_samples");
     loop {
         location_ids.clear();
         values.clear();
         if !next_sample(&mut location_ids, &mut values)? {
             break;
         }
-        // Shared call-path prefix with the previous sample, computed on
-        // the raw ids: an outermost-first prefix is a leaf-first
-        // suffix, and equal ids mean equal locations (id → slot is a
-        // function of the location table). Shared ids were resolved by
-        // an earlier sample — any dangling id would have aborted the
-        // parse then — so only the divergent head below needs table
-        // lookups, walked outermost-first so the first dangling id
-        // reported is the one the reference's walk hits first.
-        let shared = location_ids
-            .iter()
-            .rev()
-            .zip(prev_ids.iter().rev())
-            .take_while(|(a, b)| a == b)
-            .count();
-        let mut node = if shared > 0 { prev_nodes[shared - 1] } else { root };
-        prev_nodes.truncate(shared);
-        for &loc_id in location_ids[..location_ids.len() - shared].iter().rev() {
+        // Every location yields at least one frame.
+        if batch.is_full_for(location_ids.len()) {
+            drop(samples_span);
+            batch.flush(&mut profile);
+            samples_span = ev_trace::span("formats.pprof_samples");
+        }
+        for &loc_id in location_ids.iter().rev() {
             let Some(slot) = location_index.get(loc_id) else {
                 return Err(FormatError::Schema(format!(
                     "sample references unknown location {loc_id}"
@@ -602,23 +582,62 @@ fn fixup_profile(
                     &mapping_index,
                 );
             }
-            for &frame in frame_ids.get(span) {
-                node = profile.child_id(node, frame);
-            }
-            prev_nodes.push(node);
+            batch.frames.extend_from_slice(frame_ids.get(span));
         }
-        std::mem::swap(&mut prev_ids, &mut location_ids);
-        for (i, &v) in values.iter().enumerate() {
-            if let Some(&metric) = metric_ids.get(i) {
-                if v != 0 {
-                    profile.add_value(node, metric, v as f64);
-                }
+        let sample = batch.ends.len() as u32;
+        batch.ends.push(batch.frames.len() as u32);
+        for (&v, &metric) in values.iter().zip(&metric_ids) {
+            if v != 0 {
+                batch.values.push((sample, metric, v));
             }
         }
+    }
+    drop(samples_span);
+    if !batch.ends.is_empty() {
+        batch.flush(&mut profile);
     }
 
     profile.finish();
     Ok(profile)
+}
+
+/// Frame steps a sample batch holds before it goes into the CCT. A
+/// batch and its insert cost at most about 20 bytes per frame step
+/// and 40 per sample, so this bounds the replay's memory whatever the
+/// sample count, and a batch is still wide enough that each depth's
+/// dedup map stays small and hot. A batch also holds at most this many
+/// samples, so empty samples fill one too.
+const BATCH_STEPS: usize = 1 << 18;
+
+/// The samples of one batch: their frame paths, outermost first, in
+/// the layout of [`Profile::insert_paths`], and their nonzero values.
+#[derive(Default)]
+struct Batch {
+    frames: Vec<FrameId>,
+    ends: Vec<u32>,
+    /// `(sample in batch, metric, value)`, in sample order.
+    values: Vec<(u32, MetricId, i64)>,
+}
+
+impl Batch {
+    /// Whether a sample of at least `steps` more frames must wait for
+    /// the next batch. A batch takes any first sample, however long.
+    fn is_full_for(&self, steps: usize) -> bool {
+        !self.ends.is_empty()
+            && (self.frames.len() + steps > BATCH_STEPS || self.ends.len() >= BATCH_STEPS)
+    }
+
+    /// Inserts the batch's paths, adds its values to their leaves and
+    /// empties it.
+    fn flush(&mut self, profile: &mut Profile) {
+        let leaves = profile.insert_paths(&self.frames, &self.ends);
+        for &(sample, metric, v) in &self.values {
+            profile.add_value(leaves[sample as usize], metric, v as f64);
+        }
+        self.frames.clear();
+        self.ends.clear();
+        self.values.clear();
+    }
 }
 
 /// Each sample type becomes a metric, and a profile holds at most

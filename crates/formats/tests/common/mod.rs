@@ -283,3 +283,104 @@ pub fn synth_degenerate(rng: &mut Rng, _size: usize) -> Vec<u8> {
     }
     w.into_bytes()
 }
+
+/// What [`synth_multi_batch`] plants past the first two replay
+/// batches, where the one-pass decoder has already inserted batches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LateFlaw {
+    None,
+    /// A sample naming a location id no table defines.
+    DanglingLocation,
+    /// A sample whose packed location ids run past its own payload.
+    TruncatedPayload,
+}
+
+/// Frame steps the multi-batch fixtures hold at least: more than two
+/// of the one-pass decoder's 2^18-step replay batches, so the replay
+/// makes three.
+pub const MULTI_BATCH_STEPS: usize = 5 << 17;
+
+/// A profile whose sample replay spans three decoder batches:
+/// locations of 8–24 inline frames each, so some thousands of samples
+/// of up to a dozen locations make [`MULTI_BATCH_STEPS`] frame steps.
+/// Samples share prefixes with recent ones, so later batches keep
+/// landing on nodes earlier batches created. A flaw goes in the first
+/// sample past two full batches. Returns the raw body and its frame
+/// steps.
+pub fn synth_multi_batch(rng: &mut Rng, flaw: LateFlaw) -> (Vec<u8>, usize) {
+    let n_functions = 300u64;
+    let n_locations = 200usize;
+    let mut w = Writer::new();
+    w.write_message_with(1, |m| {
+        m.write_int64(1, 1);
+        m.write_int64(2, 2);
+    });
+    let mut inline = Vec::with_capacity(n_locations);
+    for i in 0..n_locations {
+        let lines: Vec<(u64, i64)> = (0..rng.gen_range(8..25usize))
+            .map(|_| {
+                (
+                    rng.gen_range(1..n_functions + 1),
+                    rng.gen_range(1..90u64) as i64,
+                )
+            })
+            .collect();
+        inline.push(lines.len());
+        write_location(&mut w, i as u64 + 1, 0, 0x4000 + 16 * i as u64, &lines);
+    }
+    for f in 1..=n_functions {
+        w.write_message_with(5, |m| {
+            m.write_uint64(1, f);
+            m.write_int64(2, 3 + (f % 40) as i64);
+            m.write_int64(4, 43 + (f % 7) as i64);
+        });
+    }
+    // Outermost first while built; the wire wants leaf first.
+    let mut chains: Vec<Vec<u64>> = Vec::new();
+    let mut steps = 0usize;
+    // The first sample past two full batches.
+    let mut late = 0;
+    while steps < MULTI_BATCH_STEPS {
+        if steps <= 2 << 18 {
+            late = chains.len() + 1;
+        }
+        let mut chain = match chains.len() {
+            0 => Vec::new(),
+            n => {
+                let base = &chains[rng.gen_range(n.saturating_sub(64)..n)];
+                base[..rng.gen_range(0..base.len() + 1)].to_vec()
+            }
+        };
+        while chain.len() < 12 && (chain.len() < 2 || rng.gen_bool(0.6)) {
+            chain.push(rng.gen_range(1..n_locations as u64 + 1));
+        }
+        steps += chain
+            .iter()
+            .map(|&id| inline[id as usize - 1])
+            .sum::<usize>();
+        chains.push(chain);
+    }
+    for (i, chain) in chains.iter().enumerate() {
+        let leaf_first: Vec<u64> = chain.iter().rev().copied().collect();
+        let value = [rng.gen_range(0..1000u64) as i64];
+        match flaw {
+            LateFlaw::DanglingLocation if i == late => {
+                let mut ids = leaf_first.clone();
+                ids.insert(ids.len() / 2, 1 << 40);
+                write_sample(&mut w, &ids, &value, true);
+            }
+            LateFlaw::TruncatedPayload if i == late => {
+                // Field 1, length-delimited, claiming 40 bytes of 3.
+                w.write_bytes(2, &[0x0a, 40, 1, 2, 3]);
+            }
+            _ => write_sample(&mut w, &leaf_first, &value, rng.gen_bool(0.9)),
+        }
+    }
+    let mut strings = vec!["".to_owned(), "cpu".to_owned(), "nanoseconds".to_owned()];
+    strings.extend((0..40).map(|i| format!("pkg.fn{i}")));
+    strings.extend((0..7).map(|i| format!("src/file{i}.go")));
+    for s in &strings {
+        w.write_string(6, s);
+    }
+    (w.into_bytes(), steps)
+}

@@ -13,7 +13,10 @@
 
 mod common;
 
-use common::{synth_deep_stacks, synth_degenerate, synth_multi_type, synth_pprof};
+use common::{
+    synth_deep_stacks, synth_degenerate, synth_multi_batch, synth_multi_type, synth_pprof,
+    LateFlaw, MULTI_BATCH_STEPS,
+};
 use ev_flate::{gzip_compress, CompressionLevel, ExecPolicy};
 use ev_formats::pprof;
 use ev_test::prelude::*;
@@ -160,5 +163,36 @@ fn every_prefix_of_a_small_profile_matches() {
     let data = synth_pprof(&mut rng, 4);
     for cut in 0..=data.len() {
         assert_stream_matches(&data[..cut], 3);
+    }
+}
+
+#[test]
+fn streaming_matches_reference_across_replay_batches() {
+    // The streaming replay feeds the same bounded batches as the
+    // buffered one, from a chunk pipeline: across batches, at any chunk
+    // size and thread count, it yields the reference's profile or its
+    // error, including for a flaw in a later batch.
+    let mut rng = Rng::new(0x5ba7);
+    for flaw in [
+        LateFlaw::None,
+        LateFlaw::DanglingLocation,
+        LateFlaw::TruncatedPayload,
+    ] {
+        let (raw, steps) = synth_multi_batch(&mut rng, flaw);
+        assert!(steps >= MULTI_BATCH_STEPS, "{steps} frame steps");
+        let reference = pprof::parse_reference(&raw);
+        assert_eq!(reference.is_ok(), flaw == LateFlaw::None, "{flaw:?}");
+        // Gzip'd, so the inflate stage streams too.
+        let gz = gzip_compress(&raw, CompressionLevel::Fast);
+        for chunk in [1usize, 13, 4096, 1 << 24] {
+            for threads in [1usize, 4] {
+                let policy = ExecPolicy::with_threads(threads);
+                let streamed = pprof::parse_streaming_with(&gz, policy, chunk);
+                assert_eq!(
+                    streamed, reference,
+                    "{flaw:?} chunk={chunk} threads={threads}"
+                );
+            }
+        }
     }
 }

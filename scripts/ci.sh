@@ -64,8 +64,8 @@ echo "== trace smoke (self-profiling) =="
 "$EV" flame "$SMOKE_DIR/smoke.pprof" \
     --trace-out "$SMOKE_DIR/self.evpf" --trace-format easyview > /dev/null
 "$EV" flame "$SMOKE_DIR/self.evpf" > /dev/null
-for stage in flate.inflate wire.decode core.cct_build convert.pprof \
-             analysis.metric_view flame.layout flame.render; do
+for stage in flate.inflate wire.decode formats.pprof_samples core.cct_build \
+             convert.pprof analysis.metric_view flame.layout flame.render; do
     "$EV" search "$SMOKE_DIR/self.evpf" "$stage" | grep -q "$stage" \
         || { echo "FAIL: self-profile misses the $stage stage" >&2; exit 1; }
 done
@@ -90,6 +90,9 @@ grep -Eq '^counter wire\.onepass_samples [1-9]' "$SMOKE_DIR/stats.txt" \
 # The decoded CCT's child lists are derived once, for the first view.
 grep -q '^counter core\.cct_children 1$' "$SMOKE_DIR/stats.txt" \
     || { echo "FAIL: stats did not report one core.cct_children derivation" >&2; exit 1; }
+# The sample replay goes into the CCT in batches; a small profile is one.
+grep -q '^counter core\.cct_batches 1$' "$SMOKE_DIR/stats.txt" \
+    || { echo "FAIL: stats did not report one core.cct_batches flush" >&2; exit 1; }
 
 echo "== multi-member gzip smoke =="
 # The golden 3-member fixture must render identically at any thread
@@ -120,9 +123,9 @@ target/release/ingest --quick \
     || { echo "FAIL: BENCH_ingest.json missing or empty" >&2; exit 1; }
 grep -q '"schema": "ev-bench-ingest/v1"' BENCH_ingest.json \
     || { echo "FAIL: BENCH_ingest.json malformed (schema key missing)" >&2; exit 1; }
-# Per workload: the decode's walk and CCT-build phases, timed by
-# EasyView's own spans, and the heap the decoded profile keeps.
-for row in wire_walk_secs cct_build_secs heap_bytes_per_node; do
+# Per workload: the decode's walk, sample-resolve and CCT-build phases,
+# timed by EasyView's own spans, and the heap the decoded profile keeps.
+for row in wire_walk_secs resolve_secs cct_build_secs heap_bytes_per_node; do
     grep -q "\"$row\"" BENCH_ingest.json \
         || { echo "FAIL: BENCH_ingest.json misses the $row row" >&2; exit 1; }
 done
