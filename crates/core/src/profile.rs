@@ -1582,33 +1582,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_then_deep_batches_stay_linear() {
-        // Per-depth work follows the paths alive at that depth: a batch
-        // of many root children, then deep paths sharing a long prefix,
-        // take no time a per-depth clear of the widest map would.
-        let wide = 50_000u32;
-        let mut p = Profile::new("t");
-        let ids: Vec<FrameId> = (0..wide)
-            .map(|i| {
-                let frame = p.intern_frame(&Frame::function("f").with_address(u64::from(i)));
-                p.frame_id(frame)
-            })
-            .collect();
-        let ends: Vec<u32> = (1..=wide).collect();
-        p.insert_paths(&ids, &ends);
-        let deep: Vec<FrameId> = (0..20_000).map(|i| ids[i % 7]).collect();
-        let mut other = deep[..12_000].to_vec();
-        other.extend(std::iter::repeat_n(ids[9], 8_000));
-        let first = p.insert_paths(&deep, &[deep.len() as u32])[0];
-        let second = p.insert_paths(&other, &[other.len() as u32])[0];
-        assert_eq!(p.depth(first), 20_000);
-        assert_eq!(p.depth(second), 20_000);
-        // Both deep paths start at an existing root child.
-        assert_eq!(p.node_count(), 1 + wide as usize + 19_999 + 8_000);
-        p.validate().unwrap();
-    }
-
-    #[test]
     fn validate_catches_duplicate_children() {
         let (mut p, _) = sample_profile();
         // Forge a duplicate child by bypassing the index.
