@@ -7,8 +7,7 @@
 //! analysis of §VII-C1.
 
 use ev_core::{MetricDescriptor, MetricId, MetricKind, NodeId, Profile};
-use ev_par::{parallel_map, parallel_tasks, ExecPolicy};
-use std::sync::Mutex;
+use ev_par::{fan_out, ExecPolicy};
 
 /// The derived statistic channels of an [`Aggregate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,35 +162,26 @@ pub fn aggregate_with(
         .collect::<Result<_, _>>()?;
 
     // Leaves: one partial per input profile, built concurrently.
-    let indices: Vec<usize> = (0..n).collect();
-    let leaves: Vec<Partial> = parallel_map(&indices, policy, |&k| {
-        build_leaf(profiles[k], source_metrics[k])
-    });
+    let inputs: Vec<(&Profile, MetricId)> = profiles
+        .iter()
+        .copied()
+        .zip(source_metrics.iter().copied())
+        .collect();
+    let leaves: Vec<Partial> = fan_out(inputs, policy, |(p, metric)| build_leaf(p, metric));
 
     // Balanced pairwise reduction; merges within a level are
     // independent and run concurrently, the level order is fixed.
     let mut current = leaves;
     while current.len() > 1 {
         let mut iter = current.into_iter();
-        type PairSlot = Mutex<Option<(Partial, Option<Partial>)>>;
-        let mut pairs: Vec<PairSlot> = Vec::new();
+        let mut pairs: Vec<(Partial, Option<Partial>)> = Vec::new();
         while let Some(a) = iter.next() {
-            pairs.push(Mutex::new(Some((a, iter.next()))));
+            pairs.push((a, iter.next()));
         }
-        let merged: Vec<Mutex<Option<Partial>>> =
-            (0..pairs.len()).map(|_| Mutex::new(None)).collect();
-        parallel_tasks(pairs.len(), policy, &|i| {
-            let (a, b) = pairs[i].lock().unwrap().take().unwrap();
-            let result = match b {
-                Some(b) => merge_partials(a, b),
-                None => a,
-            };
-            *merged[i].lock().unwrap() = Some(result);
+        current = fan_out(pairs, policy, |(a, b)| match b {
+            Some(b) => merge_partials(a, b),
+            None => a,
         });
-        current = merged
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap().unwrap())
-            .collect();
     }
     let unified = current.pop().unwrap();
     let series = unified.series;
@@ -235,7 +225,7 @@ pub fn aggregate_with(
     // Derived statistics: computed per node concurrently (row order is
     // fixed, so the summation order is too), applied sequentially.
     let nodes: Vec<NodeId> = out.node_ids().collect();
-    let stats: Vec<Option<(f64, f64, f64)>> = parallel_map(&nodes, policy, |&node| {
+    let stats: Vec<Option<(f64, f64, f64)>> = fan_out(nodes, policy, |node| {
         let values = &series[node.index()];
         if values.iter().all(|&v| v == 0.0) {
             return None;
@@ -245,7 +235,7 @@ pub fn aggregate_with(
         let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         Some((sum, min, max))
     });
-    for (node, stat) in nodes.into_iter().zip(stats) {
+    for (node, stat) in out.node_ids().zip(stats) {
         if let Some((sum, min, max)) = stat {
             out.set_value(node, metrics.sum, sum);
             out.set_value(node, metrics.min, min);

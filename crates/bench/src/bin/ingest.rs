@@ -20,6 +20,7 @@
 //! ratio swings tens of percent with allocator and cache state alone.
 //! They are still timed and reported — just not gated on.
 
+use ev_bench::pipeline::easyview_open;
 use ev_bench::timer::{bench, group, Measurement};
 use ev_flate::{
     crc32, crc32_reference, deflate_compress, gzip_decompress, gzip_decompress_with, inflate,
@@ -35,8 +36,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Counting global allocator with a high-water mark, for the
 /// peak-memory probe: the streaming ingest path exists to bound peak
 /// memory, so the bench measures it, not just throughput. Counts are
-/// process-wide (streaming spawns pool workers whose allocations must
-/// count). The two relaxed atomics per alloc cost the same on the fast
+/// process-wide (streaming starts pipeline threads whose allocations
+/// must count). The two relaxed atomics per alloc cost the same on the fast
 /// and reference sides of every speedup gate, so the ratios are
 /// unaffected.
 struct PeakAlloc;
@@ -118,6 +119,35 @@ fn decode_phases(raw: &[u8], samples: usize) -> (f64, f64, f64) {
     }
     ev_trace::set_enabled(was_enabled);
     (walk, resolve, build)
+}
+
+/// DESIGN §4c's budget for span recording compiled in but switched off,
+/// as a share of one open.
+const TRACE_OFF_BUDGET: f64 = 0.02;
+
+/// Nanoseconds one span costs: the minimum over `rounds` runs of
+/// 100,000 spans nested under one open outer span, the way an open's
+/// stage spans nest. With tracing off that is the flag load and the
+/// inert guard; with it on, the clock reads, the thread buffer and its
+/// flushes into the collector each time the buffer fills.
+fn span_cost_ns(enabled: bool, rounds: usize) -> f64 {
+    const SPANS: usize = 100_000;
+    let was_enabled = ev_trace::enabled();
+    ev_trace::set_enabled(enabled);
+    let mut best = f64::INFINITY;
+    for _ in 0..rounds.max(1) {
+        let t = std::time::Instant::now();
+        {
+            let _outer = ev_trace::span("bench.span_cost_outer");
+            for _ in 0..SPANS {
+                let _span = std::hint::black_box(ev_trace::span("bench.span_cost"));
+            }
+        }
+        best = best.min(t.elapsed().as_nanos() as f64 / SPANS as f64);
+        drop(ev_trace::take_spans());
+    }
+    ev_trace::set_enabled(was_enabled);
+    best
 }
 
 /// Pinned CRC32 digests of the decompressed golden fixtures; a digest
@@ -495,17 +525,46 @@ fn main() {
         m_crc_ref.mib_per_sec(crc_bytes),
     );
 
+    // Tracing overhead: the spans one traced open of the largest
+    // workload records (the Fig. 5 open: decode, metric view, top-down
+    // layout), times the cost of one span with tracing off and on, as
+    // a share of the untraced open. Per-field counters that only tick
+    // while tracing is on are not spans and are not counted here.
+    group("ingest: tracing overhead per open");
+    ev_trace::set_enabled(true);
+    let spans_before = ev_trace::span_count();
+    std::hint::black_box(easyview_open(&largest.gz).expect("traced open"));
+    let spans_per_open = ev_trace::span_count() - spans_before;
+    ev_trace::set_enabled(false);
+    drop(ev_trace::take_spans());
+    let m_open = bench(&format!("{}/open", largest.name), samples.min(5), || {
+        std::hint::black_box(easyview_open(std::hint::black_box(&largest.gz)).unwrap());
+    });
+    let open_secs = secs(&m_open);
+    let span_ns_off = span_cost_ns(false, samples);
+    let span_ns_on = span_cost_ns(true, samples);
+    let open_share = |span_ns: f64| spans_per_open as f64 * span_ns / 1e9 / open_secs;
+    let (trace_off_share, trace_on_share) = (open_share(span_ns_off), open_share(span_ns_on));
+    println!(
+        "{:<44} {spans_per_open} spans per {:.1} ms open: off {span_ns_off:.2} ns/span \
+         ({:.5} %), on {span_ns_on:.1} ns/span ({:.5} %)",
+        "",
+        open_secs * 1e3,
+        trace_off_share * 100.0,
+        trace_on_share * 100.0,
+    );
+
     // Multi-member ingest: the same body as `parts` concatenated
-    // members, decoded sequentially vs fanned onto the pool. The
+    // members, decoded sequentially vs fanned out on `ev-par`. The
     // parallel result is asserted byte-identical before timing.
     group("ingest: multi-member gzip, sequential vs parallel");
     let parts = 8;
     let multi = multi_member_gz(&largest.raw, parts);
     let seq_out = gzip_decompress(&multi).expect("multi-member decompresses");
     assert_eq!(seq_out, largest.raw, "multi-member reassembly differs");
-    // Correctness runs with a pinned thread count so the pool path is
+    // Correctness runs with a pinned thread count so the split path is
     // exercised even on 1-core CI hosts (auto() would degrade to the
-    // inline sequential path there and the assert would be vacuous).
+    // sequential member walk there and the assert would be vacuous).
     let par_policy = ExecPolicy::with_threads(parts.min(8));
     let par_out = gzip_decompress_with(&multi, par_policy).expect("parallel decompress");
     assert_eq!(par_out, seq_out, "parallel output differs from sequential");
@@ -694,6 +753,19 @@ fn main() {
             ]),
         ),
         ("streaming_gate", streaming_gate),
+        (
+            "tracing_overhead",
+            Value::object([
+                ("workload", Value::String(largest.name.clone())),
+                ("spans_per_open", Value::Int(spans_per_open as i64)),
+                ("open_secs", Value::Float(open_secs)),
+                ("span_ns_disabled", Value::Float(span_ns_off)),
+                ("span_ns_enabled", Value::Float(span_ns_on)),
+                ("disabled_share_of_open", Value::Float(trace_off_share)),
+                ("enabled_share_of_open", Value::Float(trace_on_share)),
+                ("disabled_share_budget", Value::Float(TRACE_OFF_BUDGET)),
+            ]),
+        ),
     ]);
     let path = repo_root().join("BENCH_ingest.json");
     std::fs::write(&path, ev_json::to_string_pretty(&report)).expect("write BENCH_ingest.json");
@@ -723,6 +795,12 @@ fn main() {
     assert!(
         multi_ratio >= 0.9,
         "auto-policy multi-member decode is {multi_ratio:.2}x sequential (need >= 0.9x)"
+    );
+    assert!(
+        trace_off_share < TRACE_OFF_BUDGET,
+        "spans cost {:.3} % of an open with tracing off (budget {} %)",
+        trace_off_share * 100.0,
+        TRACE_OFF_BUDGET * 100.0
     );
     if !quick {
         // Streaming gates run on the long-capture workload only (quick

@@ -9,6 +9,11 @@
 //! check runs the VM under a parallel policy, where `map_nodes`
 //! callbacks fan out over `ev-par` and must stay bit-identical.
 //!
+//! The report also carries the thread-scaling rows of the engine's
+//! two analysis passes on `ev-par`: the VM's `map_nodes` fan-out, and
+//! `aggregate_with` over four distinct profiles the size of the
+//! `cct_fold` fixture, each pinned to 1 thread against `auto()`.
+//!
 //! Usage: `script [--quick]` — `--quick` (used by `scripts/ci.sh`)
 //! runs fewer samples on smaller workloads and relaxes the speedup
 //! gate to 2× to tolerate noisy CI hosts.
@@ -17,6 +22,7 @@
 //! over the ~7 MiB synthetic profile, where per-run fixed costs
 //! (parse, compile, host setup) are fully amortized.
 
+use ev_analysis::aggregate_with;
 use ev_bench::timer::group;
 use ev_formats::pprof;
 use ev_gen::scripts::{cct_fold, hot_loop, string_fmt};
@@ -229,6 +235,52 @@ fn main() {
         "", one_secs, auto_policy.threads, auto_secs,
     );
 
+    // Multi-profile aggregation (paper §V-A-c), the other analysis pass
+    // on `ev-par`: four distinct profiles of the fixture's size, pinned
+    // 1 thread vs auto(), interleaved like the map_nodes row. Both
+    // policies must agree bit for bit before anything is timed.
+    // Reported, not gated, for the same reason.
+    group("script: parallel aggregate (4 profiles)");
+    let agg_inputs: Vec<Profile> = (1..=4u64)
+        .map(|k| {
+            pprof::parse(&pprof_with_size(fixture_bytes, 0x5C21 + k))
+                .expect("synthetic aggregate input parses")
+        })
+        .collect();
+    let agg_refs: Vec<&Profile> = agg_inputs.iter().collect();
+    let aggregate = |policy: ExecPolicy| {
+        aggregate_with(&agg_refs, "cpu", policy).expect("every input carries cpu")
+    };
+    let (one, auto) = (aggregate(ExecPolicy::SEQUENTIAL), aggregate(auto_policy));
+    let agg_nodes = one.profile.node_count();
+    assert_eq!(one.profile, auto.profile, "aggregate: auto() tree diverged");
+    assert!(
+        one.profile
+            .node_ids()
+            .all(|node| one.series(node) == auto.series(node)),
+        "aggregate: auto() series diverged"
+    );
+    drop((one, auto));
+    let (agg_one_secs, agg_auto_secs) = minsecs_interleaved(
+        samples,
+        || {
+            std::hint::black_box(aggregate(ExecPolicy::with_threads(1)));
+        },
+        || {
+            std::hint::black_box(aggregate(auto_policy));
+        },
+    );
+    let agg_ratio = agg_one_secs / agg_auto_secs;
+    println!(
+        "{:<44} {} inputs -> {agg_nodes} nodes: 1 thread {:.4}s  auto ({} threads) {:.4}s  \
+         ({agg_ratio:.2}x)",
+        "",
+        agg_refs.len(),
+        agg_one_secs,
+        auto_policy.threads,
+        agg_auto_secs,
+    );
+
     let report = Value::object([
         ("schema", Value::String("ev-bench-script/v1".to_string())),
         ("quick", Value::Bool(quick)),
@@ -255,6 +307,21 @@ fn main() {
                 ("one_thread_secs", Value::Float(one_secs)),
                 ("auto_secs", Value::Float(auto_secs)),
                 ("auto_vs_one_thread", Value::Float(par_ratio)),
+            ]),
+        ),
+        (
+            "aggregate",
+            Value::object([
+                ("profiles", Value::Int(agg_refs.len() as i64)),
+                (
+                    "input_nodes",
+                    Value::Int(agg_refs.iter().map(|p| p.node_count() as i64).sum()),
+                ),
+                ("unified_nodes", Value::Int(agg_nodes as i64)),
+                ("auto_threads", Value::Int(auto_policy.threads as i64)),
+                ("one_thread_secs", Value::Float(agg_one_secs)),
+                ("auto_secs", Value::Float(agg_auto_secs)),
+                ("auto_vs_one_thread", Value::Float(agg_ratio)),
             ]),
         ),
     ]);

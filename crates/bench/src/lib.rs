@@ -4,7 +4,7 @@
 //! | Experiment | Paper | Module / target |
 //! |---|---|---|
 //! | E1 programmability (LoC per adapter) | §VII-A | [`loc`], `paper_tables e1` |
-//! | E2 response time vs. profile size | §VII-B Fig. 5 | [`pipeline`], `benches/response_time.rs`, `paper_tables e2` |
+//! | E2 response time vs. profile size | §VII-B Fig. 5 | [`pipeline`], `paper_tables e2` |
 //! | E3 memory-leak case study | §VII-C1 Fig. 4 | `paper_tables e3`, `examples/memory_leak.rs` |
 //! | E4 LULESH case study | §VII-C2 Figs. 6–7 | `paper_tables e4`, `examples/hpc_lulesh.rs` |
 //! | E5 differential view | §VI-A Fig. 3 | `paper_tables e5`, `examples/diff_spark.rs` |

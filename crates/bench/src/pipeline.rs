@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn easyview_is_not_slower_than_baselines() {
         // A coarse sanity check of the Fig. 5 ordering on a mid-size
-        // profile; the full sweep lives in benches/response_time.rs.
+        // profile; the full sweep is `paper_tables e2`.
         let bytes = SyntheticSpec {
             samples: 20_000,
             ..SyntheticSpec::default()

@@ -218,7 +218,7 @@ fn stats_json(profile_summary: Option<&(String, usize, usize)>) -> String {
 /// Reads and converts a profile; the input picks the decoder
 /// ([`ev_formats::parse_auto_with`]). The policy reaches ingest too:
 /// multi-member gzip inputs decompress their members on `ev-par`
-/// workers, with output bit-identical at any thread count.
+/// threads, with output bit-identical at any thread count.
 fn load(path: &str, exec: ExecPolicy) -> Result<Profile, CliError> {
     let bytes =
         std::fs::read(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;

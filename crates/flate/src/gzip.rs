@@ -7,7 +7,7 @@
 //! parsed, its DEFLATE stream inflated to its own `BFINAL` boundary,
 //! its *own* CRC32/ISIZE trailer verified in place, and decoding then
 //! resumes at the next member's magic. Independent members are fanned
-//! out onto `ev-par` workers by [`gzip_decompress_with`]; the join is
+//! out onto `ev-par` threads by [`gzip_decompress_with`]; the join is
 //! order-preserving and bit-identical at any thread count.
 
 use crate::checksum::crc32;
@@ -182,7 +182,7 @@ pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>, FlateError> {
 }
 
 /// Like [`gzip_decompress`], inflating independent members on `ev-par`
-/// workers under `policy`.
+/// threads under `policy`.
 ///
 /// Output and errors are **bit-identical** to the sequential path at
 /// any thread count: member boundaries are discovered by an optimistic
@@ -329,24 +329,22 @@ fn decompress_split(data: &[u8], starts: &[usize], policy: ExecPolicy) -> Option
         .zip(starts[1..].iter().chain(std::iter::once(&data.len())))
         .map(|(&a, &b)| &data[a..b])
         .collect();
-    let pieces = ev_par::parallel_map(&segments, policy, |seg| decode_whole_member(seg));
-    // Parallel ordered join: prefix-sum the piece offsets, then let each
-    // task memcpy its piece into its disjoint range. The sequential
+    let pieces: Vec<Vec<u8>> = ev_par::fan_out(segments, policy, decode_whole_member)
+        .into_iter()
+        .collect::<Option<_>>()?;
+    // Parallel ordered join: carve the output into one disjoint slice
+    // per piece, then copy each piece into its own. The sequential
     // `extend_from_slice` walk this replaces was a measurable fraction
     // of multi-member wall-clock once inflate itself was parallel.
-    let mut offsets = Vec::with_capacity(pieces.len());
-    let mut total = 0usize;
+    let mut out = vec![0u8; pieces.iter().map(Vec::len).sum()];
+    let mut rest = out.as_mut_slice();
+    let mut copies = Vec::with_capacity(pieces.len());
     for piece in &pieces {
-        offsets.push(total);
-        total += piece.as_ref()?.len();
+        let (dst, tail) = std::mem::take(&mut rest).split_at_mut(piece.len());
+        copies.push((dst, piece.as_slice()));
+        rest = tail;
     }
-    let mut out = vec![0u8; total];
-    let shared = ev_par::SharedSlice::new(&mut out);
-    ev_par::parallel_tasks(pieces.len(), policy, &|i| {
-        let piece = pieces[i].as_deref().expect("validated above");
-        // Ranges are disjoint by construction of the prefix sums.
-        unsafe { shared.copy_from_slice_at(offsets[i], piece) };
-    });
+    ev_par::fan_out(copies, policy, |(dst, piece)| dst.copy_from_slice(piece));
     Some(out)
 }
 
@@ -574,7 +572,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_on_many_members() {
-        // Enough members that the pool actually fans out, with bodies
+        // Enough members that the split actually fans out, with bodies
         // containing 0x1f bytes to exercise false-positive candidates.
         let parts: Vec<Vec<u8>> = (0..12)
             .map(|i| {

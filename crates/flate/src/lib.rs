@@ -39,6 +39,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bits;
 mod checksum;
 mod deflate;

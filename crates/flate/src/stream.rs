@@ -10,16 +10,15 @@
 //!   retaining only the 32 KiB LZ77 window between calls.
 //! * [`GzipStream`] walks gzip members the same way the sequential
 //!   buffered walk does, folding each emitted chunk into an
-//!   incremental CRC32 — pipelined on an `ev-par` worker so chunk N−1
-//!   is checksummed while chunk N inflates — and verifying each
-//!   member's trailer the moment its stream ends.
+//!   incremental CRC32 as it is emitted and verifying each member's
+//!   trailer the moment its stream ends.
 //!
 //! # Differential contract
 //!
 //! Concatenating every chunk a stream yields is **byte-identical** to
 //! the buffered decoder's output, and a failing input fails with the
-//! **identical [`FlateError`] value**, at any chunk size (including 1)
-//! and any thread policy. Two structural facts carry the proof:
+//! **identical [`FlateError`] value**, at any chunk size (including 1).
+//! Two structural facts carry the proof:
 //!
 //! * Budget checks in the block decoder sit *between* symbols, so the
 //!   decoded symbol sequence never depends on where a block is
@@ -40,7 +39,6 @@ use crate::inflate::{
     fixed_luts, inflate_block_fast, read_dynamic_luts, read_stored_header, BlockProgress, LutStats,
 };
 use crate::{is_gzip, FlateError};
-use ev_par::ExecPolicy;
 
 /// The LZ77 history a resumable DEFLATE decoder must retain: RFC 1951's
 /// maximum back-reference distance (`DIST_BASE[29] + 2^13 - 1 = 32768`).
@@ -253,38 +251,30 @@ struct GzipMember<'a> {
     inflate: InflateStream<'a>,
     /// Absolute offset of the member's DEFLATE body in the file.
     body_start: usize,
-    /// Incremental CRC over every chunk *handed back to the caller so
-    /// far except* `pending`.
+    /// Incremental CRC over every chunk handed back to the caller.
     crc: Crc32,
     /// Total bytes this member has produced (for the ISIZE check).
     total_len: u64,
-    /// The chunk emitted by the previous pull: already returned to the
-    /// caller, not yet folded into `crc` — that fold runs concurrently
-    /// with the next pull's inflate.
-    pending: Vec<u8>,
-    /// Recycled buffer (last round's `pending`) for the next chunk.
-    spare: Vec<u8>,
 }
 
 /// A streaming gzip decoder: the member walk of
 /// [`crate::gzip_decompress_with`] as a pull pipeline.
 ///
 /// Each [`next_chunk`](Self::next_chunk) yields the next slice of
-/// decompressed output. CRC32 runs one chunk behind inflate on an
-/// `ev-par` worker when the policy allows, and each member's
-/// CRC32/ISIZE trailer is verified as soon as its stream ends — errors
-/// therefore surface on the pull *after* the last chunk of a corrupt
-/// member, with the identical [`FlateError`] the buffered decoder
-/// returns.
+/// decompressed output and folds it into the member's CRC32. Each
+/// member's CRC32/ISIZE trailer is verified as soon as its stream
+/// ends — errors therefore surface on the pull *after* the last chunk
+/// of a corrupt member, with the identical [`FlateError`] the buffered
+/// decoder returns.
 ///
 /// # Examples
 ///
 /// ```
-/// use ev_flate::{gzip_compress, gzip_decompress, CompressionLevel, ExecPolicy, GzipStream};
+/// use ev_flate::{gzip_compress, gzip_decompress, CompressionLevel, GzipStream};
 ///
 /// # fn main() -> Result<(), ev_flate::FlateError> {
 /// let gz = gzip_compress(&b"sample ".repeat(50_000), CompressionLevel::High);
-/// let mut stream = GzipStream::new(&gz, 64 * 1024, ExecPolicy::auto())?;
+/// let mut stream = GzipStream::new(&gz, 64 * 1024)?;
 /// let mut streamed = Vec::new();
 /// let mut chunk = Vec::new();
 /// while stream.next_chunk(&mut chunk)? {
@@ -299,7 +289,6 @@ pub struct GzipStream<'a> {
     /// Offset of the next member header (when no member is in flight).
     pos: usize,
     chunk_size: usize,
-    policy: ExecPolicy,
     member: Option<GzipMember<'a>>,
     finished: bool,
 }
@@ -312,11 +301,7 @@ impl<'a> GzipStream<'a> {
     ///
     /// [`FlateError::NotGzip`] / [`FlateError::UnexpectedEof`] for
     /// inputs the buffered decoder rejects up front.
-    pub fn new(
-        data: &'a [u8],
-        chunk_size: usize,
-        policy: ExecPolicy,
-    ) -> Result<GzipStream<'a>, FlateError> {
+    pub fn new(data: &'a [u8], chunk_size: usize) -> Result<GzipStream<'a>, FlateError> {
         if ev_trace::enabled() {
             crate::metrics::in_bytes().add(data.len() as u64);
         }
@@ -330,7 +315,6 @@ impl<'a> GzipStream<'a> {
             data,
             pos: 0,
             chunk_size,
-            policy,
             member: None,
             finished: false,
         })
@@ -349,7 +333,6 @@ impl<'a> GzipStream<'a> {
     /// stream is finished.
     pub fn next_chunk(&mut self, dst: &mut Vec<u8>) -> Result<bool, FlateError> {
         dst.clear();
-        let policy = self.policy;
         loop {
             if self.finished {
                 return Ok(false);
@@ -377,47 +360,21 @@ impl<'a> GzipStream<'a> {
                     body_start: body,
                     crc: Crc32::new(),
                     total_len: 0,
-                    pending: Vec::new(),
-                    spare: Vec::new(),
                 });
             }
             let m = self.member.as_mut().expect("member installed above");
-            let mut next = std::mem::take(&mut m.spare);
-            // Pipeline: inflate the next chunk while the previous one
-            // (already in the caller's hands) is checksummed. The two
-            // closures touch disjoint buffers; sequential policies run
-            // inflate-then-crc inline, which is order-equivalent.
-            let GzipMember {
-                inflate,
-                crc,
-                pending,
-                ..
-            } = m;
-            let (more, ()) = ev_par::parallel_join(
-                policy,
-                || inflate.next_chunk(&mut next),
-                || {
-                    if !pending.is_empty() {
-                        crc.update(pending);
-                    }
-                },
-            );
-            // Whatever `more` says, `pending` is folded into the CRC
-            // now; retire it as the recycle buffer for the next round.
-            m.spare = std::mem::take(&mut m.pending);
-            match more {
+            match m.inflate.next_chunk(dst) {
                 Err(e) => {
                     self.finished = true;
                     self.member = None;
                     return Err(e);
                 }
                 Ok(true) => {
-                    m.total_len += next.len() as u64;
+                    m.crc.update(dst);
+                    m.total_len += dst.len() as u64;
                     if ev_trace::enabled() {
-                        crate::metrics::out_bytes().add(next.len() as u64);
+                        crate::metrics::out_bytes().add(dst.len() as u64);
                     }
-                    dst.extend_from_slice(&next);
-                    m.pending = next;
                     return Ok(true);
                 }
                 Ok(false) => {
@@ -472,8 +429,8 @@ mod tests {
         Ok(out)
     }
 
-    fn drain_gzip(input: &[u8], chunk_size: usize, threads: usize) -> Result<Vec<u8>, FlateError> {
-        let mut stream = GzipStream::new(input, chunk_size, ExecPolicy::with_threads(threads))?;
+    fn drain_gzip(input: &[u8], chunk_size: usize) -> Result<Vec<u8>, FlateError> {
+        let mut stream = GzipStream::new(input, chunk_size)?;
         let mut out = Vec::new();
         let mut chunk = Vec::new();
         while stream.next_chunk(&mut chunk)? {
@@ -586,13 +543,11 @@ mod tests {
         }
         assert_eq!(gzip_decompress(&gz).unwrap(), expected);
         for chunk_size in [1, 1000, 64 * 1024, 1 << 24] {
-            for threads in [1, 4] {
-                assert_eq!(
-                    drain_gzip(&gz, chunk_size, threads).unwrap(),
-                    expected,
-                    "chunk {chunk_size} threads {threads}"
-                );
-            }
+            assert_eq!(
+                drain_gzip(&gz, chunk_size).unwrap(),
+                expected,
+                "chunk {chunk_size}"
+            );
         }
     }
 
@@ -624,19 +579,13 @@ mod tests {
         for (i, case) in cases.iter().enumerate() {
             let buffered = gzip_decompress(case);
             for chunk_size in [1, 509, 1 << 20] {
-                for threads in [1, 4] {
-                    let streamed = drain_gzip(case, chunk_size, threads);
-                    match (&buffered, &streamed) {
-                        (Err(be), Err(se)) => {
-                            assert_eq!(be, se, "case {i} chunk {chunk_size} threads {threads}")
-                        }
-                        (Ok(b), Ok(s)) => {
-                            assert_eq!(b, s, "case {i} chunk {chunk_size} threads {threads}")
-                        }
-                        _ => panic!(
-                            "case {i} chunk {chunk_size} threads {threads}: buffered {buffered:?} vs streamed {streamed:?}"
-                        ),
-                    }
+                let streamed = drain_gzip(case, chunk_size);
+                match (&buffered, &streamed) {
+                    (Err(be), Err(se)) => assert_eq!(be, se, "case {i} chunk {chunk_size}"),
+                    (Ok(b), Ok(s)) => assert_eq!(b, s, "case {i} chunk {chunk_size}"),
+                    _ => panic!(
+                        "case {i} chunk {chunk_size}: buffered {buffered:?} vs streamed {streamed:?}"
+                    ),
                 }
             }
         }
@@ -645,11 +594,11 @@ mod tests {
     #[test]
     fn gzip_stream_rejects_non_gzip_up_front() {
         assert_eq!(
-            GzipStream::new(b"plainly not gzip bytes", 1024, ExecPolicy::SEQUENTIAL).err(),
+            GzipStream::new(b"plainly not gzip bytes", 1024).err(),
             Some(FlateError::NotGzip)
         );
         assert_eq!(
-            GzipStream::new(&[0x1f, 0x8b, 0x08], 1024, ExecPolicy::SEQUENTIAL).err(),
+            GzipStream::new(&[0x1f, 0x8b, 0x08], 1024).err(),
             Some(FlateError::UnexpectedEof)
         );
     }
@@ -660,12 +609,11 @@ mod tests {
         fn stream_differential_random_inputs(
             data in vec(any_u8(), 0..4096),
             chunk_size in 1usize..8192,
-            threads in 1usize..5,
         ) {
             let gz = gzip_compress(&data, CompressionLevel::Fast);
             let buffered = gzip_decompress(&gz).unwrap();
             prop_assert_eq!(&buffered, &data);
-            prop_assert_eq!(drain_gzip(&gz, chunk_size, threads).unwrap(), buffered);
+            prop_assert_eq!(drain_gzip(&gz, chunk_size).unwrap(), buffered);
         }
 
         fn stream_differential_corrupted(
@@ -677,7 +625,7 @@ mod tests {
             let i = flip % gz.len();
             gz[i] ^= 0x10;
             let buffered = gzip_decompress(&gz);
-            let streamed = drain_gzip(&gz, chunk_size, 2);
+            let streamed = drain_gzip(&gz, chunk_size);
             match (buffered, streamed) {
                 (Ok(b), Ok(s)) => prop_assert_eq!(b, s),
                 (Err(be), Err(se)) => prop_assert_eq!(be, se),

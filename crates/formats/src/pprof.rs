@@ -111,7 +111,7 @@ pub fn parse(data: &[u8]) -> Result<Profile, FormatError> {
 }
 
 /// Like [`parse`], decompressing independent gzip members on `ev-par`
-/// workers under `policy`. Output is bit-identical at any thread
+/// threads under `policy`. Output is bit-identical at any thread
 /// count (the `ev-par` determinism contract).
 ///
 /// # Errors
@@ -163,8 +163,8 @@ pub fn parse_reference_with(data: &[u8], policy: ExecPolicy) -> Result<Profile, 
 /// chunks of roughly `chunk_size` bytes that feed the one-pass decoder
 /// through a resumable `ev-wire` stream walk, so peak memory tracks
 /// the *decoded tables* plus the final profile, never the whole
-/// decompressed body. The CRC of each chunk overlaps the inflate of
-/// the next on an `ev-par` worker under `policy`. Raw (uncompressed)
+/// decompressed body. Under a parallel `policy` each pass inflates on
+/// an `ev-par` pipeline thread ahead of the walk. Raw (uncompressed)
 /// bodies stream too, exercising the same resume logic without the
 /// inflate stage.
 ///
@@ -193,7 +193,7 @@ pub fn parse_streaming_with(
     if is_gzip(data) {
         parse_stream(policy, || {
             Ok(GzipChunkSource {
-                gz: GzipStream::new(data, chunk_size, policy)?,
+                gz: GzipStream::new(data, chunk_size)?,
                 scratch: Vec::new(),
             })
         })

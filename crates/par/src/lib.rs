@@ -1,57 +1,52 @@
-//! `ev-par` — EasyView's from-scratch scoped thread pool.
+//! `ev-par` — EasyView's parallel execution substrate, built on
+//! `std::thread::scope` alone.
 //!
-//! The analysis engine (paper §4) must aggregate, diff, and re-lay-out
-//! profiles interactively; those paths are tree traversals and
-//! multi-profile merges that scale with cores. Per the workspace
-//! charter everything is built on std only — no rayon, no crossbeam:
-//! `std::thread` workers, `Mutex<VecDeque>` work-stealing deques, and a
-//! `Condvar` for sleep/wake.
+//! The analysis engine (paper §4) runs three coarse passes in
+//! parallel: multi-profile aggregation, multi-member gzip ingest, and
+//! EVscript's per-node callbacks. Each is a handful of large
+//! independent tasks, so the crate offers one ordered fan-out,
+//! [`fan_out`], plus the two-stage [`with_pipeline`] hand-off that
+//! streaming ingest uses. Per the workspace charter everything is std
+//! only — no rayon, no crossbeam — and the crate holds no `unsafe`:
+//! every thread is a scoped thread, joined before the call returns, so
+//! tasks borrow the caller's data through ordinary references.
 //!
 //! # Execution model
 //!
-//! A single process-wide pool spawns lazily on first parallel call and
-//! lives for the process. Work enters as *scoped jobs*: the submitting
-//! thread publishes chunk tasks, participates in execution, and does
-//! not return until every task has completed (which is what makes
-//! borrowing stack data from tasks sound). Workers pop their own deque
-//! LIFO and steal from others FIFO.
+//! A fan-out splits its items into contiguous groups, one per thread,
+//! and starts a scoped thread for every group but the first, which
+//! runs on the caller. It starts at most [`max_threads`]` − 1` threads
+//! per call, whatever `ExecPolicy::threads` asks for, and none when
+//! the policy is sequential or there is at most one item. There is no
+//! pool: a spawn and join costs tens of microseconds, which the three
+//! passes amortize over milliseconds of work per thread.
 //!
 //! # Determinism contract
 //!
 //! Every parallel algorithm built on this crate must produce output
 //! **bit-identical** to its sequential specialization, for any thread
-//! count. The pool itself guarantees nothing about ordering — callers
-//! achieve determinism by fixing the *reduction shape* independently of
-//! [`ExecPolicy::threads`] (e.g. a balanced merge tree keyed only on
-//! input count, or disjoint per-subtree writes with a fixed sequential
-//! accumulation order inside each subtree). `threads == 1` always runs
-//! inline on the caller with no pool involvement at all: that path *is*
-//! the sequential reference implementation.
+//! count. The fan-out returns results in input order whatever the
+//! grouping; callers keep the *reduction shape* independent of
+//! [`ExecPolicy::threads`] (a balanced merge tree keyed only on input
+//! count, or disjoint per-item outputs). `threads == 1` always runs
+//! inline on the caller: that path *is* the sequential reference
+//! implementation.
 //!
 //! # Example
 //!
 //! ```
-//! use ev_par::{parallel_for, ExecPolicy, SharedSlice};
+//! use ev_par::{fan_out, ExecPolicy};
 //!
-//! let mut squares = vec![0u64; 1000];
-//! let shared = SharedSlice::new(&mut squares);
-//! parallel_for(1000, ExecPolicy::auto(), 64, &|range| {
-//!     for i in range {
-//!         // Chunks are disjoint, so each index is written once.
-//!         unsafe { shared.set(i, (i as u64) * (i as u64)) };
-//!     }
-//! });
-//! assert_eq!(squares[31], 961);
+//! let words = vec![String::from("flame"), String::from("graph")];
+//! let lengths = fan_out(words, ExecPolicy::auto(), |w| w.len());
+//! assert_eq!(lengths, [5, 5]);
 //! ```
 
-mod pool;
-mod slice;
+#![forbid(unsafe_code)]
 
-pub use slice::SharedSlice;
-
-use pool::Pool;
+use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 /// How much parallelism a call may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +74,7 @@ impl ExecPolicy {
         }
     }
 
-    /// Whether this policy runs inline without the pool.
+    /// Whether this policy runs inline on the caller.
     pub fn is_sequential(&self) -> bool {
         self.threads <= 1
     }
@@ -91,7 +86,7 @@ impl Default for ExecPolicy {
     }
 }
 
-/// Number of hardware threads, bounded to keep deque scans cheap.
+/// Number of hardware threads, bounded at 32.
 pub fn max_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -100,7 +95,7 @@ pub fn max_threads() -> usize {
 }
 
 /// Splits `0..n` into `tasks` near-equal chunks, largest first.
-fn chunk_bounds(n: usize, tasks: usize) -> Vec<Range<usize>> {
+pub fn chunk_bounds(n: usize, tasks: usize) -> Vec<Range<usize>> {
     let tasks = tasks.clamp(1, n.max(1));
     let base = n / tasks;
     let rem = n % tasks;
@@ -114,120 +109,69 @@ fn chunk_bounds(n: usize, tasks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Runs `body` over `0..n` split into contiguous chunks, at most
-/// `policy.threads` at a time. Chunks no smaller than `min_chunk`
-/// (except the tail when `n` is small). With `threads == 1`, or when
-/// the work is too small to split, runs `body(0..n)` inline.
-pub fn parallel_for<F>(n: usize, policy: ExecPolicy, min_chunk: usize, body: &F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let max_tasks = if min_chunk == 0 {
-        policy.threads
-    } else {
-        policy.threads.min(n.div_ceil(min_chunk))
-    };
-    if policy.is_sequential() || max_tasks <= 1 {
-        body(0..n);
-        return;
-    }
-    let chunks = chunk_bounds(n, max_tasks);
-    Pool::global().run_scope(chunks.len(), &|i| body(chunks[i].clone()));
+/// Threads a fan-out of `items` items starts besides the caller under
+/// a policy of `threads` on a host with `cores` hardware threads: one
+/// per group but the caller's, with no more groups than items, policy
+/// threads or cores.
+fn spawn_count(items: usize, threads: usize, cores: usize) -> usize {
+    items.min(threads).min(cores).saturating_sub(1)
 }
 
-/// Runs `tasks` independent closures, at most `policy.threads` at a
-/// time. Sequential policies run them in index order on the caller.
-pub fn parallel_tasks<F>(tasks: usize, policy: ExecPolicy, body: &F)
+/// Applies `f` to every item and returns the results in input order,
+/// moving the items into scoped threads when the policy allows it.
+///
+/// The items are split into contiguous groups by [`chunk_bounds`], one
+/// group per thread; the caller runs the first group and joins the
+/// rest in order. Output is identical for every policy; only
+/// wall-clock differs. Callers that want coarser tasks than single
+/// items pass chunks (ranges, sub-slices) as the items.
+///
+/// # Panics
+///
+/// A panic in `f` reaches the caller with its original payload, after
+/// every started thread has been joined.
+pub fn fan_out<T, R, F>(items: Vec<T>, policy: ExecPolicy, f: F) -> Vec<R>
 where
-    F: Fn(usize) + Sync,
-{
-    if policy.is_sequential() || tasks <= 1 {
-        for i in 0..tasks {
-            body(i);
-        }
-        return;
-    }
-    Pool::global().run_scope(tasks, body);
-}
-
-/// Maps `f` over `items` in parallel chunks and returns the results in
-/// input order. Output is identical for every policy; only wall-clock
-/// differs.
-pub fn parallel_map<T, R, F>(items: &[T], policy: ExecPolicy, f: F) -> Vec<R>
-where
-    T: Sync,
+    T: Send,
     R: Send,
-    F: Fn(&T) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
-    if policy.is_sequential() || items.len() <= 1 {
-        return items.iter().map(f).collect();
+    let n = items.len();
+    let spawn = spawn_count(n, policy.threads, max_threads());
+    if spawn == 0 {
+        return items.into_iter().map(f).collect();
     }
-    let pieces: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-    parallel_for(items.len(), policy, 1, &|range| {
-        let start = range.start;
-        let piece: Vec<R> = items[range].iter().map(&f).collect();
-        pieces.lock().unwrap().push((start, piece));
-    });
-    let mut pieces = pieces.into_inner().unwrap();
-    pieces.sort_by_key(|&(start, _)| start);
-    let mut out = Vec::with_capacity(items.len());
-    for (_, piece) in pieces {
-        out.extend(piece);
-    }
-    out
-}
-
-/// Runs two closures, concurrently when the policy allows it, and
-/// returns both results. Sequential policies run `a` then `b` inline on
-/// the caller — that order is the reference semantics, so `a` and `b`
-/// must not depend on interleaving (the streaming gzip path uses this
-/// to overlap checksumming of the previous chunk with inflating the
-/// next one; the two closures touch disjoint buffers).
-pub fn parallel_join<A, B, RA, RB>(policy: ExecPolicy, a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if policy.is_sequential() {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    // run_scope wants Fn + Sync; smuggle the FnOnce closures through
-    // Mutex<Option<_>> cells. Each index runs exactly once, so take()
-    // always finds the closure.
-    let a_cell = Mutex::new(Some(a));
-    let b_cell = Mutex::new(Some(b));
-    let ra_cell: Mutex<Option<RA>> = Mutex::new(None);
-    let rb_cell: Mutex<Option<RB>> = Mutex::new(None);
-    Pool::global().run_scope(2, &|i| {
-        if i == 0 {
-            let f = a_cell.lock().unwrap().take().expect("task 0 runs once");
-            *ra_cell.lock().unwrap() = Some(f());
-        } else {
-            let f = b_cell.lock().unwrap().take().expect("task 1 runs once");
-            *rb_cell.lock().unwrap() = Some(f());
+    ev_trace::counter("par.spawned").add(spawn as u64);
+    let mut items = items.into_iter();
+    let mut groups = chunk_bounds(n, spawn + 1)
+        .into_iter()
+        .map(|range| items.by_ref().take(range.len()).collect::<Vec<T>>());
+    let own = groups.next().expect("a spawning fan-out has two groups");
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = groups
+            .map(|group| s.spawn(move || group.into_iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out = Vec::with_capacity(n);
+        out.extend(own.into_iter().map(f));
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
-    });
-    (
-        ra_cell.into_inner().unwrap().expect("task 0 completed"),
-        rb_cell.into_inner().unwrap().expect("task 1 completed"),
-    )
+        out
+    })
 }
 
 /// Shared state of a bounded producer→consumer hand-off.
 struct PipeShared<T, E> {
     state: Mutex<PipeState<T, E>>,
-    cond: std::sync::Condvar,
+    cond: Condvar,
 }
 
 struct PipeState<T, E> {
-    queue: std::collections::VecDeque<Result<T, E>>,
+    queue: VecDeque<Result<T, E>>,
     /// Producer finished (returned `None`).
     done: bool,
     /// Consumer finished (its closure returned); producer should stop.
@@ -313,18 +257,16 @@ where
     let depth = depth.max(1);
     let shared = PipeShared {
         state: Mutex::new(PipeState {
-            queue: std::collections::VecDeque::with_capacity(depth),
+            queue: VecDeque::with_capacity(depth),
             done: false,
             closed: false,
         }),
-        cond: std::sync::Condvar::new(),
+        cond: Condvar::new(),
     };
-    // A dedicated scoped thread, not a pool task: pool scopes are
-    // fork-join (the submitter blocks until every task finishes), while
-    // a pipeline stage must run *concurrently with the submitter* for
-    // its whole lifetime. Parking a pool worker on a long-lived stage
-    // would also starve nested fork-join calls the producer itself
-    // makes (the gzip stage checksums chunks through the pool).
+    ev_trace::counter("par.spawned").inc();
+    // Unlike a fan-out group, the producer runs concurrently with the
+    // consumer for the pipeline's whole lifetime, so it always gets a
+    // thread of its own.
     std::thread::scope(|s| {
         s.spawn(|| loop {
             let item = produce();
@@ -360,11 +302,6 @@ where
     })
 }
 
-/// Number of workers the global pool runs (spawning it if needed).
-pub fn pool_workers() -> usize {
-    Pool::global().workers()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,11 +326,33 @@ mod tests {
     }
 
     #[test]
+    fn spawn_count_stays_below_the_core_count() {
+        for cores in [1, 2, 3, 8, 32, max_threads()] {
+            for threads in 1..=1024 {
+                for items in [0, 1, 2, 3, 16, 1000, 1 << 20] {
+                    let spawn = spawn_count(items, threads, cores);
+                    assert!(
+                        spawn < cores,
+                        "cores {cores} threads {threads} items {items}"
+                    );
+                    assert!(spawn < threads.max(1));
+                    assert!(spawn < items.max(1));
+                }
+            }
+        }
+        assert_eq!(spawn_count(1000, 1024, 2), 1);
+        assert_eq!(spawn_count(1000, 3, 32), 2);
+        assert_eq!(spawn_count(1, 8, 8), 0);
+    }
+
+    #[test]
     fn parallel_for_visits_every_index_once() {
+        // The VM's shape: index ranges of at least 16 as the items.
         let counters: Vec<AtomicUsize> = (0..5000).map(|_| AtomicUsize::new(0)).collect();
-        for threads in [1, 2, 4, 8] {
+        for threads in [1, 2, 4, 8, 1024] {
             counters.iter().for_each(|c| c.store(0, Ordering::Relaxed));
-            parallel_for(5000, ExecPolicy::with_threads(threads), 16, &|range| {
+            let ranges = chunk_bounds(5000, threads.min(5000usize.div_ceil(16)));
+            fan_out(ranges, ExecPolicy::with_threads(threads), |range| {
                 for i in range {
                     counters[i].fetch_add(1, Ordering::Relaxed);
                 }
@@ -404,52 +363,41 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..3000).collect();
-        let seq = parallel_map(&items, ExecPolicy::SEQUENTIAL, |&x| x * 3 + 1);
-        for threads in [2, 4, 8] {
-            let par = parallel_map(&items, ExecPolicy::with_threads(threads), |&x| x * 3 + 1);
-            assert_eq!(par, seq);
+        // Owned items in, owned results out, one distinct result each.
+        let items: Vec<String> = (0..3000).map(|i| format!("item{i}")).collect();
+        let expected: Vec<String> = (0..3000).map(|i| format!("item{i}!")).collect();
+        for threads in [1, 2, 4, 8, 1024] {
+            let got = fan_out(items.clone(), ExecPolicy::with_threads(threads), |s| {
+                s + "!"
+            });
+            assert_eq!(got, expected, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn parallel_tasks_runs_each_task() {
-        let hits: Vec<AtomicUsize> = (0..37).map(|_| AtomicUsize::new(0)).collect();
-        parallel_tasks(37, ExecPolicy::with_threads(4), &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn shared_slice_parallel_fill() {
-        let mut data = vec![0u64; 10_000];
-        let shared = SharedSlice::new(&mut data);
-        parallel_for(10_000, ExecPolicy::with_threads(8), 64, &|range| {
-            for i in range {
-                unsafe { shared.set(i, i as u64 * 7) };
-            }
-        });
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64 * 7));
+        assert!(fan_out(Vec::<u8>::new(), ExecPolicy::with_threads(4), |b| b).is_empty());
     }
 
     #[test]
     fn panics_propagate_to_submitter() {
         let result = std::panic::catch_unwind(|| {
-            parallel_for(100, ExecPolicy::with_threads(4), 1, &|range| {
-                if range.contains(&50) {
-                    panic!("boom");
-                }
-            });
+            fan_out(
+                (0..100).collect(),
+                ExecPolicy::with_threads(4),
+                |i: usize| {
+                    if i == 50 {
+                        panic!("boom");
+                    }
+                },
+            );
         });
-        assert!(result.is_err());
+        let payload = result.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 
     #[test]
     fn nested_scopes_complete() {
         let total = AtomicUsize::new(0);
-        parallel_tasks(4, ExecPolicy::with_threads(4), &|_outer| {
-            parallel_for(100, ExecPolicy::with_threads(2), 10, &|range| {
+        fan_out(vec![(); 4], ExecPolicy::with_threads(4), |()| {
+            let ranges = chunk_bounds(100, 10);
+            fan_out(ranges, ExecPolicy::with_threads(2), |range| {
                 total.fetch_add(range.len(), Ordering::Relaxed);
             });
         });
@@ -457,31 +405,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_join_returns_both_results() {
-        for threads in [1, 2, 8] {
-            let data: Vec<u64> = (0..1000).collect();
-            let (sum, max) = parallel_join(
-                ExecPolicy::with_threads(threads),
-                || data.iter().sum::<u64>(),
-                || data.iter().copied().max(),
-            );
-            assert_eq!(sum, 499_500);
-            assert_eq!(max, Some(999));
-        }
-    }
-
-    #[test]
-    fn parallel_join_moves_captures() {
-        // FnOnce closures: consume owned values on both sides.
-        let left = String::from("left");
-        let right = [1u8, 2, 3];
-        let (a, b) = parallel_join(
-            ExecPolicy::with_threads(4),
-            move || left,
-            move || right.len(),
-        );
-        assert_eq!(a, "left");
-        assert_eq!(b, 3);
+    fn sequential_policy_runs_inline() {
+        let thread_id = std::thread::current().id();
+        fan_out((0..100).collect(), ExecPolicy::SEQUENTIAL, |_: usize| {
+            assert_eq!(std::thread::current().id(), thread_id);
+        });
     }
 
     #[test]
@@ -570,13 +498,5 @@ mod tests {
                 },
             );
         }
-    }
-
-    #[test]
-    fn sequential_policy_runs_inline() {
-        let thread_id = std::thread::current().id();
-        parallel_for(100, ExecPolicy::SEQUENTIAL, 1, &|_range| {
-            assert_eq!(std::thread::current().id(), thread_id);
-        });
     }
 }

@@ -37,10 +37,9 @@ use crate::interp::{value_snapshot, ProfileApi, Value, VmFunc, SNAPSHOT_DEPTH_LI
 use crate::ScriptError;
 use ev_par::ExecPolicy;
 use std::rc::Rc;
-use std::sync::Mutex;
 
-/// Smallest node range worth handing to a pool worker: each node runs
-/// a full callback (dozens of ops), so chunks can be fine-grained.
+/// Smallest node range worth a chunk of its own: each node runs a full
+/// callback (dozens of ops), so chunks can be fine-grained.
 const PAR_MIN_CHUNK: usize = 16;
 
 /// The bytecode interpreter for one compiled chunk.
@@ -1104,12 +1103,12 @@ fn from_send(value: SendVal) -> Value {
 /// ops dispatched — or `None` if anything went wrong in that chunk.
 type ChunkOutcome = Option<(Vec<SendVal>, u64, u64)>;
 
-/// Fans `proto` out over `0..count` node handles on the pool. Each
-/// chunk runs its own VM against a read-only profile binding with the
-/// caller's full remaining `budget` and call `depth`; per-chunk results
-/// are concatenated in node order (determinism is by construction —
-/// pure callbacks make chunk outcomes independent of scheduling).
-/// `None` if any chunk failed.
+/// Fans `proto` out over `0..count` node handles in chunks of at least
+/// [`PAR_MIN_CHUNK`] nodes. Each chunk runs its own VM against a
+/// read-only profile binding with the caller's full remaining `budget`
+/// and call `depth`; per-chunk results come back in node order
+/// (determinism is by construction — pure callbacks make chunk
+/// outcomes independent of scheduling). `None` if any chunk failed.
 fn parallel_nodes(
     profile: &ev_core::Profile,
     chunk: &Chunk,
@@ -1119,40 +1118,27 @@ fn parallel_nodes(
     depth: usize,
     policy: ExecPolicy,
 ) -> Option<(Vec<SendVal>, u64, u64)> {
-    let pieces: Mutex<Vec<(usize, ChunkOutcome)>> = Mutex::new(Vec::new());
-    ev_par::parallel_for(count, policy, PAR_MIN_CHUNK, &|range| {
+    let tasks = policy.threads.min(count.div_ceil(PAR_MIN_CHUNK));
+    let ranges = ev_par::chunk_bounds(count, tasks);
+    let outcomes: Vec<ChunkOutcome> = ev_par::fan_out(ranges, policy, |range| {
         let mut host = crate::host::ReadBinding { profile };
         let mut vm = Vm::new(&mut host, chunk, budget, ExecPolicy::SEQUENTIAL);
         vm.depth = depth;
         let arity = chunk.protos[proto as usize].arity;
         let callback = Value::VmFunc(Rc::new(VmFunc { proto, arity }));
-        let start = range.start;
         let mut vals = Vec::with_capacity(range.len());
-        let mut ok = true;
         for node in range {
-            match vm.call_value_1(&callback, Value::Num(node as f64), 0) {
-                Ok(v) => match to_send(&v, 0) {
-                    Ok(s) => vals.push(s),
-                    Err(()) => {
-                        ok = false;
-                        break;
-                    }
-                },
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
+            let v = vm
+                .call_value_1(&callback, Value::Num(node as f64), 0)
+                .ok()?;
+            vals.push(to_send(&v, 0).ok()?);
         }
-        let outcome = if ok { Some((vals, vm.steps, vm.ops)) } else { None };
-        pieces.lock().unwrap().push((start, outcome));
+        Some((vals, vm.steps, vm.ops))
     });
-    let mut pieces = pieces.into_inner().ok()?;
-    pieces.sort_by_key(|&(start, _)| start);
     let mut out = Vec::with_capacity(count);
     let mut steps = 0u64;
     let mut ops = 0u64;
-    for (_, outcome) in pieces {
+    for outcome in outcomes {
         let (vals, s, o) = outcome?;
         out.extend(vals);
         steps = steps.saturating_add(s);

@@ -29,11 +29,12 @@
 //! A span is opened with [`span`] and closed by dropping the returned
 //! guard. Each thread keeps a private buffer and a stack of open span
 //! ids; parent linkage is the enclosing span on the *same* thread
-//! (spans opened on `ev-par` workers attach to the root). Completed
-//! records are flushed to a global collector — a lock-free Treiber
-//! stack of record chunks — whenever a thread's span stack empties,
-//! so no lock is ever taken on the recording path. [`take_spans`]
-//! drains the collector into a deterministic `(start, id)` order.
+//! (spans opened on `ev-par` threads attach to the root). Completed
+//! records are flushed to a global collector — one mutex-guarded
+//! vector of records — whenever a thread's span stack empties or its
+//! buffer fills, so the lock is taken once per flushed batch, never
+//! per span. [`take_spans`] drains the collector into a deterministic
+//! `(start, id)` order.
 //!
 //! For request-scoped observability, [`start_capture`] opens a
 //! thread-local window that routes completing spans into the capture
@@ -57,6 +58,8 @@
 //! ev_trace::set_enabled(false);
 //! assert!(spans.iter().any(|s| s.name == "demo.inner" && s.parent != 0));
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod clock;
 mod flight;
@@ -149,6 +152,47 @@ mod tests {
         let spans = take_spans();
         set_enabled(false);
         assert!(spans.iter().any(|s| s.name == "test.worker"));
+    }
+
+    #[test]
+    fn concurrent_flushes_collect_each_record_once() {
+        // Each thread records more than two buffers' worth under an
+        // open outer span, so it flushes at the buffer limit and again
+        // when the outer span closes; the barrier lines the threads'
+        // flushes up against each other.
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 2500;
+        let _guard = collector_lock();
+        set_enabled(true);
+        let _ = take_spans();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    let _outer = span("test.flush_outer");
+                    barrier.wait();
+                    for _ in 0..PER_THREAD {
+                        let _s = span("test.flush");
+                    }
+                });
+            }
+        });
+        let spans = take_spans();
+        set_enabled(false);
+        let inner: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "test.flush").collect();
+        assert_eq!(inner.len(), THREADS * PER_THREAD);
+        let ids: std::collections::HashSet<u64> = inner.iter().map(|s| s.id).collect();
+        assert_eq!(ids.len(), inner.len(), "a record was collected twice");
+        let outers = spans
+            .iter()
+            .filter(|s| s.name == "test.flush_outer")
+            .count();
+        assert_eq!(outers, THREADS);
+        let mut threads: Vec<u32> = inner.iter().map(|s| s.thread).collect();
+        threads.sort_unstable();
+        threads.dedup();
+        assert_eq!(threads.len(), THREADS);
+        assert!(take_spans().is_empty(), "take_spans drains the collector");
     }
 
     #[test]

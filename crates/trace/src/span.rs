@@ -1,10 +1,10 @@
 //! Spans: named wall-clock intervals with parent linkage, buffered
-//! per-thread and flushed lock-free to a global collector.
+//! per-thread and flushed in batches to a global collector.
 
 use crate::clock;
 use std::cell::RefCell;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Flush a thread buffer once it holds this many completed records,
 /// even while spans are still open on that thread (records are complete
@@ -60,32 +60,18 @@ static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 static SPAN_COUNT: AtomicU64 = AtomicU64::new(0);
 
-/// A node in the global collector: one flushed buffer of records.
-struct Chunk {
-    records: Vec<SpanRecord>,
-    next: *mut Chunk,
-}
+/// The global collector: every record flushed from a thread buffer.
+/// Threads take the lock once per flushed buffer, not once per span.
+static COLLECTED: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
 
-/// Head of the lock-free Treiber stack of flushed chunks.
-static CHUNKS: AtomicPtr<Chunk> = AtomicPtr::new(ptr::null_mut());
-
-fn push_chunk(records: Vec<SpanRecord>) {
+fn collect(records: &mut Vec<SpanRecord>) {
     if records.is_empty() {
         return;
     }
-    let chunk = Box::into_raw(Box::new(Chunk {
-        records,
-        next: ptr::null_mut(),
-    }));
-    let mut head = CHUNKS.load(Ordering::Acquire);
-    loop {
-        // The chunk is not yet shared, so this plain write is safe.
-        unsafe { (*chunk).next = head };
-        match CHUNKS.compare_exchange_weak(head, chunk, Ordering::Release, Ordering::Acquire) {
-            Ok(_) => return,
-            Err(current) => head = current,
-        }
-    }
+    // A panic cannot leave the vector half-appended, so a poisoned
+    // lock still guards whole records.
+    let mut collected = COLLECTED.lock().unwrap_or_else(|e| e.into_inner());
+    collected.append(records);
 }
 
 /// Flushes the calling thread's completed records to the global
@@ -93,12 +79,7 @@ fn push_chunk(records: Vec<SpanRecord>) {
 /// empties; public so long-lived threads with open spans can flush at
 /// their own safe points.
 pub fn flush_thread() {
-    BUF.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        if !buf.records.is_empty() {
-            push_chunk(std::mem::take(&mut buf.records));
-        }
-    });
+    BUF.with(|buf| collect(&mut buf.borrow_mut().records));
 }
 
 /// Drains every flushed span from the global collector, sorted by
@@ -107,13 +88,7 @@ pub fn flush_thread() {
 /// records are visible once their span stacks emptied.
 pub fn take_spans() -> Vec<SpanRecord> {
     flush_thread();
-    let mut head = CHUNKS.swap(ptr::null_mut(), Ordering::Acquire);
-    let mut out = Vec::new();
-    while !head.is_null() {
-        let chunk = unsafe { Box::from_raw(head) };
-        out.extend_from_slice(&chunk.records);
-        head = chunk.next;
-    }
+    let mut out = std::mem::take(&mut *COLLECTED.lock().unwrap_or_else(|e| e.into_inner()));
     out.sort_by_key(|r| (r.start_ns, r.id));
     out
 }
@@ -283,7 +258,7 @@ impl Drop for Span {
             }
             buf.records.push(record);
             if buf.stack.is_empty() || buf.records.len() >= FLUSH_LEN {
-                push_chunk(std::mem::take(&mut buf.records));
+                collect(&mut buf.records);
             }
         });
     }

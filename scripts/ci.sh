@@ -124,8 +124,10 @@ target/release/ingest --quick \
 grep -q '"schema": "ev-bench-ingest/v1"' BENCH_ingest.json \
     || { echo "FAIL: BENCH_ingest.json malformed (schema key missing)" >&2; exit 1; }
 # Per workload: the decode's walk, sample-resolve and CCT-build phases,
-# timed by EasyView's own spans, and the heap the decoded profile keeps.
-for row in wire_walk_secs resolve_secs cct_build_secs heap_bytes_per_node; do
+# timed by EasyView's own spans, and the heap the decoded profile keeps;
+# once per run, the share of an open that spans cost with tracing off.
+for row in wire_walk_secs resolve_secs cct_build_secs heap_bytes_per_node \
+    disabled_share_of_open; do
     grep -q "\"$row\"" BENCH_ingest.json \
         || { echo "FAIL: BENCH_ingest.json misses the $row row" >&2; exit 1; }
 done
@@ -206,6 +208,8 @@ target/release/script --quick \
     || { echo "FAIL: BENCH_script.json missing or empty" >&2; exit 1; }
 grep -q '"schema": "ev-bench-script/v1"' BENCH_script.json \
     || { echo "FAIL: BENCH_script.json malformed (schema key missing)" >&2; exit 1; }
+grep -q '"aggregate"' BENCH_script.json \
+    || { echo "FAIL: BENCH_script.json misses the aggregate thread-scaling row" >&2; exit 1; }
 git checkout -- BENCH_script.json 2>/dev/null || true
 
 echo "== stats --json smoke =="
