@@ -65,5 +65,5 @@ pub use diff::{diff, DiffEntry, DiffProfile, DiffTag};
 pub use ev_par::ExecPolicy;
 pub use scaling::{scaling_diff, ScalingProfile};
 pub use timeline::{classify_timeline, TimelinePattern};
-pub use transform::{bottom_up, flatten};
+pub use transform::{bottom_up, flatten, Transformed};
 pub use traverse::{collapse_recursion, prune, MetricView};

@@ -2,7 +2,19 @@
 //! (paper §V-A-b).
 
 use crate::traverse::MetricView;
-use ev_core::{ContextKind, Frame, MetricId, NodeId, Profile};
+use ev_core::{ContextKind, FrameMap, FrameRef, MetricId, NodeId, Profile, StringId};
+
+/// A transformed tree and, per node, the source context it stands for.
+#[derive(Debug, Clone)]
+pub struct Transformed {
+    /// The transformed tree, with the one metric it was built for.
+    pub profile: Profile,
+    /// Per node of `profile`, by index: the source node at the step
+    /// whose insert created it (the root for the root). A bottom-up
+    /// node shares its source node's frame; a flat node's source node
+    /// has the node's module, file or function.
+    pub sources: Vec<NodeId>,
+}
 
 /// Builds the bottom-up tree for `metric`: every monitoring point's call
 /// path is reversed, so the first level holds leaf functions (the
@@ -13,98 +25,136 @@ use ev_core::{ContextKind, Frame, MetricId, NodeId, Profile};
 /// along the reversed path; the bottom-up tree's exclusive values at the
 /// first level therefore equal the source's per-function exclusive
 /// totals.
-pub fn bottom_up(profile: &Profile, metric: MetricId) -> Profile {
+///
+/// Source nodes are visited in id order, and each one with a nonzero
+/// exclusive value walks the parent column up to the root, inserting
+/// one [`Profile::child_id`] per step with its frame translated once
+/// per source frame. Node ids, string-table order and value order are
+/// those of inserting each reversed path's resolved frames with
+/// [`Profile::add_sample`].
+pub fn bottom_up(profile: &Profile, metric: MetricId) -> Transformed {
     let _span = ev_trace::span("analysis.bottom_up");
     let view = MetricView::compute(profile, metric);
-    let mut out = Profile::new(profile.meta().name.clone());
-    *out.meta_mut() = profile.meta().clone();
-    out.meta_mut().description = format!(
-        "bottom-up view of {} by {}",
-        profile.meta().name,
-        profile.metric(metric).name
-    );
-    let m = out.add_metric(profile.metric(metric).clone());
-
-    let mut reversed: Vec<Frame> = Vec::new();
-    for id in profile.node_ids() {
-        if id == NodeId::ROOT {
-            continue;
-        }
+    let (mut out, m) = shaped(profile, metric, "bottom-up");
+    let mut frames = FrameMap::new(profile);
+    let mut sources = vec![NodeId::ROOT];
+    for id in profile.node_ids().skip(1) {
         let value = view.exclusive(id);
         if value == 0.0 {
             continue;
         }
-        reversed.clear();
-        let path = profile.path(id);
-        for &step in path.iter().rev() {
-            reversed.push(profile.resolve_frame(step));
+        let mut node = NodeId::ROOT;
+        let mut step = id;
+        loop {
+            let src = profile.node(step);
+            let frame = frames.frame(&mut out, src.frame_id());
+            node = out.child_id(node, frame);
+            sources.resize(out.node_count(), step);
+            match src.parent() {
+                Some(parent) if parent != NodeId::ROOT => step = parent,
+                _ => break,
+            }
         }
-        out.add_sample(&reversed, &[(m, value)]);
+        out.add_value(node, m, value);
     }
     out.finish();
-    out
+    Transformed {
+        profile: out,
+        sources,
+    }
 }
 
 /// Builds the flat tree for `metric`: call paths are elided and
 /// exclusive costs re-attributed into the fixed hierarchy
 /// *load module → file → function* (top level = modules, the paper's
-/// "hot shared libraries, files, and functions").
-pub fn flatten(profile: &Profile, metric: MetricId) -> Profile {
+/// "hot shared libraries, files, and functions"). Functions are
+/// identified by name, module and file: all their lines merge.
+///
+/// Every source frame maps to one function node, so the three inserts
+/// run once per distinct frame, on its first node with a nonzero
+/// exclusive value; later nodes add their value straight to the
+/// memoized function node.
+pub fn flatten(profile: &Profile, metric: MetricId) -> Transformed {
     let _span = ev_trace::span("analysis.flatten");
     let view = MetricView::compute(profile, metric);
-    let mut out = Profile::new(profile.meta().name.clone());
-    *out.meta_mut() = profile.meta().clone();
-    out.meta_mut().description = format!(
-        "flat view of {} by {}",
-        profile.meta().name,
-        profile.metric(metric).name
-    );
-    let m = out.add_metric(profile.metric(metric).clone());
-
-    for id in profile.node_ids() {
-        if id == NodeId::ROOT {
-            continue;
-        }
+    let (mut out, m) = shaped(profile, metric, "flat");
+    let mut strings = FrameMap::new(profile);
+    let mut functions: Vec<Option<NodeId>> = vec![None; profile.frame_count()];
+    let mut sources = vec![NodeId::ROOT];
+    for id in profile.node_ids().skip(1) {
         let value = view.exclusive(id);
         if value == 0.0 {
             continue;
         }
-        let frame = profile.resolve_frame(id);
-        let module_name = if frame.module.is_empty() {
-            "(unknown module)".to_owned()
-        } else {
-            frame.module.clone()
+        let node = profile.node(id);
+        let func = match functions[node.frame_id().index()] {
+            Some(func) => func,
+            None => {
+                let frame = node.frame();
+                let mut row = |out: &mut Profile, parent, [name, module, file]: [StringId; 3]| {
+                    let row = out.child_ref(
+                        parent,
+                        FrameRef {
+                            kind: ContextKind::Function,
+                            name,
+                            module,
+                            file,
+                            line: 0,
+                            address: 0,
+                        },
+                    );
+                    sources.resize(out.node_count(), id);
+                    row
+                };
+                let module_name = match frame.module {
+                    StringId::EMPTY => out.intern("(unknown module)"),
+                    module => strings.string(&mut out, module),
+                };
+                let module = row(
+                    &mut out,
+                    NodeId::ROOT,
+                    [module_name, module_name, StringId::EMPTY],
+                );
+                let file_name = match frame.file {
+                    StringId::EMPTY => out.intern("(unknown file)"),
+                    file => strings.string(&mut out, file),
+                };
+                let file = row(&mut out, module, [file_name, StringId::EMPTY, file_name]);
+                // Interned name → module → file, as `Frame::intern` does.
+                let name = strings.string(&mut out, frame.name);
+                let module_id = strings.string(&mut out, frame.module);
+                let file_id = strings.string(&mut out, frame.file);
+                let func = row(&mut out, file, [name, module_id, file_id]);
+                *functions[node.frame_id().index()].insert(func)
+            }
         };
-        let file_name = if frame.file.is_empty() {
-            "(unknown file)".to_owned()
-        } else {
-            frame.file.clone()
-        };
-        let module = out.child(
-            out.root(),
-            &Frame::new(ContextKind::Function, module_name.clone()).with_module(module_name),
-        );
-        let file = out.child(
-            module,
-            &Frame::new(ContextKind::Function, file_name.clone()).with_source(file_name, 0),
-        );
-        // Function level: identified by name only (all lines merge).
-        let func = out.child(
-            file,
-            &Frame::function(frame.name.clone())
-                .with_module(frame.module)
-                .with_source(frame.file, 0),
-        );
         out.add_value(func, m, value);
     }
     out.finish();
-    out
+    Transformed {
+        profile: out,
+        sources,
+    }
+}
+
+/// An empty profile for the `shape` view of `profile` by `metric`:
+/// the source's metadata with a new description, and that one metric.
+fn shaped(profile: &Profile, metric: MetricId, shape: &str) -> (Profile, MetricId) {
+    let mut out = Profile::new(profile.meta().name.clone());
+    *out.meta_mut() = profile.meta().clone();
+    out.meta_mut().description = format!(
+        "{shape} view of {} by {}",
+        profile.meta().name,
+        profile.metric(metric).name
+    );
+    let m = out.add_metric(profile.metric(metric).clone());
+    (out, m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_core::{MetricDescriptor, MetricKind, MetricUnit};
+    use ev_core::{Frame, MetricDescriptor, MetricKind, MetricUnit};
     use ev_test::prelude::*;
 
     fn build() -> (Profile, MetricId) {
@@ -141,7 +191,7 @@ mod tests {
     #[test]
     fn bottom_up_merges_hot_leaves() {
         let (p, m) = build();
-        let bu = bottom_up(&p, m);
+        let bu = bottom_up(&p, m).profile;
         bu.validate().unwrap();
         let bm = bu.metric_by_name("cpu").unwrap();
         // Mass conserved.
@@ -179,7 +229,7 @@ mod tests {
     #[test]
     fn flat_groups_by_module_file_function() {
         let (p, m) = build();
-        let flat = flatten(&p, m);
+        let flat = flatten(&p, m).profile;
         flat.validate().unwrap();
         let fm = flat.metric_by_name("cpu").unwrap();
         assert_eq!(flat.total(fm), 12.0);
@@ -203,7 +253,7 @@ mod tests {
     #[test]
     fn flat_merges_same_function_across_paths() {
         let (p, m) = build();
-        let flat = flatten(&p, m);
+        let flat = flatten(&p, m).profile;
         let mallocs: Vec<NodeId> = flat
             .node_ids()
             .filter(|&id| flat.resolve_frame(id).name == "malloc")
@@ -242,8 +292,8 @@ mod tests {
         fn transforms_conserve_mass(p in arb_profile()) {
             let m = p.metric_by_name("m").unwrap();
             let total = p.total(m);
-            let bu = bottom_up(&p, m);
-            let flat = flatten(&p, m);
+            let bu = bottom_up(&p, m).profile;
+            let flat = flatten(&p, m).profile;
             prop_assert!((bu.total(bu.metric_by_name("m").unwrap()) - total).abs() < 1e-6);
             prop_assert!((flat.total(flat.metric_by_name("m").unwrap()) - total).abs() < 1e-6);
             bu.validate().unwrap();
@@ -261,7 +311,7 @@ mod tests {
             by_name.retain(|_, v| *v != 0.0);
             // ...must equal the inclusive value of each first-level
             // bottom-up node.
-            let bu = bottom_up(&p, m);
+            let bu = bottom_up(&p, m).profile;
             let bm = bu.metric_by_name("m").unwrap();
             let view = MetricView::compute(&bu, bm);
             let mut got: std::collections::HashMap<String, f64> = Default::default();

@@ -1,7 +1,7 @@
 //! Traversal-based analyses: inclusive/exclusive metrics, pruning, and
 //! recursion collapsing (paper §V-A-a).
 
-use ev_core::{ContextKind, Frame, MetricId, MetricKind, NodeId, Profile};
+use ev_core::{ContextKind, Frame, FrameMap, FrameRef, MetricId, MetricKind, NodeId, Profile};
 
 /// Inclusive and exclusive values of one metric over a profile, computed
 /// in one sweep over node ids from high to low.
@@ -170,30 +170,40 @@ pub fn prune(profile: &Profile, metric: MetricId, threshold: f64) -> Profile {
 /// path steps whose (kind, name, module) agree merge into one node, so a
 /// 10 000-deep recursive descent becomes a single frame with accumulated
 /// costs — the paper's "collapsing deep and recursive call paths".
+///
+/// Frames are compared by id in the source's string table, and a frame
+/// is copied, once, only when a step does not merge, so node ids and
+/// string-table order are those of inserting each unmerged step's
+/// resolved frame with [`Profile::child`].
 pub fn collapse_recursion(profile: &Profile) -> Profile {
+    let _span = ev_trace::span("analysis.collapse_recursion");
     let mut out = Profile::new(profile.meta().name.clone());
     *out.meta_mut() = profile.meta().clone();
     for m in profile.metrics() {
         out.add_metric(m.clone());
     }
-    let mut work: Vec<(NodeId, NodeId)> = vec![(profile.root(), out.root())];
-    while let Some((src, dst)) = work.pop() {
+    let mut frames = FrameMap::new(profile);
+    // (source node, its destination, the source frame the destination
+    // was copied from); the root's is the root frame, which never merges.
+    let mut work: Vec<(NodeId, NodeId, FrameRef)> =
+        vec![(profile.root(), out.root(), FrameRef::root())];
+    while let Some((src, dst, dst_frame)) = work.pop() {
         for v in profile.node(src).values() {
             out.add_value(dst, v.0, v.1);
         }
         for &child in profile.node(src).children() {
-            let child_frame = profile.resolve_frame(child);
-            let dst_frame = out.resolve_frame(dst);
-            let recursive = child_frame.kind == dst_frame.kind
-                && child_frame.kind != ContextKind::Root
-                && child_frame.name == dst_frame.name
-                && child_frame.module == dst_frame.module;
-            let new_dst = if recursive {
-                dst
+            let node = profile.node(child);
+            let frame = node.frame();
+            let recursive = frame.kind == dst_frame.kind
+                && frame.kind != ContextKind::Root
+                && frame.name == dst_frame.name
+                && frame.module == dst_frame.module;
+            if recursive {
+                work.push((child, dst, dst_frame));
             } else {
-                out.child(dst, &child_frame)
-            };
-            work.push((child, new_dst));
+                let copied = frames.frame(&mut out, node.frame_id());
+                work.push((child, out.child_id(dst, copied), frame));
+            }
         }
     }
     out.finish();

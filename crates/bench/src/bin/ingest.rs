@@ -21,7 +21,7 @@
 //! They are still timed and reported — just not gated on.
 
 use ev_bench::pipeline::easyview_open;
-use ev_bench::timer::{bench, group, Measurement};
+use ev_bench::timer::{bench, group, interleaved_pairs, median, Measurement};
 use ev_flate::{
     crc32, crc32_reference, deflate_compress, gzip_decompress, gzip_decompress_with, inflate,
     inflate_reference, CompressionLevel, ExecPolicy, DEFAULT_CHUNK_SIZE,
@@ -242,46 +242,16 @@ fn minsecs_interleaved(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) 
     (best_a, best_b)
 }
 
-/// Runs `a` and `b` in `pairs` back-to-back pairs, alternating which
-/// side runs first, and returns the median seconds of each side and
-/// the median of the per-pair ratios `a / b`. A slow spell of host
-/// load spoils only the pairs it overlaps, and the median passes over
-/// them; a ratio of minima instead compares whichever runs of each
-/// side the spells happened to miss.
-fn median_pairs_interleaved(
-    pairs: usize,
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> (f64, f64, f64) {
-    let time = |f: &mut dyn FnMut()| {
-        let t = std::time::Instant::now();
-        f();
-        t.elapsed().as_secs_f64()
-    };
-    let (mut secs_a, mut secs_b, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for pair in 0..pairs.max(1) {
-        let (ta, tb) = if pair % 2 == 0 {
-            let ta = time(&mut a);
-            (ta, time(&mut b))
-        } else {
-            let tb = time(&mut b);
-            (time(&mut a), tb)
-        };
-        secs_a.push(ta);
-        secs_b.push(tb);
-        ratios.push(ta / tb);
-    }
-    (median(secs_a), median(secs_b), median(ratios))
-}
-
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(f64::total_cmp);
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
-    }
+/// The median seconds of `a` and of `b` over `pairs` interleaved pairs
+/// ([`interleaved_pairs`]), and the median of the per-pair ratios
+/// `a / b`.
+fn median_pairs_interleaved(pairs: usize, a: impl FnMut(), b: impl FnMut()) -> (f64, f64, f64) {
+    let times = interleaved_pairs(pairs, a, b);
+    (
+        median(times.iter().map(|t| t.0).collect()),
+        median(times.iter().map(|t| t.1).collect()),
+        median(times.iter().map(|t| t.0 / t.1).collect()),
+    )
 }
 
 /// Re-wraps `raw` as `parts` concatenated gzip members — the RFC 1952

@@ -25,15 +25,28 @@
 //! `debug/flightRecorder`, and the export is re-imported through our
 //! own chrome parser.
 //!
+//! A `coldViews` section times the uncached bottom-up and flat
+//! layouts, which every profile write sends back through the
+//! transform: `FlameGraph::bottom_up` and `flat` against the retained
+//! owned-`Frame` transforms (`ev_bench::oracle`) plus a top-down
+//! layout of their tree, in interleaved pairs, on a paper-shaped
+//! profile (21,200 functions, 1.06M samples), after checking that both
+//! sides give the same rects. Full mode gates each view's median
+//! ratio at [`MIN_COLD_VIEW_RATIO`].
+//!
 //! Usage: `serve [--quick] [--flight-out <path>]` (quick: smaller
-//! profile, shorter traces, thread counts 1 and 2 only).
+//! profiles, shorter traces, thread counts 1 and 2 only, and cold views
+//! reported without the gate).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use ev_analysis::Transformed;
+use ev_bench::oracle;
 use ev_bench::serve::{replay, replay_shared, ReplayResult};
-use ev_bench::timer::group;
+use ev_bench::timer::{group, interleaved_pairs, median};
+use ev_flame::{FlameGraph, FlameRect};
 use ev_gen::ide_session::{session_traces, SessionOp};
 use ev_gen::synthetic::SyntheticSpec;
 use ev_ide::{EditorClient, ServerOptions, SharedEvpServer};
@@ -45,6 +58,13 @@ const SEED: u64 = 0x5E12E;
 /// Required multi-thread speedup over single-thread on multi-core
 /// hosts (enforced only when the host actually has ≥ 2 cores).
 const MIN_SPEEDUP: f64 = 1.4;
+
+/// Required median speedup of each cold view over the retained
+/// transform plus top-down layout (full mode only).
+const MIN_COLD_VIEW_RATIO: f64 = 3.0;
+
+/// Interleaved pairs per cold view.
+const COLD_VIEW_PAIRS: usize = 7;
 
 /// Exact quantile of a sorted latency vector, in microseconds.
 fn pct_micros(sorted_nanos: &[u64], q: f64) -> f64 {
@@ -144,6 +164,78 @@ fn flight_demo(profile: &ev_core::Profile, ops: &[SessionOp]) -> (usize, usize, 
         .expect("re-import our own chrome export")
         .node_count();
     (captures, events, reimported, text)
+}
+
+/// One cold view: the frame-id layout against the retained transform
+/// plus a top-down layout of its tree, rects checked equal first (the
+/// retained side's nodes mapped to their representatives), then timed
+/// in interleaved pairs. Returns the report row and the median ratio.
+fn cold_view(
+    name: &str,
+    profile: &ev_core::Profile,
+    metric: ev_core::MetricId,
+    new: fn(&ev_core::Profile, ev_core::MetricId) -> FlameGraph,
+    retained: fn(&ev_core::Profile, ev_core::MetricId) -> Transformed,
+) -> (Value, f64) {
+    let old = |profile: &ev_core::Profile| {
+        let shaped = retained(profile, metric);
+        let graph = FlameGraph::top_down(&shaped.profile, ev_core::MetricId::from_index(0));
+        (graph, shaped.sources)
+    };
+    let got = new(profile, metric);
+    let (want, sources) = old(profile);
+    assert_eq!(got.rects().len(), want.rects().len(), "{name}: rect count");
+    for (i, (a, b)) in got.rects().iter().zip(want.rects()).enumerate() {
+        let b = FlameRect {
+            node: sources[b.node.index()],
+            ..b.clone()
+        };
+        assert_eq!(a, &b, "{name}: rect {i}");
+    }
+    assert_eq!(
+        (got.max_depth(), got.elided(), got.total()),
+        (want.max_depth(), want.elided(), want.total()),
+        "{name}: maxDepth, elided or total"
+    );
+    let pairs = interleaved_pairs(
+        COLD_VIEW_PAIRS,
+        || {
+            std::hint::black_box(new(profile, metric));
+        },
+        || {
+            std::hint::black_box(old(profile));
+        },
+    );
+    let ratios: Vec<f64> = pairs.iter().map(|&(a, b)| b / a).collect();
+    let ratio = median(ratios.clone());
+    let new_ms = median(pairs.iter().map(|p| p.0 * 1e3).collect());
+    let old_ms = median(pairs.iter().map(|p| p.1 * 1e3).collect());
+    println!(
+        "  {name:<9} {} rects, {} elided: {new_ms:>9.1} ms vs retained {old_ms:>9.1} ms, \
+         median ratio {ratio:.2}x (pairs {})",
+        got.rects().len(),
+        got.elided(),
+        ratios
+            .iter()
+            .map(|r| format!("{r:.2}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
+    let row = Value::object([
+        ("rects", Value::Int(got.rects().len() as i64)),
+        ("elided", Value::Int(got.elided() as i64)),
+        ("medianMillis", Value::Float(new_ms)),
+        ("retainedMedianMillis", Value::Float(old_ms)),
+        ("medianRatio", Value::Float(ratio)),
+        (
+            "pairMillis",
+            pairs
+                .iter()
+                .map(|&(a, b)| Value::Array(vec![Value::Float(a * 1e3), Value::Float(b * 1e3)]))
+                .collect(),
+        ),
+    ]);
+    (row, ratio)
 }
 
 fn repo_root() -> PathBuf {
@@ -316,6 +408,45 @@ fn main() {
         println!("chrome trace written to {}", path.display());
     }
 
+    group("serve: cold views (frame-id transform vs retained, interleaved)");
+    let (cold_functions, cold_samples) = if quick {
+        (functions, samples)
+    } else {
+        (21_200, 1_060_000)
+    };
+    let cold_profile = SyntheticSpec {
+        seed: SEED,
+        functions: cold_functions,
+        samples: cold_samples,
+        ..SyntheticSpec::default()
+    }
+    .build();
+    let cold_metric = ev_core::MetricId::from_index(0);
+    println!("{} nodes", cold_profile.node_count());
+    let (bottom_up_row, bottom_up_ratio) = cold_view(
+        "bottomUp",
+        &cold_profile,
+        cold_metric,
+        FlameGraph::bottom_up,
+        oracle::bottom_up,
+    );
+    let (flat_row, flat_ratio) = cold_view(
+        "flat",
+        &cold_profile,
+        cold_metric,
+        FlameGraph::flat,
+        oracle::flatten,
+    );
+    let cold_views = Value::object([
+        ("functions", Value::Int(cold_functions as i64)),
+        ("samples", Value::Int(cold_samples as i64)),
+        ("nodes", Value::Int(cold_profile.node_count() as i64)),
+        ("pairs", Value::Int(COLD_VIEW_PAIRS as i64)),
+        ("bottomUp", bottom_up_row),
+        ("flat", flat_row),
+    ]);
+    drop(cold_profile);
+
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let report = Value::object([
         ("schema", Value::from("ev-bench-serve/v2")),
@@ -355,6 +486,7 @@ fn main() {
                 ("reimportedNodes", Value::Int(reimported as i64)),
             ]),
         ),
+        ("coldViews", cold_views),
     ]);
 
     let path = repo_root().join("BENCH_serve.json");
@@ -416,6 +548,15 @@ fn main() {
         phases, 2,
         "expected the frame-decode and response-encode phases"
     );
+    if !quick {
+        for (view, ratio) in [("bottomUp", bottom_up_ratio), ("flat", flat_ratio)] {
+            assert!(
+                ratio >= MIN_COLD_VIEW_RATIO,
+                "cold {view} view is {ratio:.2}x the retained transform plus layout, \
+                 under the {MIN_COLD_VIEW_RATIO}x gate"
+            );
+        }
+    }
     assert!(captures > 0, "flight recorder captured nothing");
     assert!(events > 0 && reimported > 1, "chrome round-trip degenerate");
     println!("serve gates passed");

@@ -10,8 +10,12 @@
 //! | E5 differential view | §VI-A Fig. 3 | `paper_tables e5`, `examples/diff_spark.rs` |
 //! | E6 view effectiveness | §VII-D Fig. 8 | [`userstudy`], `paper_tables e6` |
 //! | E7 control-group task times | §VII-D | [`userstudy`], `paper_tables e7` |
+//!
+//! [`oracle`] keeps the tree transforms the frame-id ones replaced, for
+//! the differential tests and the `serve` bin's `coldViews` gate.
 
 pub mod loc;
+pub mod oracle;
 pub mod pipeline;
 pub mod serve;
 pub mod timer;

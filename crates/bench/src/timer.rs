@@ -62,6 +62,46 @@ pub fn bench<F: FnMut()>(label: &str, samples: usize, mut f: F) -> Measurement {
     m
 }
 
+/// Runs `a` and `b` in `pairs` back-to-back pairs, alternating which
+/// side runs first, and returns each pair's seconds of `a` and `b`. A
+/// slow spell of host load spoils only the pairs it overlaps, and a
+/// median passes over them; a ratio of minima instead compares
+/// whichever runs of each side the spells happened to miss.
+pub fn interleaved_pairs(
+    pairs: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> Vec<(f64, f64)> {
+    let time = |f: &mut dyn FnMut()| {
+        let start = ev_trace::now_ns();
+        f();
+        ev_trace::now_ns().saturating_sub(start) as f64 / 1e9
+    };
+    (0..pairs.max(1))
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let ta = time(&mut a);
+                (ta, time(&mut b))
+            } else {
+                let tb = time(&mut b);
+                (time(&mut a), tb)
+            }
+        })
+        .collect()
+}
+
+/// The median of `values`: the middle one, or the mean of the middle
+/// two for an even count.
+pub fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    if n % 2 == 1 {
+        values[n / 2]
+    } else {
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
+    }
+}
+
 /// Prints a section header.
 pub fn group(name: &str) {
     println!("\n== {name} ==");
@@ -70,6 +110,20 @@ pub fn group(name: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interleaved_pairs_alternate_which_side_runs_first() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let pairs = interleaved_pairs(
+            4,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!(pairs.len(), 4);
+        assert_eq!(order.into_inner(), ['a', 'b', 'b', 'a', 'a', 'b', 'b', 'a']);
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
+    }
 
     #[test]
     fn bench_reports_ordered_stats() {

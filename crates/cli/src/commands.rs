@@ -332,8 +332,8 @@ fn table(input: &str, options: &Options) -> Result<String, CliError> {
     let base = maybe_pruned(&profile, metric, options);
     let shaped = match options.shape {
         Shape::TopDown => base,
-        Shape::BottomUp => Cow::Owned(ev_analysis::bottom_up(&base, metric)),
-        Shape::Flat => Cow::Owned(ev_analysis::flatten(&base, metric)),
+        Shape::BottomUp => Cow::Owned(ev_analysis::bottom_up(&base, metric).profile),
+        Shape::Flat => Cow::Owned(ev_analysis::flatten(&base, metric).profile),
     };
     let metric = pick_metric(&shaped, options)?;
     let mut t = TreeTable::new(&shaped, &[metric]);

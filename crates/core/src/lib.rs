@@ -64,7 +64,7 @@ pub use builder::ProfileBuilder;
 pub use frame::{ContextKind, Frame, FrameRef};
 pub use link::{ContextLink, LinkKind};
 pub use metric::{MetricDescriptor, MetricId, MetricKind, MetricUnit};
-pub use profile::{FrameId, Node, NodeId, Profile, ProfileMeta};
+pub use profile::{FrameId, FrameMap, Node, NodeId, Profile, ProfileMeta};
 pub use string_table::{StringId, StringTable};
 
 use std::error::Error;

@@ -67,7 +67,12 @@ pub struct Node<'a> {
 impl<'a> Node<'a> {
     /// The interned frame of this node.
     pub fn frame(self) -> FrameRef {
-        self.profile.frames[self.profile.frame[self.index].index()]
+        self.profile.frames[self.frame_id().index()]
+    }
+
+    /// The frame-table id of this node's frame.
+    pub fn frame_id(self) -> FrameId {
+        self.profile.frame[self.index]
     }
 
     /// The parent node, `None` for the root.
@@ -376,6 +381,12 @@ impl Profile {
     /// per-sample string hashing.
     pub fn intern_frame(&mut self, frame: &Frame) -> FrameRef {
         frame.intern(&mut self.strings)
+    }
+
+    /// Number of distinct frames: every [`FrameId`] of this profile
+    /// indexes below it.
+    pub fn frame_count(&self) -> usize {
+        self.frames.len()
     }
 
     /// The frame-table id of `frame`, adding it to the table if new.
@@ -724,10 +735,10 @@ impl Profile {
     /// aggregation, differentiation and pruning (paper §V-A-a, §V-A-c).
     ///
     /// The walk is depth-first on a stack, so the last child is entered
-    /// first. Each source frame is translated here once, on first use,
-    /// interning its strings in name → module → file order, so node ids
-    /// and string-table order are exactly what inserting each resolved
-    /// [`Frame`] with [`Profile::child`] along the same walk would give.
+    /// first. Each source frame is translated once, on first use,
+    /// through a [`FrameMap`], so node ids and string-table order are
+    /// exactly what inserting each resolved [`Frame`] with
+    /// [`Profile::child`] along the same walk would give.
     ///
     /// A source child and its subtree are copied only if `keep(child)`
     /// holds. `visit(self, src_node, dst_node)` runs once per copied
@@ -741,8 +752,7 @@ impl Profile {
         mut visit: impl FnMut(&mut Profile, NodeId, NodeId),
     ) {
         let _span = ev_trace::span("analysis.graft");
-        let mut strings: Vec<Option<StringId>> = vec![None; src.strings.len()];
-        let mut frames: Vec<Option<FrameId>> = vec![None; src.frames.len()];
+        let mut frames = FrameMap::new(src);
         let src_children = src.children();
         let mut work: Vec<(NodeId, NodeId)> = vec![(NodeId::ROOT, NodeId::ROOT)];
         while let Some((from, to)) = work.pop() {
@@ -750,25 +760,7 @@ impl Profile {
                 if !keep(child) {
                     continue;
                 }
-                let src_frame = src.frame[child.index()];
-                let frame = match frames[src_frame.index()] {
-                    Some(frame) => frame,
-                    None => {
-                        let mut map = |id: StringId| {
-                            *strings[id.index()]
-                                .get_or_insert_with(|| self.strings.intern(src.strings.resolve(id)))
-                        };
-                        let frame = src.frames[src_frame.index()];
-                        // Fields initialise in the order written: name, module, file.
-                        let frame = FrameRef {
-                            name: map(frame.name),
-                            module: map(frame.module),
-                            file: map(frame.file),
-                            ..frame
-                        };
-                        *frames[src_frame.index()].insert(self.frame_id(frame))
-                    }
-                };
+                let frame = frames.frame(self, src.frame[child.index()]);
                 work.push((child, self.child_id(to, frame)));
             }
             visit(self, from, to);
@@ -1011,6 +1003,62 @@ impl Profile {
     /// Dense value slots over every column, stored or not.
     pub(crate) fn dense_slots(&self) -> usize {
         self.columns.iter().map(|column| column.values.len()).sum()
+    }
+}
+
+/// A memo from one source profile's strings and frames to a
+/// destination profile's. Each source string or frame is translated on
+/// first use, so copying a frame that recurs in many source contexts
+/// costs one table read per use. [`Profile::graft`] and the tree
+/// transforms in `ev-analysis` copy frames through it.
+#[derive(Debug)]
+pub struct FrameMap<'a> {
+    src: &'a Profile,
+    strings: Vec<Option<StringId>>,
+    frames: Vec<Option<FrameId>>,
+}
+
+impl<'a> FrameMap<'a> {
+    /// An empty memo for the strings and frames of `src`.
+    pub fn new(src: &'a Profile) -> FrameMap<'a> {
+        FrameMap {
+            src,
+            strings: vec![None; src.strings.len()],
+            frames: vec![None; src.frames.len()],
+        }
+    }
+
+    /// `dst`'s id for the source string `id`, interned on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a string of the source profile.
+    pub fn string(&mut self, dst: &mut Profile, id: StringId) -> StringId {
+        let src = self.src;
+        *self.strings[id.index()].get_or_insert_with(|| dst.intern(src.strings.resolve(id)))
+    }
+
+    /// `dst`'s frame-table id for the source frame `id`. On first use
+    /// the frame's strings are interned name → module → file, the
+    /// order [`Frame::intern`] uses, and the frame is added to `dst`'s
+    /// table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a frame of the source profile.
+    pub fn frame(&mut self, dst: &mut Profile, id: FrameId) -> FrameId {
+        if let Some(frame) = self.frames[id.index()] {
+            return frame;
+        }
+        let frame = self.src.frames[id.index()];
+        // Fields initialise in the order written: name, module, file.
+        let frame = FrameRef {
+            name: self.string(dst, frame.name),
+            module: self.string(dst, frame.module),
+            file: self.string(dst, frame.file),
+            ..frame
+        };
+        *self.frames[id.index()].insert(dst.frame_id(frame))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Flame-graph layout: the geometry below the rendering boundary.
 
 use crate::color::{Color, ColorScheme};
-use ev_analysis::MetricView;
+use ev_analysis::{MetricView, Transformed};
 use ev_core::{MetricId, NodeId, Profile};
 use std::collections::VecDeque;
 
@@ -16,12 +16,13 @@ const MIN_WIDTH: f64 = 1e-5;
 /// the root row. Multiply by the viewport size to get pixels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlameRect {
-    /// The node this rectangle represents. For [`FlameGraph::top_down`]
-    /// it is a node of the caller's profile. For
-    /// [`FlameGraph::bottom_up`] and [`FlameGraph::flat`] it is an id in
-    /// the transformed tree the layout built and dropped, so it does not
-    /// name a node of the caller's profile (the bottom-up code-link bug
-    /// in ROADMAP.md).
+    /// A node of the caller's profile, in every view. For
+    /// [`FlameGraph::top_down`] it is the node the rectangle draws. For
+    /// [`FlameGraph::bottom_up`] and [`FlameGraph::flat`] it is the
+    /// first source context that contributes to the rectangle (its
+    /// [`ev_analysis::Transformed::sources`] entry): one with the
+    /// rectangle's frame for bottom-up, one in the rectangle's module,
+    /// file or function for flat.
     pub node: NodeId,
     /// Row index (0 = root).
     pub depth: usize,
@@ -131,20 +132,27 @@ impl FlameGraph {
     /// Lays out the bottom-up view (paper Fig. 6): leaf functions at the
     /// first level, callers below.
     pub fn bottom_up(profile: &Profile, metric: MetricId) -> FlameGraph {
-        let transformed = ev_analysis::bottom_up(profile, metric);
-        let m = transformed
-            .metric_by_name(&profile.metric(metric).name)
-            .expect("transform keeps the metric");
-        Self::top_down(&transformed, m)
+        Self::transformed(profile, metric, ev_analysis::bottom_up(profile, metric))
     }
 
     /// Lays out the flat view: load modules → files → functions.
     pub fn flat(profile: &Profile, metric: MetricId) -> FlameGraph {
-        let transformed = ev_analysis::flatten(profile, metric);
-        let m = transformed
+        Self::transformed(profile, metric, ev_analysis::flatten(profile, metric))
+    }
+
+    /// Lays out a tree transformed from `profile`, then names each
+    /// rect's source node. The rects stay sorted by the transformed
+    /// tree's ids.
+    fn transformed(profile: &Profile, metric: MetricId, shaped: Transformed) -> FlameGraph {
+        let m = shaped
+            .profile
             .metric_by_name(&profile.metric(metric).name)
             .expect("transform keeps the metric");
-        Self::top_down(&transformed, m)
+        let mut graph = Self::top_down(&shaped.profile, m);
+        for rect in &mut graph.rects {
+            rect.node = shaped.sources[rect.node.index()];
+        }
+        graph
     }
 
     /// The laid-out rectangles, sorted by (depth, x).

@@ -156,6 +156,9 @@ grep -q '"ide.latency.profile/codeLink"' BENCH_serve.json \
     || { echo "FAIL: BENCH_serve.json misses per-method latency histograms" >&2; exit 1; }
 grep -q '"ide.phase.' BENCH_serve.json \
     || { echo "FAIL: BENCH_serve.json misses the ide.phase.* histograms" >&2; exit 1; }
+# Cold bottom-up and flat views against the retained transforms.
+grep -q '"coldViews"' BENCH_serve.json \
+    || { echo "FAIL: BENCH_serve.json misses the coldViews row" >&2; exit 1; }
 # The exported flight recording is chrome trace JSON our importer reads.
 [ -s "$SMOKE_DIR/flight.trace.json" ] \
     || { echo "FAIL: serve --flight-out wrote nothing" >&2; exit 1; }

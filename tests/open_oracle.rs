@@ -4,8 +4,10 @@
 //! code lives on here, in `oracle`: the post-order metric view, the
 //! layout that cloned its profile and resolved every frame to owned
 //! strings, the `Frame`-based color function, and the `fmt`-based
-//! number and string writers. Views are compared bit for bit, layouts
-//! rect by rect, JSON as bytes.
+//! number and string writers. The bottom-up and flat oracles lay out
+//! the retained transforms of `ev_bench::oracle`, whose rect nodes are
+//! then replaced by their representatives in the source profile.
+//! Views are compared bit for bit, layouts rect by rect, JSON as bytes.
 
 use ev_analysis::{aggregate, diff, prune, MetricView};
 use ev_core::{
@@ -21,6 +23,7 @@ use std::path::PathBuf;
 /// The code the open path replaced, unchanged apart from standing
 /// outside its crates.
 mod oracle {
+    use ev_analysis::Transformed;
     use ev_core::{Frame, MetricId, MetricKind, NodeId, Profile};
     use ev_flame::{Color, ColorScheme, FlameRect};
     use std::fmt::Write as _;
@@ -177,19 +180,25 @@ mod oracle {
     }
 
     pub fn bottom_up(profile: &Profile, metric: MetricId) -> Layout {
-        let transformed = ev_analysis::bottom_up(profile, metric);
-        let m = transformed
-            .metric_by_name(&profile.metric(metric).name)
-            .expect("transform keeps the metric");
-        layout(transformed, m, ColorScheme::default())
+        transformed(profile, metric, ev_bench::oracle::bottom_up(profile, metric))
     }
 
     pub fn flat(profile: &Profile, metric: MetricId) -> Layout {
-        let transformed = ev_analysis::flatten(profile, metric);
-        let m = transformed
+        transformed(profile, metric, ev_bench::oracle::flatten(profile, metric))
+    }
+
+    /// The layout of a retained transform's tree, each rect's node then
+    /// replaced by its representative in `profile`.
+    fn transformed(profile: &Profile, metric: MetricId, shaped: Transformed) -> Layout {
+        let m = shaped
+            .profile
             .metric_by_name(&profile.metric(metric).name)
             .expect("transform keeps the metric");
-        layout(transformed, m, ColorScheme::default())
+        let mut layout = layout(shaped.profile, m, ColorScheme::default());
+        for rect in &mut layout.rects {
+            rect.node = shaped.sources[rect.node.index()];
+        }
+        layout
     }
 
     /// The sequential branch of the owned-profile layout.

@@ -95,8 +95,8 @@ property! {
         let metric = MetricId::from_index(0);
         let total = profile.total(metric);
         let name = profile.metric(metric).name.clone();
-        let bu = ev_analysis::bottom_up(&profile, metric);
-        let flat = ev_analysis::flatten(&profile, metric);
+        let bu = ev_analysis::bottom_up(&profile, metric).profile;
+        let flat = ev_analysis::flatten(&profile, metric).profile;
         let m_bu = bu.metric_by_name(&name).unwrap();
         let m_flat = flat.metric_by_name(&name).unwrap();
         prop_assert!((bu.total(m_bu) - total).abs() / total < 1e-9);

@@ -3,9 +3,13 @@
 //! user-facing claims hold on the output.
 
 use ev_analysis::{aggregate, classify_timeline, diff, DiffTag, MetricView, TimelinePattern};
-use ev_core::{LinkKind, Profile};
+use ev_bench::oracle;
+use ev_core::{LinkKind, MetricId, Profile};
 use ev_flame::{CorrelatedView, DiffFlameGraph, FlameGraph, Histogram, TreeTable};
+use ev_gen::synthetic::SyntheticSpec;
 use ev_gen::{grpc_leak, lulesh, spark};
+use ev_ide::{EditorClient, EvpServer};
+use ev_json::Value;
 
 #[test]
 fn aggregate_histograms_detect_exactly_the_leaking_sites() {
@@ -129,4 +133,99 @@ fn tree_table_and_flame_graph_agree_on_inclusive_values() {
             assert!((rect.value - row.values[0].0).abs() < 1e-9);
         }
     }
+}
+
+/// Requests every view of `profile` over EVP with a limit that covers
+/// every rect, and checks each rect against the layout of the tree the
+/// view draws (the profile itself, or a retained transform of it):
+/// same label and `mapped`, a `node` of the opened profile, and, for a
+/// mapped rect, a `profile/codeLink` that lands on the file and line of
+/// the rect's own frame. Returns the number of code links followed.
+fn assert_code_links_land(profile: &Profile, metric_name: &str) -> usize {
+    let metric = profile.metric_by_name(metric_name).expect("metric");
+    let mut client = EditorClient::connect(EvpServer::new());
+    let profile_id = client.open_profile(profile).expect("open");
+    let bottom_up = oracle::bottom_up(profile, metric).profile;
+    let flat = oracle::flatten(profile, metric).profile;
+    let first = MetricId::from_index(0);
+    let views: [(&str, &Profile, MetricId); 3] = [
+        ("topDown", profile, metric),
+        ("bottomUp", &bottom_up, first),
+        ("flat", &flat, first),
+    ];
+    let mut links = 0;
+    for (view, tree, tree_metric) in views {
+        let drawn = FlameGraph::top_down(tree, tree_metric);
+        let result = client
+            .request(
+                "profile/flameGraph",
+                Value::object([
+                    ("profileId", Value::Int(profile_id)),
+                    ("metric", Value::from(metric_name)),
+                    ("view", Value::from(view)),
+                    ("limit", Value::Int(drawn.rects().len() as i64)),
+                ]),
+            )
+            .expect("flameGraph");
+        let rects = result
+            .get("rects")
+            .and_then(Value::as_array)
+            .expect("rects");
+        assert_eq!(rects.len(), drawn.rects().len(), "{view}: rect count");
+        for (i, (rect, want)) in rects.iter().zip(drawn.rects()).enumerate() {
+            let node = rect.get("node").and_then(Value::as_i64).expect("node");
+            assert!(
+                (0..profile.node_count() as i64).contains(&node),
+                "{view} rect {i}: node {node} is not a node of the profile"
+            );
+            assert_eq!(
+                rect.get("label").and_then(Value::as_str),
+                Some(want.label.as_str()),
+                "{view} rect {i}: label"
+            );
+            let mapped = rect.get("mapped").and_then(Value::as_bool).expect("mapped");
+            assert_eq!(mapped, want.mapped, "{view} rect {i}: mapped");
+            if !mapped {
+                continue;
+            }
+            let frame = tree.resolve_frame(want.node);
+            let link = client
+                .request(
+                    "profile/codeLink",
+                    Value::object([
+                        ("profileId", Value::Int(profile_id)),
+                        ("node", Value::Int(node)),
+                    ]),
+                )
+                .unwrap_or_else(|e| {
+                    panic!("{view} rect {i} ({}): codeLink failed: {e}", want.label)
+                });
+            assert_eq!(
+                (
+                    link.get("file").and_then(Value::as_str),
+                    link.get("line").and_then(Value::as_i64)
+                ),
+                (Some(frame.file.as_str()), Some(i64::from(frame.line))),
+                "{view} rect {i} ({}): codeLink landed elsewhere",
+                want.label
+            );
+            links += 1;
+        }
+    }
+    links
+}
+
+#[test]
+fn code_links_of_every_view_land_on_the_rect_frame() {
+    let cpu = lulesh::cpu_profile(3);
+    assert!(assert_code_links_land(&cpu, "CPUTIME (sec)") > 0);
+    // Each function recurs in many contexts, so a bottom-up rect's
+    // function has many candidate source nodes.
+    let synthetic = SyntheticSpec {
+        functions: 2_000,
+        samples: 50_000,
+        ..SyntheticSpec::default()
+    }
+    .build();
+    assert!(assert_code_links_land(&synthetic, "cpu") > 0);
 }
