@@ -9,18 +9,18 @@
 //! coalesces so the CLI (`easyview stats`) and the EVP server can
 //! surface cache effectiveness.
 //!
-//! Keys hash profile *content* (tree shape, frames, metric values), so
-//! a mutated profile never aliases a stale entry; the fingerprint walk
-//! is linear and orders of magnitude cheaper than the layouts it
-//! memoizes.
+//! Keys hash profile *content* (tree shape, frames and their strings,
+//! metadata, metric schema, links and values), so neither a mutated
+//! profile nor another profile with the same shape aliases a stale
+//! entry; the fingerprint walk is linear and orders of magnitude
+//! cheaper than the layouts it memoizes.
 
 use ev_core::fast_hash::FxHasher;
 use ev_core::{MetricId, Profile};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Cached handles for the global `cache.*` counters. Per-instance
 /// [`CacheStats`] stay authoritative for a single cache; these feed the
@@ -53,8 +53,7 @@ fn fingerprint_counter() -> &'static ev_trace::Counter {
 /// Default number of memoized views kept per cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
 
-/// Hit/miss/coalesce counters and occupancy of a [`ViewCache`], summed
-/// across its shards.
+/// Hit/miss/coalesce counters and occupancy of a [`ViewCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -63,9 +62,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Lookups that waited on an identical in-flight computation.
     pub coalesced: u64,
-    /// Entries currently resident across all shards.
+    /// Entries currently resident.
     pub len: usize,
-    /// Maximum resident entries across all shards.
+    /// Maximum resident entries.
     pub capacity: usize,
 }
 
@@ -74,19 +73,21 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// One shard: an LRU-bounded memo table plus the gates of its
-/// in-flight computations. Eviction scans for the least-recently-used
-/// entry — linear, but a shard holds only a handful of views.
-struct Shard<V> {
+/// The cache's state behind its one mutex: an LRU-bounded memo table,
+/// the gates of its in-flight computations, and its counters. Eviction
+/// scans for the least-recently-used entry — linear, but a cache holds
+/// only a few dozen views.
+struct Lru<V> {
     entries: HashMap<u64, Entry<V>, BuildHasherDefault<FxHasher>>,
     pending: HashMap<u64, Arc<Gate<V>>, BuildHasherDefault<FxHasher>>,
     capacity: usize,
     tick: u64,
     hits: u64,
     misses: u64,
+    coalesced: u64,
 }
 
-impl<V> Shard<V> {
+impl<V> Lru<V> {
     /// Returns the view under `key` if resident, refreshing its LRU
     /// position and recording a hit. A `None` records nothing — the
     /// caller decides whether the lookup becomes a miss or is
@@ -125,11 +126,6 @@ impl<V> Shard<V> {
     }
 }
 
-/// How many independently locked shards a [`ViewCache`] splits
-/// into. Power of two so the shard index is a mask of the (already
-/// well-mixed) [`view_key`] hash.
-const SHARD_COUNT: usize = 8;
-
 /// What happened to an in-flight computation, as seen by coalesced
 /// waiters parked on its gate.
 enum GateState<V> {
@@ -163,22 +159,22 @@ impl<V> Drop for GateGuard<'_, V> {
         if !self.armed {
             return;
         }
-        self.shared.shard(self.key).lock().unwrap().pending.remove(&self.key);
+        self.shared.lock().pending.remove(&self.key);
         *self.gate.state.lock().unwrap() = GateState::Failed;
         self.gate.ready.notify_all();
     }
 }
 
-/// An LRU-bounded, sharded memo table from [`view_key`]s to computed
-/// views, with request coalescing.
+/// An LRU-bounded memo table from [`view_key`]s to computed views, with
+/// request coalescing.
 ///
 /// Values are returned as `Arc<V>` so callers can hold a view while the
 /// cache evicts it. Looks up and inserts through `&self`, so one
 /// instance can sit in front of the expensive view computations of a
-/// server shared by many threads. The key space is split across
-/// [`SHARD_COUNT`] independently locked shards, each its own LRU; a
-/// lookup takes exactly one shard lock, and the build closure runs with
-/// **no** lock held, so a slow layout never blocks unrelated keys.
+/// server shared by many threads. One mutex guards the table, and
+/// `capacity` bounds it as a whole; the lock is held only to look up,
+/// insert or count, never while a view is built, so a slow layout
+/// never blocks other keys.
 ///
 /// Identical in-flight requests coalesce: the first requester of a
 /// missing key installs a *gate* and computes; later requesters of the
@@ -188,35 +184,27 @@ impl<V> Drop for GateGuard<'_, V> {
 /// waiter recomputes for itself — coalescing is an optimization, never
 /// a correctness dependency.
 pub struct ViewCache<V> {
-    shards: Box<[Mutex<Shard<V>>]>,
-    coalesced: AtomicU64,
+    lru: Mutex<Lru<V>>,
 }
 
 impl<V> ViewCache<V> {
-    /// A cache holding at most `capacity` views in total (rounded up to
-    /// at least one per shard).
+    /// A cache holding at most `capacity` views (at least one).
     pub fn new(capacity: usize) -> ViewCache<V> {
-        let per_shard = capacity.div_ceil(SHARD_COUNT).max(1);
-        let shards = (0..SHARD_COUNT)
-            .map(|_| {
-                Mutex::new(Shard {
-                    entries: HashMap::default(),
-                    pending: HashMap::default(),
-                    capacity: per_shard,
-                    tick: 0,
-                    hits: 0,
-                    misses: 0,
-                })
-            })
-            .collect();
         ViewCache {
-            shards,
-            coalesced: AtomicU64::new(0),
+            lru: Mutex::new(Lru {
+                entries: HashMap::default(),
+                pending: HashMap::default(),
+                capacity: capacity.max(1),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                coalesced: 0,
+            }),
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard<V>> {
-        &self.shards[(key as usize) & (SHARD_COUNT - 1)]
+    fn lock(&self) -> MutexGuard<'_, Lru<V>> {
+        self.lru.lock().unwrap()
     }
 
     /// Returns the view under `key`, computing it with `build` on a
@@ -224,29 +212,30 @@ impl<V> ViewCache<V> {
     /// flight wait for it and share the result instead of recomputing.
     pub fn get_or_insert_with(&self, key: u64, build: impl FnOnce() -> V) -> Arc<V> {
         let gate = {
-            let mut shard = self.shard(key).lock().unwrap();
-            if let Some(value) = shard.lookup(key) {
+            let mut lru = self.lock();
+            if let Some(value) = lru.lookup(key) {
                 return value;
             }
-            if let Some(gate) = shard.pending.get(&key) {
-                Arc::clone(gate) // join the in-flight computation
+            if let Some(gate) = lru.pending.get(&key).cloned() {
+                // Join the in-flight computation. Counted *before*
+                // parking so tests (and the CI smoke) can
+                // deterministically release an owner that waits for a
+                // waiter to arrive.
+                lru.coalesced += 1;
+                coalesced_counter().inc();
+                gate
             } else {
-                shard.misses += 1;
+                lru.misses += 1;
                 miss_counter().inc();
                 let gate = Arc::new(Gate {
                     state: Mutex::new(GateState::Waiting),
                     ready: Condvar::new(),
                 });
-                shard.pending.insert(key, Arc::clone(&gate));
-                drop(shard);
+                lru.pending.insert(key, Arc::clone(&gate));
+                drop(lru);
                 return self.build_and_publish(key, &gate, build);
             }
         };
-        // Count the coalesce *before* parking so tests (and the CI
-        // smoke) can deterministically release an owner that waits for
-        // a waiter to arrive.
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-        coalesced_counter().inc();
         let mut state = gate.state.lock().unwrap();
         loop {
             match &*state {
@@ -258,8 +247,7 @@ impl<V> ViewCache<V> {
                     // requests).
                     drop(state);
                     let value = Arc::new(build());
-                    let mut shard = self.shard(key).lock().unwrap();
-                    shard.insert(key, Arc::clone(&value));
+                    self.lock().insert(key, Arc::clone(&value));
                     return value;
                 }
             }
@@ -277,38 +265,31 @@ impl<V> ViewCache<V> {
         };
         let value = Arc::new(build());
         guard.armed = false;
-        let mut shard = self.shard(key).lock().unwrap();
-        shard.insert(key, Arc::clone(&value));
-        shard.pending.remove(&key);
-        drop(shard);
+        let mut lru = self.lock();
+        lru.insert(key, Arc::clone(&value));
+        lru.pending.remove(&key);
+        drop(lru);
         *gate.state.lock().unwrap() = GateState::Ready(Arc::clone(&value));
         gate.ready.notify_all();
         value
     }
 
-    /// Aggregate hit/miss/coalesce counters and occupancy across all
-    /// shards.
+    /// Hit/miss/coalesce counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats {
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            ..CacheStats::default()
-        };
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            total.hits += shard.hits;
-            total.misses += shard.misses;
-            total.len += shard.entries.len();
-            total.capacity += shard.capacity;
+        let lru = self.lock();
+        CacheStats {
+            hits: lru.hits,
+            misses: lru.misses,
+            coalesced: lru.coalesced,
+            len: lru.entries.len(),
+            capacity: lru.capacity,
         }
-        total
     }
 
     /// Drops every resident entry (counters are kept; in-flight
     /// computations still publish).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap().entries.clear();
-        }
+        self.lock().entries.clear();
     }
 }
 
@@ -328,23 +309,30 @@ impl<V> fmt::Debug for ViewCache<V> {
     }
 }
 
-/// A structural fingerprint of a profile: tree shape, interned frames,
-/// metric schema, and every stored value. Two profiles with the same
-/// content fingerprint alike; any mutation (new sample, renamed metric,
-/// added node) changes it. Each call bumps the `cache.fingerprint`
-/// counter: the sweep is linear in the profile, so a caller holding a
-/// fingerprint per profile version should never need to repeat it.
+/// A content fingerprint of a profile: everything a cached view can
+/// print. That is the tree shape, the frames and the strings they name
+/// (the string table in id order), the profile's name and profiler,
+/// the metric schema with units, the links, and every stored value.
+/// Two profiles with the same content fingerprint alike; any mutation
+/// (new sample, renamed metric, added node) changes it. Each call bumps
+/// the `cache.fingerprint` counter: the sweep is linear in the profile,
+/// so a caller holding a fingerprint per profile version should never
+/// need to repeat it.
 pub fn profile_fingerprint(profile: &Profile) -> u64 {
     fingerprint_counter().inc();
     let mut h = FxHasher::default();
+    profile.meta().name.hash(&mut h);
+    profile.meta().profiler.hash(&mut h);
+    profile.strings().len().hash(&mut h);
+    for s in profile.strings().iter() {
+        s.hash(&mut h);
+    }
     profile.node_count().hash(&mut h);
     for m in profile.metrics() {
         m.name.hash(&mut h);
+        m.unit.hash(&mut h);
         (m.kind as u8).hash(&mut h);
     }
-    // The string table is covered indirectly: equal trees with different
-    // interning orders hash differently, which only costs a spurious
-    // miss, never a false hit for the same in-memory profile.
     for id in profile.node_ids() {
         let node = profile.node(id);
         let f = node.frame();
@@ -356,6 +344,19 @@ pub fn profile_fingerprint(profile: &Profile) -> u64 {
         f.address.hash(&mut h);
         node.parent().map(|p| p.index()).hash(&mut h);
         for (metric, value) in node.values() {
+            metric.index().hash(&mut h);
+            value.to_bits().hash(&mut h);
+        }
+    }
+    profile.links().len().hash(&mut h);
+    for link in profile.links() {
+        link.kind().hash(&mut h);
+        link.endpoints().len().hash(&mut h);
+        for node in link.endpoints() {
+            node.index().hash(&mut h);
+        }
+        link.values().len().hash(&mut h);
+        for (metric, value) in link.values() {
             metric.index().hash(&mut h);
             value.to_bits().hash(&mut h);
         }
@@ -388,7 +389,7 @@ pub fn fingerprint_view_key(fingerprint: u64, metric: MetricId, transforms: &[&s
 mod tests {
     use super::*;
     use ev_core::{Frame, MetricDescriptor, MetricKind, MetricUnit};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn profile(v: f64) -> Profile {
         let mut p = Profile::new("t");
@@ -440,9 +441,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        // LRU order is kept per shard: keys 1, 9 and 17 share a shard,
-        // which holds two entries at this capacity.
-        let cache: ViewCache<u64> = ViewCache::new(2 * SHARD_COUNT);
+        let cache: ViewCache<u64> = ViewCache::new(2);
         cache.get_or_insert_with(1, || 1);
         cache.get_or_insert_with(9, || 2);
         cache.get_or_insert_with(1, || 99); // touch 1 so 9 is LRU
@@ -461,10 +460,10 @@ mod tests {
         let hits = ev_trace::counter_value("cache.hit");
         let misses = ev_trace::counter_value("cache.miss");
         let evicts = ev_trace::counter_value("cache.evict");
-        let cache: ViewCache<u64> = ViewCache::new(1); // 1 per shard
+        let cache: ViewCache<u64> = ViewCache::new(1);
         cache.get_or_insert_with(10, || 1); // miss
         cache.get_or_insert_with(10, || 1); // hit
-        cache.get_or_insert_with(18, || 2); // miss + evict (same shard)
+        cache.get_or_insert_with(18, || 2); // miss + evict
         assert!(ev_trace::counter_value("cache.hit") > hits);
         assert!(ev_trace::counter_value("cache.miss") >= misses + 2);
         assert!(ev_trace::counter_value("cache.evict") > evicts);
@@ -472,9 +471,9 @@ mod tests {
 
     #[test]
     fn arc_keeps_evicted_views_alive() {
-        let cache: ViewCache<String> = ViewCache::new(1); // 1 per shard
+        let cache: ViewCache<String> = ViewCache::new(1);
         let held = cache.get_or_insert_with(1, || "kept".to_owned());
-        cache.get_or_insert_with(9, || "evictor".to_owned()); // same shard
+        cache.get_or_insert_with(9, || "evictor".to_owned());
         assert_eq!(held.as_str(), "kept");
     }
 
@@ -562,13 +561,36 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_evicts_per_shard() {
-        let cache: ViewCache<u64> = ViewCache::new(8); // 1 per shard
-        // Same shard (same low bits), distinct keys: second insert evicts.
-        let k1 = 0x10u64;
-        let k2 = 0x20u64;
-        cache.get_or_insert_with(k1, || 1);
-        cache.get_or_insert_with(k2, || 2);
-        assert_eq!(*cache.get_or_insert_with(k1, || 11), 11, "k1 was evicted");
+    fn capacity_bounds_keys_that_share_their_low_bits() {
+        let n = 9u64;
+        let cache: ViewCache<u64> = ViewCache::new(n as usize);
+        // Keys 0x10, 0x20, ... agree in their low bits.
+        let key = |i: u64| (i + 1) << 4;
+        for i in 0..n {
+            cache.get_or_insert_with(key(i), || i);
+        }
+        for i in 0..n {
+            assert_eq!(
+                *cache.get_or_insert_with(key(i), || 99),
+                i,
+                "key {i} is resident"
+            );
+        }
+        // Key 0 was touched least recently: key n evicts it alone.
+        cache.get_or_insert_with(key(n), || n);
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.capacity), (n as usize, n as usize));
+        for i in 1..=n {
+            assert_eq!(
+                *cache.get_or_insert_with(key(i), || 99),
+                i,
+                "key {i} survived"
+            );
+        }
+        assert_eq!(
+            *cache.get_or_insert_with(key(0), || 99),
+            99,
+            "key 0 was evicted"
+        );
     }
 }

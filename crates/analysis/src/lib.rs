@@ -19,10 +19,8 @@
 //!   trees with [`ev_core::Profile::graft`].
 //! * **Scaling analysis**: [`scaling_diff`] differentiates by division
 //!   instead of subtraction — the memory-scaling measurement of §V-B.
-//! * **Derived metrics**: [`derive_metric`] evaluates an arithmetic
-//!   combination of existing metrics at every node — the built-in subset
-//!   of the customizable analysis of §V-B (the full scripting interface
-//!   lives in `ev-script`).
+//! * **Search**: [`search`] finds the contexts whose function name
+//!   contains a query, case folded (§VI-A-a).
 //! * **Timeline classification**: [`classify_timeline`] detects the
 //!   memory-leak pattern of the cloud case study (§VII-C1) — sustained
 //!   active memory with no reclamation across snapshots.
@@ -48,9 +46,9 @@
 
 mod aggregate;
 mod cache;
-mod derived;
 mod diff;
 mod scaling;
+mod search;
 mod timeline;
 mod transform;
 mod traverse;
@@ -60,10 +58,10 @@ pub use cache::{
     fingerprint_view_key, profile_fingerprint, view_key, CacheStats, ViewCache,
     DEFAULT_CACHE_CAPACITY,
 };
-pub use derived::{derive_metric, MetricExpr};
 pub use diff::{diff, DiffEntry, DiffProfile, DiffTag};
 pub use ev_par::ExecPolicy;
 pub use scaling::{scaling_diff, ScalingProfile};
+pub use search::search;
 pub use timeline::{classify_timeline, TimelinePattern};
 pub use transform::{bottom_up, flatten, Transformed};
 pub use traverse::{collapse_recursion, prune, MetricView};

@@ -426,22 +426,17 @@ fn aggregate_cmd(inputs: &[String], options: &Options) -> Result<String, CliErro
 
 fn search(input: &str, query: &str) -> Result<String, CliError> {
     let profile = load(input, ExecPolicy::auto())?;
-    let needle = query.to_lowercase();
+    let matches = ev_analysis::search(&profile, query);
     let mut out = String::new();
-    let mut count = 0;
-    for id in profile.node_ids() {
-        let frame = profile.resolve_frame(id);
-        if frame.name.to_lowercase().contains(&needle) {
-            count += 1;
-            let path: Vec<String> = profile
-                .path(id)
-                .iter()
-                .map(|&n| profile.resolve_frame(n).name)
-                .collect();
-            let _ = writeln!(out, "{}", path.join(";"));
-        }
+    for &id in &matches {
+        let path: Vec<String> = profile
+            .path(id)
+            .iter()
+            .map(|&n| profile.resolve_frame(n).name)
+            .collect();
+        let _ = writeln!(out, "{}", path.join(";"));
     }
-    let _ = writeln!(out, "{count} match(es)");
+    let _ = writeln!(out, "{} match(es)", matches.len());
     Ok(out)
 }
 

@@ -178,28 +178,6 @@ impl FlameGraph {
     pub(crate) fn replace_rects(&mut self, rects: Vec<FlameRect>) {
         self.rects = rects;
     }
-
-    /// Case-insensitive substring search over frame labels — "all the
-    /// flame graphs are searchable" (§VI-A-a). Returns indices into
-    /// [`FlameGraph::rects`].
-    pub fn search(&self, needle: &str) -> Vec<usize> {
-        let needle = needle.to_lowercase();
-        self.rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.label.to_lowercase().contains(&needle))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Hit test: the deepest rectangle containing normalized point
-    /// `(x, depth)` — the click target for code links (§VI-B).
-    pub fn rect_at(&self, x: f64, depth: usize) -> Option<&FlameRect> {
-        self.rects
-            .iter()
-            .filter(|r| r.depth == depth)
-            .find(|r| x >= r.x && x < r.x + r.width)
-    }
 }
 
 #[cfg(test)]
@@ -244,27 +222,6 @@ mod tests {
         let b = fg.rects().iter().find(|r| r.label == "b").unwrap();
         assert!(a.x < b.x, "larger child lays out first");
         assert!((b.x - 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn search_is_case_insensitive() {
-        let (p, m) = profile();
-        let fg = FlameGraph::top_down(&p, m);
-        assert_eq!(fg.search("MAIN").len(), 1);
-        assert_eq!(fg.search("nothing").len(), 0);
-        // Substring matches.
-        assert_eq!(fg.search("ai").len(), 1);
-    }
-
-    #[test]
-    fn hit_testing() {
-        let (p, m) = profile();
-        let fg = FlameGraph::top_down(&p, m);
-        assert_eq!(fg.rect_at(0.5, 0).unwrap().label, "ROOT");
-        assert_eq!(fg.rect_at(0.3, 2).unwrap().label, "a");
-        assert_eq!(fg.rect_at(0.7, 2).unwrap().label, "b");
-        assert!(fg.rect_at(0.95, 2).is_none(), "main's self time has no child");
-        assert!(fg.rect_at(0.5, 9).is_none());
     }
 
     #[test]

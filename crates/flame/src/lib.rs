@@ -11,8 +11,7 @@
 //!
 //! * **Generic flame graphs** (§VI-A-a): [`FlameGraph::top_down`],
 //!   [`FlameGraph::bottom_up`], [`FlameGraph::flat`] — the three tree
-//!   shapes from the analysis engine, searchable
-//!   ([`FlameGraph::search`]).
+//!   shapes from the analysis engine.
 //! * **Differential flame graphs** (§VI-A-b, Fig. 3):
 //!   [`DiffFlameGraph`] tags every frame `[A]`/`[D]`/`[+]`/`[-]` and
 //!   quantifies the delta.

@@ -14,7 +14,7 @@ pub struct SvgOptions {
     pub width: u32,
     /// Row height in pixels.
     pub row_height: u32,
-    /// Rect indices (from [`FlameGraph::search`]) to highlight.
+    /// Indices into [`FlameGraph::rects`] to highlight.
     pub highlights: Vec<usize>,
 }
 
@@ -209,11 +209,11 @@ mod tests {
     #[test]
     fn svg_highlights_search_results() {
         let g = graph();
-        let hits = g.search("alpha");
+        let alpha = g.rects().iter().position(|r| r.label == "alpha").unwrap();
         let doc = svg(
             &g,
             &SvgOptions {
-                highlights: hits,
+                highlights: vec![alpha],
                 ..SvgOptions::default()
             },
         );

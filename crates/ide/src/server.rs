@@ -2,18 +2,19 @@
 //!
 //! The server is concurrent: every handler takes `&self`, so one
 //! instance (shared via [`SharedEvpServer`]) can answer many editor
-//! sessions at once. The profile table is sharded across independently
-//! locked maps, expensive views are memoized in a process-shared
-//! [`ViewCache`] with request coalescing, and per-session
-//! in-flight budgets convert overload into a clean `BUSY` error
-//! instead of unbounded queueing.
+//! sessions at once. Loaded profiles sit in one reader-writer locked
+//! map, expensive views are memoized in a shared [`ViewCache`] with
+//! request coalescing, and per-session in-flight budgets convert
+//! overload into a clean `BUSY` error instead of unbounded queueing.
+//! One sorted table, `METHODS`, names every method the server
+//! answers.
 
 use crate::rpc::{
     codes, decode_frame, encode_frame, encode_result_frame, Request, Response, ResponseMeta,
 };
 use ev_analysis::{
-    aggregate, classify_timeline, diff, fingerprint_view_key, profile_fingerprint, CacheStats,
-    MetricView, ViewCache,
+    aggregate, classify_timeline, diff, fingerprint_view_key, profile_fingerprint, search,
+    CacheStats, MetricView, ViewCache,
 };
 use ev_core::{MetricId, NodeId, Profile};
 use ev_flame::FlameGraph;
@@ -55,28 +56,6 @@ impl Default for ServerOptions {
     }
 }
 
-impl ServerOptions {
-    /// Defaults with environment overrides applied:
-    /// `EASYVIEW_SLOW_REQUEST_MS=<ms>` retunes the slow-request
-    /// threshold without a rebuild (`0` captures everything).
-    pub fn from_env() -> ServerOptions {
-        ServerOptions::from_env_with(|name| std::env::var(name).ok())
-    }
-
-    /// Testable core of [`ServerOptions::from_env`]: reads overrides
-    /// through `lookup` instead of the process environment, so parsing
-    /// can be exercised without mutating process-global state.
-    fn from_env_with(lookup: impl Fn(&str) -> Option<String>) -> ServerOptions {
-        let mut options = ServerOptions::default();
-        if let Some(ms) = lookup("EASYVIEW_SLOW_REQUEST_MS")
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
-            options.slow_request_micros = ms.saturating_mul(1_000);
-        }
-        options
-    }
-}
-
 /// Cached handle for the `ide.requests` counter.
 fn request_counter() -> &'static ev_trace::Counter {
     static HANDLE: OnceLock<&'static ev_trace::Counter> = OnceLock::new();
@@ -105,48 +84,80 @@ fn response_encode_histogram() -> &'static ev_trace::Histogram {
     HANDLE.get_or_init(|| ev_trace::histogram("ide.phase.response_encode"))
 }
 
-/// Known EVP methods and their latency histogram names. The registry
-/// keys histograms by `&'static str`, so per-method histograms need
-/// this literal table; requests for methods outside it share
-/// `ide.latency.unknown` (bounding registry growth against arbitrary
-/// method strings).
-const METHOD_LATENCY: &[(&str, &str)] = &[
-    ("debug/flightRecorder", "ide.latency.debug/flightRecorder"),
-    ("initialize", "ide.latency.initialize"),
-    ("profile/aggregate", "ide.latency.profile/aggregate"),
-    ("profile/close", "ide.latency.profile/close"),
-    ("profile/codeLens", "ide.latency.profile/codeLens"),
-    ("profile/codeLink", "ide.latency.profile/codeLink"),
-    ("profile/correlated", "ide.latency.profile/correlated"),
-    ("profile/diff", "ide.latency.profile/diff"),
-    ("profile/flameGraph", "ide.latency.profile/flameGraph"),
-    ("profile/histogram", "ide.latency.profile/histogram"),
-    ("profile/hover", "ide.latency.profile/hover"),
-    ("profile/open", "ide.latency.profile/open"),
-    ("profile/script", "ide.latency.profile/script"),
-    ("profile/search", "ide.latency.profile/search"),
-    ("profile/summary", "ide.latency.profile/summary"),
-    ("profile/treeTable", "ide.latency.profile/treeTable"),
-    ("session/close", "ide.latency.session/close"),
-    ("session/open", "ide.latency.session/open"),
+/// A method handler: the request's params to its result.
+type Handler = fn(&EvpServer, &Value) -> Result<Reply, (i64, String)>;
+
+/// Every EVP method, sorted by name, with its handler. The one list of
+/// methods: dispatch binary-searches it for the handler, `respond`
+/// records into the method's `ide.latency.<method>` histogram, and
+/// `initialize` lists the rest of it as capabilities.
+const METHODS: &[(&str, Handler)] = &[
+    ("debug/flightRecorder", |s, p| {
+        s.flight_recorder_rpc(p).map(Reply::Tree)
+    }),
+    ("initialize", |_, _| Ok(Reply::Tree(initialize_result()))),
+    ("profile/aggregate", |s, p| s.aggregate(p).map(Reply::Tree)),
+    ("profile/close", |s, p| s.close(p).map(Reply::Tree)),
+    ("profile/codeLens", |s, p| s.code_lens(p).map(Reply::Tree)),
+    ("profile/codeLink", |s, p| s.code_link(p).map(Reply::Tree)),
+    ("profile/correlated", |s, p| {
+        s.correlated(p).map(Reply::Tree)
+    }),
+    ("profile/diff", |s, p| s.diff(p).map(Reply::Tree)),
+    ("profile/flameGraph", |s, p| {
+        s.flame_graph(p).map(Reply::Encoded)
+    }),
+    ("profile/histogram", |s, p| s.histogram(p).map(Reply::Tree)),
+    ("profile/hover", |s, p| s.hover(p).map(Reply::Tree)),
+    ("profile/open", |s, p| s.open(p).map(Reply::Tree)),
+    ("profile/script", |s, p| s.script(p).map(Reply::Tree)),
+    ("profile/search", |s, p| s.search(p).map(Reply::Tree)),
+    ("profile/summary", |s, p| s.summary(p).map(Reply::Encoded)),
+    ("profile/treeTable", |s, p| {
+        s.tree_table(p).map(Reply::Encoded)
+    }),
+    ("session/close", |s, p| s.session_close(p).map(Reply::Tree)),
+    ("session/open", |s, _| s.session_open().map(Reply::Tree)),
 ];
 
-/// The `ide.latency.<method>` histogram for `method` — a cached
-/// `&'static` handle, so the per-request cost is one binary search
-/// over the method table (no lock, no allocation).
-fn method_histogram(method: &str) -> &'static ev_trace::Histogram {
+/// The `ide.latency.<method>` histogram of [`METHODS`] entry `method`,
+/// or `ide.latency.unknown` for a method outside the table (bounding
+/// registry growth against arbitrary method strings). Handles are
+/// cached, so the per-request cost is one index.
+fn latency_histogram(method: Option<usize>) -> &'static ev_trace::Histogram {
     static HANDLES: OnceLock<Vec<&'static ev_trace::Histogram>> = OnceLock::new();
     static UNKNOWN: OnceLock<&'static ev_trace::Histogram> = OnceLock::new();
-    let handles = HANDLES.get_or_init(|| {
-        METHOD_LATENCY
+    let Some(i) = method else {
+        return UNKNOWN.get_or_init(|| ev_trace::histogram("ide.latency.unknown"));
+    };
+    HANDLES.get_or_init(|| {
+        METHODS
             .iter()
-            .map(|&(_, name)| ev_trace::histogram(name))
+            .map(|&(name, _)| {
+                // The registry keys histograms by `&'static str`: each
+                // name is built and leaked once per process.
+                let name = format!("ide.latency.{name}").into_boxed_str();
+                ev_trace::histogram(Box::leak(name))
+            })
             .collect()
-    });
-    match METHOD_LATENCY.binary_search_by(|&(m, _)| m.cmp(method)) {
-        Ok(i) => handles[i],
-        Err(_) => UNKNOWN.get_or_init(|| ev_trace::histogram("ide.latency.unknown")),
-    }
+    })[i]
+}
+
+/// `initialize`: the server's name, version and every other method of
+/// [`METHODS`].
+fn initialize_result() -> Value {
+    Value::object([
+        ("name", Value::from("easyview")),
+        ("version", Value::from(env!("CARGO_PKG_VERSION"))),
+        (
+            "capabilities",
+            METHODS
+                .iter()
+                .filter(|&&(name, _)| name != "initialize")
+                .map(|&(name, _)| Value::from(name))
+                .collect(),
+        ),
+    ])
 }
 
 /// Hex encoding used to carry binary profiles inside JSON params.
@@ -201,11 +212,6 @@ pub(crate) fn profile_to_param(profile: &Profile) -> Value {
         ),
     ])
 }
-
-/// Number of profile-table shards. Power of two so the shard index is
-/// a mask; ids are handed out round-robin across shards, so
-/// concurrent opens/closes on different profiles rarely contend.
-const PROFILE_SHARDS: usize = 8;
 
 /// A loaded profile with the [`profile_fingerprint`] of its current
 /// version. Both sit under one lock, and the writers (`register` and
@@ -303,18 +309,20 @@ impl Drop for SessionGuard {
 
 /// The EVP server: holds loaded profiles and answers EVP requests.
 ///
-/// Every handler takes `&self` — the profile table is sharded across
-/// [`PROFILE_SHARDS`] reader-writer locked maps, ids and request
-/// sequence numbers are atomics, and the flight recorder sits behind a
-/// mutex — so one instance can serve many concurrent sessions (wrap it
-/// in [`SharedEvpServer`] to share across threads). Expensive views
+/// Every handler takes `&self` — the profile and session tables are
+/// reader-writer locked maps, ids and request sequence numbers are
+/// atomics, and the flight recorder sits behind a mutex — so one
+/// instance can serve many concurrent sessions (wrap it in
+/// [`SharedEvpServer`] to share across threads). A table lock is held
+/// only to look an entry up or change the table, never while a handler
+/// reads a profile. Expensive views
 /// (`profile/flameGraph`, `profile/treeTable`, `profile/summary`) are
 /// memoized as encoded JSON in a [`ViewCache`] keyed by the content
 /// fingerprint of the profile version; identical concurrent requests
 /// coalesce onto one computation.
 #[derive(Debug)]
 pub struct EvpServer {
-    shards: Box<[RwLock<HashMap<i64, ProfileEntry>>]>,
+    profiles: RwLock<HashMap<i64, ProfileEntry>>,
     next_id: AtomicI64,
     options: ServerOptions,
     /// Black box of slow/failed requests; see `debug/flightRecorder`.
@@ -334,25 +342,20 @@ impl Default for EvpServer {
     }
 }
 
-/// Total memoized view responses retained across the server's cache
-/// shards.
+/// Memoized view responses the server retains.
 const VIEW_CACHE_CAPACITY: usize = 64;
 
 impl EvpServer {
-    /// Creates a server with no profiles loaded, using
-    /// [`ServerOptions::from_env`] (so `EASYVIEW_SLOW_REQUEST_MS`
-    /// applies without a rebuild).
+    /// Creates a server with no profiles loaded and default options.
     pub fn new() -> EvpServer {
-        EvpServer::with_options(ServerOptions::from_env())
+        EvpServer::with_options(ServerOptions::default())
     }
 
     /// Creates a server with explicit options.
     pub fn with_options(options: ServerOptions) -> EvpServer {
         let recorder = FlightRecorder::new(options.flight_capacity, options.flight_max_spans);
         EvpServer {
-            shards: (0..PROFILE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            profiles: RwLock::new(HashMap::new()),
             next_id: AtomicI64::new(0),
             options,
             recorder: Mutex::new(recorder),
@@ -376,7 +379,7 @@ impl EvpServer {
 
     /// Number of loaded profiles.
     pub fn profile_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
+        self.profiles.read().unwrap().len()
     }
 
     /// Number of open sessions.
@@ -389,19 +392,47 @@ impl EvpServer {
         self.views.stats()
     }
 
-    fn shard(&self, id: i64) -> &RwLock<HashMap<i64, ProfileEntry>> {
-        &self.shards[(id as u64 as usize) & (PROFILE_SHARDS - 1)]
-    }
-
-    /// The entry for profile `id`, cloned out of its shard (so the
-    /// shard lock is held only for the lookup).
+    /// The entry for profile `id`, cloned out of the table (so the
+    /// table lock is held only for the lookup).
     fn entry(&self, id: i64) -> Result<ProfileEntry, (i64, String)> {
-        self.shard(id)
+        self.profiles
             .read()
             .unwrap()
             .get(&id)
             .cloned()
-            .ok_or((codes::UNKNOWN_PROFILE, format!("profile {id} not loaded")))
+            .ok_or_else(|| not_loaded(id))
+    }
+
+    /// Runs `read` over the profiles `ids` names, in request order. The
+    /// ids are resolved in request order, so a missing one is reported
+    /// as the first the client named. Each distinct profile is then
+    /// read-locked once, in ascending id order, so concurrent
+    /// multi-profile requests cannot deadlock, and a repeated id is
+    /// never read-locked twice on one thread.
+    fn read_profiles<T>(
+        &self,
+        ids: &[i64],
+        read: impl FnOnce(&[&Profile]) -> T,
+    ) -> Result<T, (i64, String)> {
+        let mut distinct = ids.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let entries: Vec<ProfileEntry> = {
+            let table = self.profiles.read().unwrap();
+            if let Some(&missing) = ids.iter().find(|id| !table.contains_key(id)) {
+                return Err(not_loaded(missing));
+            }
+            distinct.iter().map(|id| table[id].clone()).collect()
+        };
+        let guards: Vec<RwLockReadGuard<'_, LoadedProfile>> = entries
+            .iter()
+            .map(|entry| entry.profile.read().unwrap())
+            .collect();
+        let profiles: Vec<&Profile> = ids
+            .iter()
+            .map(|id| &guards[distinct.binary_search(id).expect("id was resolved")].profile)
+            .collect();
+        Ok(read(&profiles))
     }
 
     /// Registers a new server-side profile, fingerprinting it, and
@@ -416,7 +447,7 @@ impl EvpServer {
             profile: Arc::new(RwLock::new(loaded)),
             series: series.map(Arc::new),
         };
-        self.shard(id).write().unwrap().insert(id, entry);
+        self.profiles.write().unwrap().insert(id, entry);
         id
     }
 
@@ -538,19 +569,26 @@ impl EvpServer {
         let id = request.id?;
         let request_seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         request_counter().inc();
+        let method = METHODS
+            .binary_search_by(|&(name, _)| name.cmp(request.method.as_str()))
+            .ok();
         let capture = ev_trace::start_capture();
         let start = ev_trace::now_ns();
         let outcome = {
             let _span = ev_trace::span("ide.request");
-            match self.acquire_session(&request.params) {
-                Ok(_session) => self.dispatch(&request.method, &request.params),
-                Err(refused) => Err(refused),
-            }
+            self.acquire_session(&request.params)
+                .and_then(|_session| match method {
+                    Some(i) => (METHODS[i].1)(self, &request.params),
+                    None => Err((
+                        codes::METHOD_NOT_FOUND,
+                        format!("unknown method {:?}", request.method),
+                    )),
+                })
         };
         let wall_micros = (ev_trace::now_ns() - start) / 1_000;
         let (captured, counter_deltas) = capture.finish_with_counters();
         let spans = captured.len() as u64;
-        method_histogram(&request.method).record(wall_micros);
+        latency_histogram(method).record(wall_micros);
         let failed = outcome.is_err();
         if failed {
             error_counter().inc();
@@ -583,68 +621,6 @@ impl EvpServer {
             spans,
         };
         Some(Answer { id, outcome, meta })
-    }
-
-    fn dispatch(&self, method: &str, params: &Value) -> Result<Reply, (i64, String)> {
-        match method {
-            "profile/flameGraph" => self.flame_graph(params).map(Reply::Encoded),
-            "profile/treeTable" => self.tree_table(params).map(Reply::Encoded),
-            "profile/summary" => self.summary(params).map(Reply::Encoded),
-            _ => self.dispatch_tree(method, params).map(Reply::Tree),
-        }
-    }
-
-    /// Dispatch of the methods whose results are built fresh per
-    /// request.
-    fn dispatch_tree(&self, method: &str, params: &Value) -> Result<Value, (i64, String)> {
-        match method {
-            "initialize" => Ok(Value::object([
-                ("name", Value::from("easyview")),
-                ("version", Value::from(env!("CARGO_PKG_VERSION"))),
-                (
-                    "capabilities",
-                    [
-                        "profile/open",
-                        "profile/flameGraph",
-                        "profile/treeTable",
-                        "profile/codeLink",
-                        "profile/codeLens",
-                        "profile/hover",
-                        "profile/summary",
-                        "profile/search",
-                        "profile/script",
-                        "profile/aggregate",
-                        "profile/diff",
-                        "profile/histogram",
-                        "profile/correlated",
-                        "debug/flightRecorder",
-                        "session/open",
-                        "session/close",
-                    ]
-                    .iter()
-                    .map(|&s| Value::from(s))
-                    .collect(),
-                ),
-            ])),
-            "profile/open" => self.open(params),
-            "profile/codeLink" => self.code_link(params),
-            "profile/codeLens" => self.code_lens(params),
-            "profile/hover" => self.hover(params),
-            "profile/search" => self.search(params),
-            "profile/script" => self.script(params),
-            "profile/close" => self.close(params),
-            "profile/aggregate" => self.aggregate(params),
-            "profile/diff" => self.diff(params),
-            "profile/histogram" => self.histogram(params),
-            "profile/correlated" => self.correlated(params),
-            "session/open" => self.session_open(),
-            "session/close" => self.session_close(params),
-            "debug/flightRecorder" => self.flight_recorder_rpc(params),
-            other => Err((
-                codes::METHOD_NOT_FOUND,
-                format!("unknown method {other:?}"),
-            )),
-        }
     }
 
     /// Opens a new session and returns its id. Sessions carry the
@@ -729,9 +705,9 @@ impl EvpServer {
             .get("profileId")
             .and_then(Value::as_i64)
             .ok_or((codes::INVALID_PARAMS, "missing profileId".to_owned()))?;
-        match self.shard(id).write().unwrap().remove(&id) {
+        match self.profiles.write().unwrap().remove(&id) {
             Some(_) => Ok(Value::Bool(true)),
-            None => Err((codes::UNKNOWN_PROFILE, format!("profile {id} not loaded"))),
+            None => Err(not_loaded(id)),
         }
     }
 
@@ -759,36 +735,14 @@ impl EvpServer {
             .and_then(Value::as_str)
             .ok_or((codes::INVALID_PARAMS, "missing metric".to_owned()))?
             .to_owned();
-        // Resolve entries in request order (so "not loaded" reports the
-        // first missing id the client named) ...
-        let mut entry_by_id: HashMap<i64, ProfileEntry> = HashMap::new();
-        for &id in &ids {
-            if let std::collections::hash_map::Entry::Vacant(slot) = entry_by_id.entry(id) {
-                slot.insert(self.entry(id)?);
-            }
-        }
-        // ... but take the per-profile read locks in sorted id order,
-        // one per distinct profile, so concurrent multi-profile
-        // requests cannot deadlock (and a duplicated id is never
-        // read-locked twice on one thread).
-        let mut unique: Vec<i64> = entry_by_id.keys().copied().collect();
-        unique.sort_unstable();
-        let guards: Vec<RwLockReadGuard<'_, LoadedProfile>> = unique
-            .iter()
-            .map(|id| entry_by_id[id].profile.read().unwrap())
-            .collect();
-        let inputs: Vec<&Profile> = ids
-            .iter()
-            .map(|id| &guards[unique.binary_search(id).expect("id was resolved")].profile)
-            .collect();
-        let agg = aggregate(&inputs, &metric).map_err(|i| {
-            (
-                codes::UNKNOWN_ENTITY,
-                format!("profile {} lacks metric {metric:?}", ids[i]),
-            )
-        })?;
-        drop(inputs);
-        drop(guards);
+        let agg = self
+            .read_profiles(&ids, |inputs| aggregate(inputs, &metric))?
+            .map_err(|i| {
+                (
+                    codes::UNKNOWN_ENTITY,
+                    format!("profile {} lacks metric {metric:?}", ids[i]),
+                )
+            })?;
         let (profile, series) = agg.into_parts();
         let node_count = profile.node_count();
         let metrics: Value = profile
@@ -821,35 +775,17 @@ impl EvpServer {
             .and_then(Value::as_str)
             .ok_or((codes::INVALID_PARAMS, "missing metric".to_owned()))?
             .to_owned();
-        let base_entry = self.entry(base)?;
-        // Sorted-order locking, one guard per distinct profile — same
-        // deadlock-avoidance discipline as `aggregate`.
-        let other_entry;
-        let base_guard;
-        let other_guard;
-        let (first, second): (&Profile, &Profile) = if other == base {
-            base_guard = base_entry.profile.read().unwrap();
-            (&base_guard.profile, &base_guard.profile)
-        } else {
-            other_entry = self.entry(other)?;
-            if base < other {
-                base_guard = base_entry.profile.read().unwrap();
-                other_guard = other_entry.profile.read().unwrap();
-            } else {
-                other_guard = other_entry.profile.read().unwrap();
-                base_guard = base_entry.profile.read().unwrap();
-            }
-            (&base_guard.profile, &other_guard.profile)
-        };
-        let d = diff(first, second, &metric, 0.0).map_err(|i| {
-            (
-                codes::UNKNOWN_ENTITY,
-                format!(
-                    "profile {} lacks metric {metric:?}",
-                    if i == 0 { base } else { other }
-                ),
-            )
-        })?;
+        let d = self
+            .read_profiles(&[base, other], |p| diff(p[0], p[1], &metric, 0.0))?
+            .map_err(|i| {
+                (
+                    codes::UNKNOWN_ENTITY,
+                    format!(
+                        "profile {} lacks metric {metric:?}",
+                        if i == 0 { base } else { other }
+                    ),
+                )
+            })?;
         let tags: Value = Value::object(
             d.tag_counts()
                 .iter()
@@ -1342,28 +1278,25 @@ fn hover_result(profile: &Profile, file: &str, line: u32) -> Value {
     ])
 }
 
-/// `profile/search`: every node whose name contains `query`, case
-/// folded by `to_lowercase`. Each distinct name id is folded and
-/// tested once per request, however many nodes carry it.
+/// `profile/search`: every node [`ev_analysis::search`] matches, with
+/// its name.
 fn search_result(profile: &Profile, query: &str) -> Value {
-    let query = query.to_lowercase();
-    let strings = profile.strings();
-    let mut tested: Vec<Option<bool>> = vec![None; strings.len()];
-    let matches: Value = profile
-        .node_ids()
-        .filter_map(|id| {
+    let matches: Value = search(profile, query)
+        .into_iter()
+        .map(|id| {
             let name = profile.node(id).frame().name;
-            let hit = *tested[name.index()]
-                .get_or_insert_with(|| strings.resolve(name).to_lowercase().contains(&query));
-            hit.then(|| {
-                Value::object([
-                    ("node", Value::Int(id.index() as i64)),
-                    ("label", Value::from(strings.resolve(name))),
-                ])
-            })
+            Value::object([
+                ("node", Value::Int(id.index() as i64)),
+                ("label", Value::from(profile.strings().resolve(name))),
+            ])
         })
         .collect();
     Value::object([("matches", matches)])
+}
+
+/// The error for a profile id the table does not hold.
+fn not_loaded(id: i64) -> (i64, String) {
+    (codes::UNKNOWN_PROFILE, format!("profile {id} not loaded"))
 }
 
 /// A cloneable, thread-shareable handle to one [`EvpServer`].
@@ -1378,10 +1311,9 @@ pub struct SharedEvpServer {
 }
 
 impl SharedEvpServer {
-    /// A shared server with no profiles loaded (options from the
-    /// environment, like [`EvpServer::new`]).
+    /// A shared server with no profiles loaded and default options.
     pub fn new() -> SharedEvpServer {
-        SharedEvpServer::with_options(ServerOptions::from_env())
+        SharedEvpServer::with_options(ServerOptions::default())
     }
 
     /// A shared server with explicit options.
@@ -1410,14 +1342,6 @@ mod tests {
 
     /// Serializes tests that toggle process-global tracing.
     fn tracing_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Serializes tests that mutate process-global environment
-    /// variables (same pattern as `tracing_lock`), so the suite stays
-    /// safe under the default parallel test runner.
-    fn env_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -1705,20 +1629,9 @@ mod tests {
     }
 
     #[test]
-    fn options_default_and_env_override() {
+    fn options_default_and_explicit() {
         assert_eq!(ServerOptions::default().slow_request_micros, 100_000);
-        // The parse matrix goes through the injectable lookup — no
-        // process-global environment mutation, so it cannot race other
-        // tests constructing servers via `from_env`.
-        let options = ServerOptions::from_env_with(|name| {
-            assert_eq!(name, "EASYVIEW_SLOW_REQUEST_MS");
-            Some("250".to_owned())
-        });
-        assert_eq!(options.slow_request_micros, 250_000);
-        let fallback = ServerOptions::from_env_with(|_| Some("not-a-number".to_owned()));
-        assert_eq!(fallback.slow_request_micros, 100_000);
-        let unset = ServerOptions::from_env_with(|_| None);
-        assert_eq!(unset.slow_request_micros, 100_000);
+        assert_eq!(EvpServer::new().options().slow_request_micros, 100_000);
         let server = EvpServer::with_options(ServerOptions {
             slow_request_micros: 7,
             flight_capacity: 3,
@@ -1730,32 +1643,75 @@ mod tests {
     }
 
     #[test]
-    fn from_env_reads_the_real_environment() {
-        // The one test that mutates the env holds `env_lock` so a
-        // parallel run of any other env-mutating test cannot
-        // interleave; concurrently-constructed servers elsewhere only
-        // ever observe a *threshold* change (none assert slow-capture
-        // behavior).
-        let _guard = env_lock();
-        std::env::set_var("EASYVIEW_SLOW_REQUEST_MS", "250");
-        let options = ServerOptions::from_env();
-        std::env::remove_var("EASYVIEW_SLOW_REQUEST_MS");
-        assert_eq!(options.slow_request_micros, 250_000);
-        assert_eq!(ServerOptions::from_env().slow_request_micros, 100_000);
+    fn method_latency_table_is_sorted_and_resolved() {
+        // binary_search demands byte order ("codeLens" < "codeLink":
+        // 'e' < 'i'); every method must resolve to its own histogram,
+        // not pool into unknown.
+        assert!(
+            METHODS.windows(2).all(|w| w[0].0 < w[1].0),
+            "METHODS must be sorted by method name"
+        );
+        for (i, &(method, _)) in METHODS.iter().enumerate() {
+            assert_eq!(
+                latency_histogram(Some(i)).name(),
+                format!("ide.latency.{method}")
+            );
+        }
+        assert_eq!(latency_histogram(None).name(), "ide.latency.unknown");
     }
 
     #[test]
-    fn method_latency_table_is_sorted_and_resolved() {
-        // binary_search demands byte order ("codeLens" < "codeLink":
-        // 'e' < 'i'); every capability must resolve to its own
-        // histogram, not pool into unknown.
-        assert!(
-            METHOD_LATENCY.windows(2).all(|w| w[0].0 < w[1].0),
-            "METHOD_LATENCY must be sorted by method name"
+    fn multi_profile_requests_report_the_first_missing_id_in_request_order() {
+        let server = EvpServer::new();
+        let a = open_profile(&server, &small_profile());
+        let b = open_profile(&server, &small_profile());
+        let call = |rid: i64, method: &str, params: Value| {
+            server
+                .handle(&Request::new(rid, method, params))
+                .unwrap()
+                .outcome
+        };
+        let cpu = || ("metric", Value::from("cpu"));
+        let aggregate_ids = |rid: i64, ids: &[i64]| {
+            let ids = Value::array(ids.iter().map(|&id| Value::Int(id)));
+            call(
+                rid,
+                "profile/aggregate",
+                Value::object([("profileIds", ids), cpu()]),
+            )
+        };
+        let diff_ids = |rid: i64, base: i64, other: i64| {
+            let params = Value::object([
+                ("baseId", Value::Int(base)),
+                ("otherId", Value::Int(other)),
+                cpu(),
+            ]);
+            call(rid, "profile/diff", params)
+        };
+        let missing = |outcome: Result<Value, (i64, String)>| {
+            let (code, message) = outcome.unwrap_err();
+            assert_eq!(code, codes::UNKNOWN_PROFILE, "{message}");
+            message
+        };
+        // Repeated and out-of-order ids, loaded and missing.
+        let found = aggregate_ids(1, &[b, a, b, a]).unwrap();
+        assert_eq!(found.get("profiles").and_then(Value::as_i64), Some(4));
+        assert_eq!(
+            missing(aggregate_ids(2, &[b, 98, a, 97, b])),
+            "profile 98 not loaded"
         );
-        for &(method, name) in METHOD_LATENCY {
-            assert_eq!(method_histogram(method).name(), name);
-        }
+        assert_eq!(
+            missing(aggregate_ids(3, &[97, b, 98])),
+            "profile 97 not loaded"
+        );
+        // A profile diffed with itself is read-locked once.
+        let tags = diff_ids(4, a, a).unwrap();
+        let tags = tags.get("tags").unwrap();
+        assert_eq!(tags.get("added").and_then(Value::as_i64), Some(0));
+        assert_eq!(missing(diff_ids(5, 99, 98)), "profile 99 not loaded");
+        assert_eq!(missing(diff_ids(6, 98, 99)), "profile 98 not loaded");
+        assert_eq!(missing(diff_ids(7, b, 99)), "profile 99 not loaded");
+        assert_eq!(missing(diff_ids(8, 99, 99)), "profile 99 not loaded");
     }
 
     #[test]
@@ -2285,9 +2241,21 @@ mod tests {
             .handle(&Request::new(1, "initialize", Value::Null))
             .unwrap();
         let result = response.outcome.unwrap();
-        let caps = result.get("capabilities").unwrap().as_array().unwrap();
-        assert!(caps.iter().any(|c| c.as_str() == Some("profile/codeLink")));
-        assert!(caps.iter().any(|c| c.as_str() == Some("session/open")));
+        let caps: Vec<&str> = result
+            .get("capabilities")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .map(|c| c.as_str().unwrap())
+            .collect();
+        // Every dispatched method but `initialize` itself, sorted.
+        let others: Vec<&str> = METHODS
+            .iter()
+            .map(|&(method, _)| method)
+            .filter(|&method| method != "initialize")
+            .collect();
+        assert_eq!(caps, others);
+        assert!(caps.contains(&"profile/close"));
     }
 
     #[test]

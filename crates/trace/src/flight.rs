@@ -6,8 +6,9 @@
 //! without recording everything all the time. [`FlightRecorder`] is
 //! that box: each entry is a [`FlightCapture`] — the request's span
 //! tree (harvested with [`crate::start_capture`]), its wall time, why
-//! it was kept, and the per-request metric movement (a counter delta
-//! from [`crate::snapshot_metrics`]). Memory is bounded twice over:
+//! it was kept, and the counter deltas of the same capture window
+//! ([`crate::SpanCapture::finish_with_counters`]), which count only
+//! this thread's bumps. Memory is bounded twice over:
 //! the ring holds at most `capacity` captures (oldest overwritten
 //! first), and each capture keeps at most `max_spans` spans (the rest
 //! are dropped and counted in `truncated_spans`).

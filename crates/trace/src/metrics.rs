@@ -165,34 +165,10 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Upper bound of the bucket containing quantile `q` in `[0, 1]`
-    /// (0 when empty). Log-scale buckets bound the answer to within 2×.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (k, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return match k {
-                    0 => 0,
-                    64 => u64::MAX,
-                    _ => 1u64 << k,
-                };
-            }
-        }
-        u64::MAX
-    }
-
     /// A point-in-time copy of this histogram's state, for interpolated
-    /// quantiles and request-scoped deltas. Buckets are read with
-    /// relaxed loads, so a snapshot taken while writers are active is
-    /// consistent per-bucket but not across buckets; request-scoped use
-    /// (snapshot on the serving thread before and after the handler)
-    /// sees exact deltas.
+    /// quantiles. Buckets are read with relaxed loads, so a snapshot
+    /// taken while writers are active is consistent per-bucket but not
+    /// across buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         for (slot, bucket) in buckets.iter_mut().zip(&self.buckets) {
@@ -208,11 +184,9 @@ impl Histogram {
 }
 
 /// A point-in-time copy of one histogram: counts per log-scale bucket
-/// plus the running count/sum. Unlike the live [`Histogram`], a
-/// snapshot can answer *interpolated* quantiles (a value inside the
-/// bucket's range, placed by the rank's position within the bucket)
-/// instead of raw bucket upper edges, and snapshots subtract to give
-/// the distribution of what happened between two points in time.
+/// plus the running count/sum. Its quantiles are *interpolated*: a
+/// value inside the bucket's range, placed by the rank's position
+/// within the bucket, not the bucket's upper edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// The registered name.
@@ -281,32 +255,10 @@ impl HistogramSnapshot {
             self.quantile(0.99),
         ]
     }
-
-    /// The distribution recorded between `earlier` and `self`
-    /// (bucket-wise saturating subtraction; both must be snapshots of
-    /// the same histogram name for the result to mean anything).
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for (slot, (&now, &then)) in buckets
-            .iter_mut()
-            .zip(self.buckets.iter().zip(&earlier.buckets))
-        {
-            *slot = now.saturating_sub(then);
-        }
-        HistogramSnapshot {
-            name: self.name,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            buckets,
-        }
-    }
 }
 
 /// A point-in-time copy of the whole metrics registry: every counter
-/// value and every histogram state, sorted by name. Two snapshots
-/// subtract via [`MetricsSnapshot::delta_since`] to give what happened
-/// in between — the request-scoped view the flight recorder attaches
-/// to captured requests.
+/// value and every histogram state, sorted by name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` per registered counter, sorted by name.
@@ -329,32 +281,6 @@ impl MetricsSnapshot {
             .binary_search_by(|h| h.name.cmp(name))
             .ok()
             .map(|i| &self.histograms[i])
-    }
-
-    /// What happened between `earlier` and `self`: counter deltas
-    /// (only nonzero ones; counters born after `earlier` report their
-    /// full value) and histogram bucket deltas (only histograms whose
-    /// count moved).
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|&(name, now)| (name, now.saturating_sub(earlier.counter(name))))
-            .filter(|&(_, delta)| delta != 0)
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|h| match earlier.histogram(h.name) {
-                Some(then) => h.delta_since(then),
-                None => h.clone(),
-            })
-            .filter(|h| h.count != 0)
-            .collect();
-        MetricsSnapshot {
-            counters,
-            histograms,
-        }
     }
 }
 
@@ -418,19 +344,21 @@ pub fn counter_value(name: &str) -> u64 {
 
 /// A plain-text dump of every registered metric, sorted by name:
 /// `counter <name> <value>` and
-/// `histogram <name> count <n> sum <s> p50 <v> p99 <v>` lines.
+/// `histogram <name> count <n> sum <s> p50 <v> p99 <v>` lines, with the
+/// interpolated quantiles of [`HistogramSnapshot::quantile`].
 pub fn metrics_dump() -> String {
-    let reg = registry().lock().unwrap();
+    let snapshot = snapshot_metrics();
     let mut out = String::new();
-    for (name, c) in &reg.counters {
-        let _ = writeln!(out, "counter {name} {}", c.get());
+    for (name, value) in &snapshot.counters {
+        let _ = writeln!(out, "counter {name} {value}");
     }
-    for (name, h) in &reg.histograms {
+    for h in &snapshot.histograms {
         let _ = writeln!(
             out,
-            "histogram {name} count {} sum {} p50 {} p99 {}",
-            h.count(),
-            h.sum(),
+            "histogram {} count {} sum {} p50 {} p99 {}",
+            h.name,
+            h.count,
+            h.sum,
             h.quantile(0.5),
             h.quantile(0.99),
         );
@@ -473,9 +401,15 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1106);
-        assert!(h.quantile(0.5) >= 2, "median bucket covers 2..4");
-        assert!(h.quantile(1.0) >= 1000);
-        assert_eq!(histogram("test.metrics.empty").quantile(0.5), 0);
+        // Each quantile lands in the bucket of its rank's sample.
+        let s = h.snapshot();
+        assert!((2.0..4.0).contains(&s.quantile(0.5)), "median sample 3");
+        assert!(
+            (512.0..1024.0).contains(&s.quantile(1.0)),
+            "top sample 1000"
+        );
+        let empty = histogram("test.metrics.empty").snapshot();
+        assert_eq!(empty.quantile(0.5), 0.0);
     }
 
     #[test]
@@ -487,7 +421,7 @@ mod tests {
         let s = h.snapshot();
         // Exact p50 of 1..=100 is 50, in bucket [32, 64); the
         // interpolated answer must land inside that bucket, strictly
-        // between the edges (the raw quantile reports 64).
+        // between the edges.
         let p50 = s.quantile(0.5);
         assert!((32.0..64.0).contains(&p50), "p50 {p50}");
         // p99 rank 99 is in bucket [64, 128).
@@ -502,50 +436,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_isolates_the_window() {
-        let h = histogram("test.snapshot.delta");
-        h.record(5);
-        h.record(1000);
-        let before = h.snapshot();
-        h.record(7);
-        let delta = h.snapshot().delta_since(&before);
-        assert_eq!(delta.count, 1);
-        assert_eq!(delta.sum, 7);
-        assert_eq!(delta.buckets.iter().sum::<u64>(), 1);
-        assert_eq!(delta.buckets[bucket_index(7)], 1);
-        // The delta's median is the single sample's bucket [4, 8).
-        let p50 = delta.quantile(0.5);
-        assert!((4.0..8.0).contains(&p50), "p50 {p50}");
-    }
-
-    #[test]
-    fn metrics_snapshot_delta_reports_nonzero_movement_only() {
-        let moved = counter("test.mdelta.moved");
-        counter("test.mdelta.idle");
-        let h = histogram("test.mdelta.hist");
-        let before = snapshot_metrics();
+    fn metrics_snapshot_looks_up_by_name() {
+        let moved = counter("test.lookup.moved");
+        let h = histogram("test.lookup.hist");
         moved.add(3);
         h.record(9);
-        let delta = snapshot_metrics().delta_since(&before);
-        assert_eq!(delta.counter("test.mdelta.moved"), 3);
-        assert_eq!(delta.counter("test.mdelta.idle"), 0);
-        assert!(
-            !delta.counters.iter().any(|&(n, _)| n == "test.mdelta.idle"),
-            "idle counters are dropped from the delta"
-        );
-        let hd = delta.histogram("test.mdelta.hist").unwrap();
-        assert_eq!(hd.count, 1);
-        assert_eq!(hd.sum, 9);
-        // Lookups on the full snapshot work too (sorted by name).
-        assert!(snapshot_metrics().histogram("test.mdelta.hist").is_some());
-        assert!(snapshot_metrics().histogram("test.mdelta.absent").is_none());
+        let snapshot = snapshot_metrics();
+        assert!(snapshot.counter("test.lookup.moved") >= 3);
+        assert_eq!(snapshot.counter("test.lookup.absent"), 0);
+        assert!(snapshot.histogram("test.lookup.hist").unwrap().count >= 1);
+        assert!(snapshot.histogram("test.lookup.absent").is_none());
     }
 
     #[test]
     fn empty_snapshot_quantile_is_zero() {
         let s = HistogramSnapshot::empty("test.snapshot.empty");
         assert_eq!(s.quantile(0.5), 0.0);
-        assert_eq!(s.delta_since(&s).count, 0);
     }
 
     #[test]

@@ -164,8 +164,5 @@ property! {
                 prop_assert!(pair[0].x + pair[0].width <= pair[1].x + 1e-9);
             }
         }
-        // Search finds every function name that exists.
-        let hit = graph.search("pkg.Function");
-        prop_assert!(hit.len() <= graph.rects().len());
     }
 }
