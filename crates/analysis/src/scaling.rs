@@ -12,12 +12,10 @@
 use crate::diff::{diff, DiffProfile};
 use ev_core::{MetricDescriptor, MetricId, MetricKind, MetricUnit, NodeId, Profile};
 
-/// The result of a scaling analysis.
+/// The result of a scaling analysis: the subtraction-based
+/// differential, whose union tree also carries the `scaling` channel.
 #[derive(Debug, Clone)]
 pub struct ScalingProfile {
-    /// The union tree carrying `before`, `after`, and the derived
-    /// `scaling` ratio channel.
-    pub profile: Profile,
     /// Per-context ratio `after / before` ([`MetricKind::Point`];
     /// 0 where the context is missing from either side).
     pub scaling: MetricId,
@@ -27,6 +25,12 @@ pub struct ScalingProfile {
 }
 
 impl ScalingProfile {
+    /// The union tree carrying `before`, `after`, `delta` and the
+    /// derived `scaling` ratio channel.
+    pub fn profile(&self) -> &Profile {
+        &self.diff.profile
+    }
+
     /// The underlying subtraction-based differential (tags, deltas).
     pub fn diff(&self) -> &DiffProfile {
         &self.diff
@@ -34,7 +38,7 @@ impl ScalingProfile {
 
     /// The per-context ratio, 0 when undefined.
     pub fn ratio(&self, node: NodeId) -> f64 {
-        self.profile.value(node, self.scaling)
+        self.profile().value(node, self.scaling)
     }
 
     /// Contexts whose ratio exceeds the program ratio by more than
@@ -43,7 +47,7 @@ impl ScalingProfile {
     pub fn bottlenecks(&self, tolerance: f64) -> Vec<(NodeId, f64)> {
         let cutoff = self.program_ratio * (1.0 + tolerance);
         let mut out: Vec<(NodeId, f64)> = self
-            .profile
+            .profile()
             .node_ids()
             .filter(|&id| id != NodeId::ROOT)
             .map(|id| (id, self.ratio(id)))
@@ -68,22 +72,21 @@ pub fn scaling_diff(
 ) -> Result<ScalingProfile, usize> {
     let m1 = first.metric_by_name(metric_name).ok_or(0usize)?;
     let m2 = second.metric_by_name(metric_name).ok_or(1usize)?;
-    let d = diff(first, second, metric_name, 0.0)?;
-    let mut profile = d.profile.clone();
-    let scaling = profile.add_metric(
+    let mut d = diff(first, second, metric_name, 0.0)?;
+    let scaling = d.profile.add_metric(
         MetricDescriptor::new("scaling", MetricUnit::Ratio, MetricKind::Point)
             .with_description(format!("{metric_name} ratio P2/P1")),
     );
-    for node in profile.node_ids().collect::<Vec<_>>() {
+    for node in d.profile.node_ids().collect::<Vec<_>>() {
         let entry = d.entry(node);
         if entry.before > 0.0 && entry.after > 0.0 {
-            profile.set_value(node, scaling, entry.after / entry.before);
+            d.profile
+                .set_value(node, scaling, entry.after / entry.before);
         }
     }
     let (t1, t2) = (first.total(m1), second.total(m2));
     let program_ratio = if t1 > 0.0 { t2 / t1 } else { 0.0 };
     Ok(ScalingProfile {
-        profile,
         scaling,
         program_ratio,
         diff: d,
@@ -126,14 +129,14 @@ mod tests {
         let p2 = run_at_scale(4.0, 4.0);
         let s = scaling_diff(&p1, &p2, "heap").unwrap();
         let halo = s
-            .profile
+            .profile()
             .node_ids()
-            .find(|&id| s.profile.resolve_frame(id).name == "halo_buffers")
+            .find(|&id| s.profile().resolve_frame(id).name == "halo_buffers")
             .unwrap();
         let local = s
-            .profile
+            .profile()
             .node_ids()
-            .find(|&id| s.profile.resolve_frame(id).name == "local_state")
+            .find(|&id| s.profile().resolve_frame(id).name == "local_state")
             .unwrap();
         assert_eq!(s.ratio(halo), 16.0);
         assert_eq!(s.ratio(local), 4.0);
@@ -152,9 +155,9 @@ mod tests {
         p2.add_sample(&[Frame::function("new_site")], &[(m, 7.0)]);
         let s = scaling_diff(&p1, &p2, "heap").unwrap();
         let fresh = s
-            .profile
+            .profile()
             .node_ids()
-            .find(|&id| s.profile.resolve_frame(id).name == "new_site")
+            .find(|&id| s.profile().resolve_frame(id).name == "new_site")
             .unwrap();
         assert_eq!(s.ratio(fresh), 0.0, "added contexts have no ratio");
     }
@@ -172,7 +175,7 @@ mod tests {
             let p = run_at_scale(scale, 1.0);
             let s = scaling_diff(&p, &p, "heap").unwrap();
             prop_assert!((s.program_ratio - 1.0).abs() < 1e-9);
-            for id in s.profile.node_ids() {
+            for id in s.profile().node_ids() {
                 let r = s.ratio(id);
                 prop_assert!(r == 0.0 || (r - 1.0).abs() < 1e-9);
             }

@@ -1,7 +1,10 @@
 //! The ingest benchmark: measures the fast decode path introduced for
 //! the `flate.inflate → wire.decode → convert.pprof` pipeline and
-//! writes `BENCH_ingest.json` at the repo root so the perf trajectory
-//! is machine-readable across PRs.
+//! writes `BENCH_ingest.json` (through `ev_bench::timer`'s report
+//! writer) so the perf trajectory is machine-readable across PRs.
+//! Every fast/reference, parallel/sequential and streaming/buffered
+//! ratio is the median per-pair ratio of interleaved pairs
+//! (`ev_bench::timer::compare`).
 //!
 //! Also the correctness gate for the fast paths: every golden fixture is
 //! decoded by both the fast LUT decoder and the retained reference
@@ -12,8 +15,9 @@
 //! either is timed.
 //!
 //! Usage: `ingest [--quick]` — `--quick` (used by `scripts/ci.sh`)
-//! runs fewer samples and skips the large synthetic workload, and
-//! relaxes the speedup gates to 2× to tolerate noisy CI hosts.
+//! runs fewer pairs, skips the large synthetic and long-capture
+//! workloads, relaxes the speedup gates to 2× to tolerate noisy CI
+//! hosts, and writes its report under `target/`.
 //!
 //! Speedup gates run on the *largest* workload only: the sub-kilobyte
 //! fixtures finish one decode in microseconds, where the fast/reference
@@ -21,7 +25,7 @@
 //! They are still timed and reported — just not gated on.
 
 use ev_bench::pipeline::easyview_open;
-use ev_bench::timer::{bench, group, interleaved_pairs, median, Measurement};
+use ev_bench::timer::{compare, group, median, repo_root, time_secs, write_report, Comparison};
 use ev_flate::{
     crc32, crc32_reference, deflate_compress, gzip_decompress, gzip_decompress_with, inflate,
     inflate_reference, CompressionLevel, ExecPolicy, DEFAULT_CHUNK_SIZE,
@@ -30,7 +34,7 @@ use ev_formats::pprof;
 use ev_gen::synthetic::{pprof_longrun, pprof_with_size};
 use ev_json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::path::{Path, PathBuf};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Counting global allocator with a high-water mark, for the
@@ -103,7 +107,7 @@ fn decode_phases(raw: &[u8], samples: usize) -> (f64, f64, f64) {
     let (mut walk, mut resolve, mut build) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..samples.max(1) {
         let capture = ev_trace::start_capture();
-        std::hint::black_box(pprof::parse(raw).expect("traced pprof parse"));
+        black_box(pprof::parse(raw).expect("traced pprof parse"));
         let spans = capture.finish();
         let secs = |name: &str| {
             let ns: u64 = spans
@@ -136,14 +140,13 @@ fn span_cost_ns(enabled: bool, rounds: usize) -> f64 {
     ev_trace::set_enabled(enabled);
     let mut best = f64::INFINITY;
     for _ in 0..rounds.max(1) {
-        let t = std::time::Instant::now();
-        {
+        let secs = time_secs(|| {
             let _outer = ev_trace::span("bench.span_cost_outer");
             for _ in 0..SPANS {
-                let _span = std::hint::black_box(ev_trace::span("bench.span_cost"));
+                let _span = black_box(ev_trace::span("bench.span_cost"));
             }
-        }
-        best = best.min(t.elapsed().as_nanos() as f64 / SPANS as f64);
+        });
+        best = best.min(secs * 1e9 / SPANS as f64);
         drop(ev_trace::take_spans());
     }
     ev_trace::set_enabled(was_enabled);
@@ -156,10 +159,6 @@ const FIXTURE_DIGESTS: [(&str, u32); 2] = [
     ("synthetic_cpu.pb.gz", 0x3bfc_9e67),
     ("grpc_leak.pb.gz", 0x4889_efab),
 ];
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 struct Workload {
     name: String,
@@ -213,45 +212,26 @@ fn load_workloads(quick: bool) -> Vec<Workload> {
     workloads
 }
 
-fn secs(m: &Measurement) -> f64 {
-    m.min.as_secs_f64()
-}
-
-fn mib_per_sec(bytes: usize, secs: f64) -> f64 {
-    bytes as f64 / (1 << 20) as f64 / secs
-}
-
-/// Times `a` and `b` interleaved round by round and returns the
-/// minimum seconds of each. The ratio gates compare two multi-ms
-/// measurements; running all samples of one side and then all of the
-/// other lets a slow spell of host load land entirely on one side,
-/// which swings the ratio of minima by >10% on shared 1-core CI hosts
-/// (observed 0.88 vs 0.96 from the same binary minutes apart).
-/// Alternating sample pairs makes throughput drift hit both sides
-/// alike, so the ratio converges even when the absolute times do not.
-fn minsecs_interleaved(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..rounds.max(1) {
-        let t = std::time::Instant::now();
-        a();
-        best_a = best_a.min(t.elapsed().as_secs_f64());
-        let t = std::time::Instant::now();
-        b();
-        best_b = best_b.min(t.elapsed().as_secs_f64());
+/// [`compare`] with `iters` calls of each side per timed run, its side
+/// medians in seconds per call: small inputs decode in microseconds,
+/// where one call per run would leave the ratio to timer noise. Both
+/// sides make the same number of calls, so the speedup is unaffected.
+fn compare_calls<A, B>(
+    pairs: usize,
+    iters: usize,
+    mut baseline: impl FnMut() -> A,
+    mut candidate: impl FnMut() -> B,
+) -> Comparison {
+    let timed = compare(
+        pairs,
+        || (0..iters).for_each(|_| drop(black_box(baseline()))),
+        || (0..iters).for_each(|_| drop(black_box(candidate()))),
+    );
+    Comparison {
+        baseline_secs: timed.baseline_secs / iters as f64,
+        candidate_secs: timed.candidate_secs / iters as f64,
+        ..timed
     }
-    (best_a, best_b)
-}
-
-/// The median seconds of `a` and of `b` over `pairs` interleaved pairs
-/// ([`interleaved_pairs`]), and the median of the per-pair ratios
-/// `a / b`.
-fn median_pairs_interleaved(pairs: usize, a: impl FnMut(), b: impl FnMut()) -> (f64, f64, f64) {
-    let times = interleaved_pairs(pairs, a, b);
-    (
-        median(times.iter().map(|t| t.0).collect()),
-        median(times.iter().map(|t| t.1).collect()),
-        median(times.iter().map(|t| t.0 / t.1).collect()),
-    )
 }
 
 /// Re-wraps `raw` as `parts` concatenated gzip members — the RFC 1952
@@ -271,12 +251,15 @@ fn multi_member_gz(raw: &[u8], parts: usize) -> Vec<u8> {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let samples = if quick { 5 } else { 20 };
+    // Interleaved pairs behind each A/B row (the long capture's
+    // throughput row has its own count).
+    let pairs = if quick { 5 } else { 20 };
     let min_speedup = if quick { 2.0 } else { 3.0 };
     // The inflate gate has its own floor: the byte-at-a-time reference
     // is branchy enough that its throughput moves ~20% with host load
     // and frequency state, which a 3× floor does not absorb (observed
-    // 2.9–3.7× on the same binary across machine states).
+    // 2.9–3.7× on the same binary across machine states, as a ratio of
+    // minima timed one side after the other).
     let min_inflate_speedup = if quick { 2.0 } else { 2.5 };
 
     group("ingest: fast vs reference inflate");
@@ -302,29 +285,23 @@ fn main() {
         assert_eq!(fast_out, ref_out, "{}: decoder outputs differ", w.name);
         assert_eq!(fast_out, w.raw, "{}: decode differs from gzip path", w.name);
 
-        // Amortize small inputs: decode enough times per timed sample
-        // that one sample spans ~1 ms, else µs-scale timer noise
-        // swamps the fast/reference ratio. Both sides use the same
-        // iteration count, so the speedup is unaffected.
+        // Amortize small inputs: decode enough times per timed run
+        // that one run spans ~1 ms.
         let iters = (256 << 10) / w.raw.len().max(1) + 1;
-        let m_fast = bench(&format!("{}/inflate_fast", w.name), samples, || {
-            for _ in 0..iters {
-                std::hint::black_box(inflate(std::hint::black_box(&w.body)).unwrap());
-            }
-        });
-        let m_ref = bench(&format!("{}/inflate_reference", w.name), samples, || {
-            for _ in 0..iters {
-                std::hint::black_box(inflate_reference(std::hint::black_box(&w.body)).unwrap());
-            }
-        });
-        inflate_runs.push((iters, m_fast, m_ref));
+        let inflated = compare_calls(
+            pairs,
+            iters,
+            || inflate_reference(black_box(&w.body)).unwrap(),
+            || inflate(black_box(&w.body)).unwrap(),
+        );
+        inflate_runs.push((iters, inflated));
     }
 
     group("ingest: one-pass vs reference pprof decode");
-    for (w, (iters, m_fast, m_ref)) in workloads.iter().zip(inflate_runs) {
+    for (w, (iters, inflated)) in workloads.iter().zip(inflate_runs) {
         // Same correctness gate one layer up: the one-pass pprof
         // decoder must agree with the retained two-pass reference on
-        // every workload (doubles as warm-up for the timed runs).
+        // every workload.
         let live_before = LIVE.load(Ordering::Relaxed);
         let one = pprof::parse(&w.raw).expect("one-pass pprof parse");
         // Heap the decoded profile keeps, per CCT node.
@@ -333,7 +310,7 @@ fn main() {
         let two = pprof::parse_reference(&w.raw).expect("reference pprof parse");
         assert_eq!(one, two, "{}: pprof decoders disagree", w.name);
         drop((one, two));
-        let (walk_secs, resolve_secs, build_secs) = decode_phases(&w.raw, samples);
+        let (walk_secs, resolve_secs, build_secs) = decode_phases(&w.raw, pairs);
 
         // And the streaming decoder one layer further up: the
         // bounded-memory inflate→walk pipeline must produce the same
@@ -353,63 +330,51 @@ fn main() {
         );
         drop((buffered_gz, streamed));
 
-        let m_wire = bench(&format!("{}/wire_decode_onepass", w.name), samples, || {
-            for _ in 0..iters {
-                std::hint::black_box(pprof::parse(std::hint::black_box(&w.raw)).unwrap());
-            }
-        });
-        let m_wire_ref = bench(&format!("{}/wire_decode_reference", w.name), samples, || {
-            for _ in 0..iters {
-                std::hint::black_box(pprof::parse_reference(std::hint::black_box(&w.raw)).unwrap());
-            }
-        });
-        let m_e2e = bench(&format!("{}/end_to_end", w.name), samples, || {
-            for _ in 0..iters {
-                std::hint::black_box(pprof::parse(std::hint::black_box(&w.gz)).unwrap());
-            }
-        });
-        let m_stream = bench(&format!("{}/end_to_end_streaming", w.name), samples, || {
-            for _ in 0..iters {
-                std::hint::black_box(
-                    pprof::parse_streaming_with(
-                        std::hint::black_box(&w.gz),
-                        stream_policy,
-                        DEFAULT_CHUNK_SIZE,
-                    )
-                    .unwrap(),
-                );
-            }
-        });
+        let decoded = compare_calls(
+            pairs,
+            iters,
+            || pprof::parse_reference(black_box(&w.raw)).unwrap(),
+            || pprof::parse(black_box(&w.raw)).unwrap(),
+        );
+        let streaming = compare_calls(
+            pairs,
+            iters,
+            || pprof::parse(black_box(&w.gz)).unwrap(),
+            || {
+                pprof::parse_streaming_with(black_box(&w.gz), stream_policy, DEFAULT_CHUNK_SIZE)
+                    .unwrap()
+            },
+        );
 
-        let speedup = secs(&m_ref) / secs(&m_fast);
-        worst_speedup = worst_speedup.min(speedup);
-        let wire_speedup = secs(&m_wire_ref) / secs(&m_wire);
+        worst_speedup = worst_speedup.min(inflated.speedup);
         // Gates run on the largest workload only (see module docs):
         // tiny fixtures are dominated by per-parse fixed costs (profile
         // setup, metric registration) paid equally by both decoders, so
         // their ratio says little about the decode loop itself.
         if w.raw.len() > wire_gate_bytes {
             wire_gate_bytes = w.raw.len();
-            wire_gate_speedup = wire_speedup;
-            inflate_gate_speedup = speedup;
+            wire_gate_speedup = decoded.speedup;
+            inflate_gate_speedup = inflated.speedup;
             wire_gate_name = w.name.clone();
         }
-        let bytes = w.raw.len() * iters;
         println!(
-            "{:<44} inflate {:>8.1} MiB/s (ref {:>7.1})  speedup {speedup:.2}x  \
-             wire {:>8.1} MiB/s (ref {:>7.1})  speedup {wire_speedup:.2}x",
-            "",
-            m_fast.mib_per_sec(bytes),
-            m_ref.mib_per_sec(bytes),
-            m_wire.mib_per_sec(bytes),
-            m_wire_ref.mib_per_sec(bytes),
+            "{:<44} inflate {:>9.3} ms (ref {:>9.3})  speedup {:.2}x  \
+             wire {:>9.3} ms (ref {:>9.3})  speedup {:.2}x",
+            w.name,
+            inflated.candidate_secs * 1e3,
+            inflated.baseline_secs * 1e3,
+            inflated.speedup,
+            decoded.candidate_secs * 1e3,
+            decoded.baseline_secs * 1e3,
+            decoded.speedup,
         );
         println!(
-            "{:<44} e2e buffered {:>8.1} MiB/s  streaming {:>8.1} MiB/s  \
+            "{:<44} e2e buffered {:>9.3} ms  streaming {:>9.3} ms ({:.2}x)  \
              peak {:.1} MiB -> {:.1} MiB ({:.1}x)",
             "",
-            m_e2e.mib_per_sec(bytes),
-            m_stream.mib_per_sec(bytes),
+            streaming.baseline_secs * 1e3,
+            streaming.candidate_secs * 1e3,
+            streaming.speedup,
             peak_buffered as f64 / (1 << 20) as f64,
             peak_streaming as f64 / (1 << 20) as f64,
             peak_buffered as f64 / peak_streaming.max(1) as f64,
@@ -427,34 +392,32 @@ fn main() {
             ("name", Value::String(w.name.clone())),
             ("compressed_bytes", Value::Int(w.body.len() as i64)),
             ("raw_bytes", Value::Int(w.raw.len() as i64)),
-            ("iters_per_sample", Value::Int(iters as i64)),
+            ("iters_per_run", Value::Int(iters as i64)),
+            ("inflate_secs", Value::Float(inflated.candidate_secs)),
             (
-                "inflate_mib_per_sec",
-                Value::Float(m_fast.mib_per_sec(bytes)),
+                "inflate_reference_secs",
+                Value::Float(inflated.baseline_secs),
+            ),
+            ("inflate_speedup", Value::Float(inflated.speedup)),
+            (
+                "wire_decode_onepass_secs",
+                Value::Float(decoded.candidate_secs),
             ),
             (
-                "inflate_reference_mib_per_sec",
-                Value::Float(m_ref.mib_per_sec(bytes)),
+                "wire_decode_reference_secs",
+                Value::Float(decoded.baseline_secs),
             ),
-            ("inflate_speedup", Value::Float(speedup)),
-            (
-                "wire_decode_onepass_mib_per_sec",
-                Value::Float(m_wire.mib_per_sec(bytes)),
-            ),
-            (
-                "wire_decode_reference_mib_per_sec",
-                Value::Float(m_wire_ref.mib_per_sec(bytes)),
-            ),
-            ("wire_decode_speedup", Value::Float(wire_speedup)),
+            ("wire_decode_speedup", Value::Float(decoded.speedup)),
             ("wire_walk_secs", Value::Float(walk_secs)),
             ("resolve_secs", Value::Float(resolve_secs)),
             ("cct_build_secs", Value::Float(build_secs)),
             ("heap_bytes_per_node", Value::Float(heap_per_node)),
-            ("end_to_end_secs", Value::Float(secs(&m_e2e) / iters as f64)),
+            ("end_to_end_secs", Value::Float(streaming.baseline_secs)),
             (
                 "end_to_end_streaming_secs",
-                Value::Float(secs(&m_stream) / iters as f64),
+                Value::Float(streaming.candidate_secs),
             ),
+            ("throughput_vs_buffered", Value::Float(streaming.speedup)),
             ("peak_bytes_buffered", Value::Int(peak_buffered as i64)),
             ("peak_bytes_streaming", Value::Int(peak_streaming as i64)),
         ]));
@@ -476,23 +439,18 @@ fn main() {
         largest.name
     );
     let crc_iters = (8 << 20) / largest.raw.len().max(1) + 1;
-    let m_crc = bench("crc32/slice_by_8", samples, || {
-        for _ in 0..crc_iters {
-            std::hint::black_box(crc32(std::hint::black_box(&largest.raw)));
-        }
-    });
-    let m_crc_ref = bench("crc32/reference", samples, || {
-        for _ in 0..crc_iters {
-            std::hint::black_box(crc32_reference(std::hint::black_box(&largest.raw)));
-        }
-    });
-    let crc_bytes = largest.raw.len() * crc_iters;
-    let crc_speedup = secs(&m_crc_ref) / secs(&m_crc);
+    let crc = compare_calls(
+        pairs,
+        crc_iters,
+        || crc32_reference(black_box(&largest.raw)),
+        || crc32(black_box(&largest.raw)),
+    );
     println!(
-        "{:<44} crc32 {:>8.1} MiB/s (ref {:>7.1})  speedup {crc_speedup:.2}x",
-        "",
-        m_crc.mib_per_sec(crc_bytes),
-        m_crc_ref.mib_per_sec(crc_bytes),
+        "{:<44} crc32 {:>9.3} ms (ref {:>9.3})  speedup {:.2}x",
+        largest.name,
+        crc.candidate_secs * 1e3,
+        crc.baseline_secs * 1e3,
+        crc.speedup,
     );
 
     // Tracing overhead: the spans one traced open of the largest
@@ -503,22 +461,23 @@ fn main() {
     group("ingest: tracing overhead per open");
     ev_trace::set_enabled(true);
     let spans_before = ev_trace::span_count();
-    std::hint::black_box(easyview_open(&largest.gz).expect("traced open"));
+    black_box(easyview_open(&largest.gz).expect("traced open"));
     let spans_per_open = ev_trace::span_count() - spans_before;
     ev_trace::set_enabled(false);
     drop(ev_trace::take_spans());
-    let m_open = bench(&format!("{}/open", largest.name), samples.min(5), || {
-        std::hint::black_box(easyview_open(std::hint::black_box(&largest.gz)).unwrap());
-    });
-    let open_secs = secs(&m_open);
-    let span_ns_off = span_cost_ns(false, samples);
-    let span_ns_on = span_cost_ns(true, samples);
+    let open_secs = median(
+        (0..pairs.min(5))
+            .map(|_| time_secs(|| _ = black_box(easyview_open(black_box(&largest.gz)).unwrap())))
+            .collect(),
+    );
+    let span_ns_off = span_cost_ns(false, pairs);
+    let span_ns_on = span_cost_ns(true, pairs);
     let open_share = |span_ns: f64| spans_per_open as f64 * span_ns / 1e9 / open_secs;
     let (trace_off_share, trace_on_share) = (open_share(span_ns_off), open_share(span_ns_on));
     println!(
         "{:<44} {spans_per_open} spans per {:.1} ms open: off {span_ns_off:.2} ns/span \
          ({:.5} %), on {span_ns_on:.1} ns/span ({:.5} %)",
-        "",
+        largest.name,
         open_secs * 1e3,
         trace_off_share * 100.0,
         trace_on_share * 100.0,
@@ -546,33 +505,23 @@ fn main() {
     // same binary, which no gate threshold can hold honestly.
     let auto_policy = ExecPolicy::auto();
     let multi_iters = (2 << 20) / largest.raw.len().max(1) + 1;
-    let (seq_secs, par_secs) = minsecs_interleaved(
-        samples,
-        || {
-            for _ in 0..multi_iters {
-                std::hint::black_box(gzip_decompress(std::hint::black_box(&multi)).unwrap());
-            }
-        },
-        || {
-            for _ in 0..multi_iters {
-                std::hint::black_box(
-                    gzip_decompress_with(std::hint::black_box(&multi), auto_policy).unwrap(),
-                );
-            }
-        },
-    );
-    let multi_bytes = largest.raw.len() * multi_iters;
     // Parallel vs sequential, as a ratio: the per-member-size threshold
     // in `ev-flate` routes small-member files (like the quick-mode
     // fixtures) to the sequential walk outright, so this must never
     // fall meaningfully below 1.0 again.
-    let multi_ratio = seq_secs / par_secs;
+    let multi_member = compare_calls(
+        pairs,
+        multi_iters,
+        || gzip_decompress(black_box(&multi)).unwrap(),
+        || gzip_decompress_with(black_box(&multi), auto_policy).unwrap(),
+    );
     println!(
-        "{:<44} seq {:>8.1} MiB/s  par(auto,{}t) {:>8.1} MiB/s  ({parts} members, {multi_ratio:.2}x)",
-        "",
-        mib_per_sec(multi_bytes, seq_secs),
+        "{:<44} seq {:>9.3} ms  par(auto,{}t) {:>9.3} ms  ({parts} members, {:.2}x)",
+        largest.name,
+        multi_member.baseline_secs * 1e3,
         auto_policy.threads,
-        mib_per_sec(multi_bytes, par_secs),
+        multi_member.candidate_secs * 1e3,
+        multi_member.speedup,
     );
 
     // Streaming bounded-memory gate, on the workload shape the
@@ -598,7 +547,8 @@ fn main() {
     // for: the StreamReader double-parse bug alone cost 25% on any
     // host (0.83 -> ~0.62 here).
     let tp_floor = if ExecPolicy::auto().threads >= 2 { 0.9 } else { 0.7 };
-    // Interleaved buffered/streaming pairs behind the throughput ratio.
+    // One parse here runs for about a second, so the row takes fewer
+    // pairs than the others.
     const LONGRUN_PAIRS: usize = 15;
     let mut streaming_gate = Value::object([("skipped", Value::Bool(true))]);
     if !quick {
@@ -614,34 +564,22 @@ fn main() {
         });
         assert_eq!(streamed, buffered, "longrun: streaming differs from buffered");
         drop((buffered, streamed));
-        // One parse here runs for about a second, and on a 2-vCPU host
-        // a min-of-8 ratio of the same code landed anywhere from 0.79x
-        // to above the 0.9 floor, decided by which side a spell of load
-        // hit. The gate takes the median of per-pair ratios instead.
-        let (buf_secs, stream_secs, pair_ratio) = median_pairs_interleaved(
+        let longrun = compare(
             LONGRUN_PAIRS,
+            || pprof::parse(black_box(&gz)).unwrap(),
             || {
-                std::hint::black_box(pprof::parse(std::hint::black_box(&gz)).unwrap());
-            },
-            || {
-                std::hint::black_box(
-                    pprof::parse_streaming_with(
-                        std::hint::black_box(&gz),
-                        stream_policy,
-                        DEFAULT_CHUNK_SIZE,
-                    )
-                    .unwrap(),
-                );
+                pprof::parse_streaming_with(black_box(&gz), stream_policy, DEFAULT_CHUNK_SIZE)
+                    .unwrap()
             },
         );
         peak_gate_ratio = peak_buffered as f64 / peak_streaming.max(1) as f64;
-        stream_tp_ratio = pair_ratio;
+        stream_tp_ratio = longrun.speedup;
         println!(
-            "{:<44} e2e buffered {:>8.1} MiB/s  streaming {:>8.1} MiB/s ({:.2}x)  \
+            "{:<44} e2e buffered {:>9.1} ms  streaming {:>9.1} ms ({:.2}x)  \
              peak {:.1} MiB -> {:.1} MiB ({:.1}x)",
-            "",
-            mib_per_sec(raw_len, buf_secs),
-            mib_per_sec(raw_len, stream_secs),
+            "pprof_longrun_1m",
+            longrun.baseline_secs * 1e3,
+            longrun.candidate_secs * 1e3,
             stream_tp_ratio,
             peak_buffered as f64 / (1 << 20) as f64,
             peak_streaming as f64 / (1 << 20) as f64,
@@ -657,92 +595,80 @@ fn main() {
             ("peak_bytes_streaming", Value::Int(peak_streaming as i64)),
             ("peak_reduction", Value::Float(peak_gate_ratio)),
             ("timed_pairs", Value::Int(LONGRUN_PAIRS as i64)),
-            ("end_to_end_secs", Value::Float(buf_secs)),
-            ("end_to_end_streaming_secs", Value::Float(stream_secs)),
+            ("end_to_end_secs", Value::Float(longrun.baseline_secs)),
+            (
+                "end_to_end_streaming_secs",
+                Value::Float(longrun.candidate_secs),
+            ),
             ("throughput_vs_buffered", Value::Float(stream_tp_ratio)),
             ("throughput_floor", Value::Float(tp_floor)),
         ]);
     }
 
-    let report = Value::object([
-        ("schema", Value::String("ev-bench-ingest/v1".to_string())),
-        ("quick", Value::Bool(quick)),
-        ("samples", Value::Int(samples as i64)),
-        ("worst_inflate_speedup", Value::Float(worst_speedup)),
-        (
-            "wire_decode_gate",
-            Value::object([
-                ("workload", Value::String(wire_gate_name.clone())),
-                ("wire_decode_speedup", Value::Float(wire_gate_speedup)),
-            ]),
-        ),
-        (
-            "inflate_gate",
-            Value::object([
-                ("workload", Value::String(wire_gate_name.clone())),
-                ("inflate_speedup", Value::Float(inflate_gate_speedup)),
-            ]),
-        ),
-        ("workloads", Value::Array(entries)),
-        (
-            "crc32",
-            Value::object([
-                ("workload", Value::String(largest.name.clone())),
-                ("bytes_per_iter", Value::Int(largest.raw.len() as i64)),
-                (
-                    "crc32_mib_per_sec",
-                    Value::Float(m_crc.mib_per_sec(crc_bytes)),
-                ),
-                (
-                    "crc32_reference_mib_per_sec",
-                    Value::Float(m_crc_ref.mib_per_sec(crc_bytes)),
-                ),
-                ("crc32_speedup", Value::Float(crc_speedup)),
-            ]),
-        ),
-        (
-            "multi_member",
-            Value::object([
-                ("workload", Value::String(largest.name.clone())),
-                ("members", Value::Int(parts as i64)),
-                ("compressed_bytes", Value::Int(multi.len() as i64)),
-                (
-                    "sequential_mib_per_sec",
-                    Value::Float(mib_per_sec(multi_bytes, seq_secs)),
-                ),
-                (
-                    "parallel_mib_per_sec",
-                    Value::Float(mib_per_sec(multi_bytes, par_secs)),
-                ),
-                ("parallel_vs_sequential", Value::Float(multi_ratio)),
-                ("auto_threads", Value::Int(auto_policy.threads as i64)),
-                (
-                    "par_member_min_bytes",
-                    Value::Int(ev_flate::PAR_MEMBER_MIN_BYTES as i64),
-                ),
-            ]),
-        ),
-        ("streaming_gate", streaming_gate),
-        (
-            "tracing_overhead",
-            Value::object([
-                ("workload", Value::String(largest.name.clone())),
-                ("spans_per_open", Value::Int(spans_per_open as i64)),
-                ("open_secs", Value::Float(open_secs)),
-                ("span_ns_disabled", Value::Float(span_ns_off)),
-                ("span_ns_enabled", Value::Float(span_ns_on)),
-                ("disabled_share_of_open", Value::Float(trace_off_share)),
-                ("enabled_share_of_open", Value::Float(trace_on_share)),
-                ("disabled_share_budget", Value::Float(TRACE_OFF_BUDGET)),
-            ]),
-        ),
-    ]);
-    let path = repo_root().join("BENCH_ingest.json");
-    std::fs::write(&path, ev_json::to_string_pretty(&report)).expect("write BENCH_ingest.json");
-    // The file is a machine-readable artifact: prove it re-parses.
-    let text = std::fs::read_to_string(&path).expect("re-read BENCH_ingest.json");
-    ev_json::parse(&text).expect("BENCH_ingest.json re-parses");
-    println!("\nwrote {}", path.display());
+    write_report(
+        "ingest",
+        2,
+        quick,
+        pairs,
+        vec![
+            ("worst_inflate_speedup", Value::Float(worst_speedup)),
+            (
+                "wire_decode_gate",
+                Value::object([
+                    ("workload", Value::String(wire_gate_name.clone())),
+                    ("wire_decode_speedup", Value::Float(wire_gate_speedup)),
+                ]),
+            ),
+            (
+                "inflate_gate",
+                Value::object([
+                    ("workload", Value::String(wire_gate_name.clone())),
+                    ("inflate_speedup", Value::Float(inflate_gate_speedup)),
+                ]),
+            ),
+            ("workloads", Value::Array(entries)),
+            (
+                "crc32",
+                Value::object([
+                    ("workload", Value::String(largest.name.clone())),
+                    ("bytes_per_iter", Value::Int(largest.raw.len() as i64)),
+                    ("crc32_secs", Value::Float(crc.candidate_secs)),
+                    ("crc32_reference_secs", Value::Float(crc.baseline_secs)),
+                    ("crc32_speedup", Value::Float(crc.speedup)),
+                ]),
+            ),
+            (
+                "multi_member",
+                Value::object([
+                    ("workload", Value::String(largest.name.clone())),
+                    ("members", Value::Int(parts as i64)),
+                    ("compressed_bytes", Value::Int(multi.len() as i64)),
+                    ("sequential_secs", Value::Float(multi_member.baseline_secs)),
+                    ("parallel_secs", Value::Float(multi_member.candidate_secs)),
+                    ("parallel_vs_sequential", Value::Float(multi_member.speedup)),
+                    ("auto_threads", Value::Int(auto_policy.threads as i64)),
+                    (
+                        "par_member_min_bytes",
+                        Value::Int(ev_flate::PAR_MEMBER_MIN_BYTES as i64),
+                    ),
+                ]),
+            ),
+            ("streaming_gate", streaming_gate),
+            (
+                "tracing_overhead",
+                Value::object([
+                    ("workload", Value::String(largest.name.clone())),
+                    ("spans_per_open", Value::Int(spans_per_open as i64)),
+                    ("open_secs", Value::Float(open_secs)),
+                    ("span_ns_disabled", Value::Float(span_ns_off)),
+                    ("span_ns_enabled", Value::Float(span_ns_on)),
+                    ("disabled_share_of_open", Value::Float(trace_off_share)),
+                    ("enabled_share_of_open", Value::Float(trace_on_share)),
+                    ("disabled_share_budget", Value::Float(TRACE_OFF_BUDGET)),
+                ]),
+            ),
+        ],
+    );
 
     assert!(
         inflate_gate_speedup >= min_inflate_speedup,
@@ -750,8 +676,9 @@ fn main() {
          {wire_gate_name} (need >= {min_inflate_speedup}x)"
     );
     assert!(
-        crc_speedup >= min_speedup,
-        "slice-by-8 crc32 is only {crc_speedup:.2}x the reference (need >= {min_speedup}x)"
+        crc.speedup >= min_speedup,
+        "slice-by-8 crc32 is only {:.2}x the reference (need >= {min_speedup}x)",
+        crc.speedup
     );
     assert!(
         wire_gate_speedup >= min_speedup,
@@ -763,8 +690,9 @@ fn main() {
     // genuinely small members to the sequential path, and auto() keeps
     // 1-core hosts on the sequential walk outright).
     assert!(
-        multi_ratio >= 0.9,
-        "auto-policy multi-member decode is {multi_ratio:.2}x sequential (need >= 0.9x)"
+        multi_member.speedup >= 0.9,
+        "auto-policy multi-member decode is {:.2}x sequential (need >= 0.9x)",
+        multi_member.speedup
     );
     assert!(
         trace_off_share < TRACE_OFF_BUDGET,
@@ -789,7 +717,8 @@ fn main() {
     }
     println!(
         "OK: inflate speedup {inflate_gate_speedup:.2}x (gate {min_inflate_speedup}x), \
-         crc32 speedup {crc_speedup:.2}x, one-pass pprof speedup {wire_gate_speedup:.2}x \
-         (gate {min_speedup}x), both on {wire_gate_name}"
+         crc32 speedup {:.2}x, one-pass pprof speedup {wire_gate_speedup:.2}x \
+         (gate {min_speedup}x), both on {wire_gate_name}",
+        crc.speedup
     );
 }

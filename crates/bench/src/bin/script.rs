@@ -1,7 +1,9 @@
 //! The script-engine benchmark: EVscript's bytecode VM against the
 //! retained tree-walking reference interpreter, writing
-//! `BENCH_script.json` at the repo root so the perf trajectory is
-//! machine-readable across PRs.
+//! `BENCH_script.json` (through `ev_bench::timer`'s report writer) so
+//! the perf trajectory is machine-readable across PRs. Every ratio is
+//! the median per-pair ratio of interleaved pairs
+//! (`ev_bench::timer::compare`).
 //!
 //! Also the correctness gate for the fast path: every workload first
 //! runs on both engines and the outputs, step counts, and resulting
@@ -15,15 +17,16 @@
 //! `cct_fold` fixture, each pinned to 1 thread against `auto()`.
 //!
 //! Usage: `script [--quick]` — `--quick` (used by `scripts/ci.sh`)
-//! runs fewer samples on smaller workloads and relaxes the speedup
-//! gate to 2× to tolerate noisy CI hosts.
+//! runs fewer pairs on smaller workloads, relaxes the speedup gate to
+//! 2× to tolerate noisy CI hosts, and writes its report under
+//! `target/`.
 //!
 //! The speedup gate runs on the *largest* workload only — the CCT fold
 //! over the ~7 MiB synthetic profile, where per-run fixed costs
 //! (parse, compile, host setup) are fully amortized.
 
 use ev_analysis::aggregate_with;
-use ev_bench::timer::group;
+use ev_bench::timer::{compare, group, write_report};
 use ev_formats::pprof;
 use ev_gen::scripts::{cct_fold, hot_loop, string_fmt};
 use ev_gen::synthetic::pprof_with_size;
@@ -31,28 +34,6 @@ use ev_json::Value;
 use ev_par::ExecPolicy;
 use ev_script::{ScriptEngine, ScriptHost, ScriptOutput};
 use ev_core::Profile;
-use std::path::{Path, PathBuf};
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Times `a` and `b` interleaved round by round and returns the
-/// minimum seconds of each (same rationale as the ingest bench: the
-/// gate compares a ratio, and alternating samples makes host-load
-/// drift hit both sides alike).
-fn minsecs_interleaved(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..rounds.max(1) {
-        let t = std::time::Instant::now();
-        a();
-        best_a = best_a.min(t.elapsed().as_secs_f64());
-        let t = std::time::Instant::now();
-        b();
-        best_b = best_b.min(t.elapsed().as_secs_f64());
-    }
-    (best_a, best_b)
-}
 
 /// One timed run: parse + compile + execute, the end-to-end cost of
 /// the scripting pane. A huge step budget keeps the accounting path
@@ -62,7 +43,7 @@ fn run(profile: &mut Profile, src: &str, engine: ScriptEngine, policy: ExecPolic
         .with_engine(engine)
         .with_policy(policy)
         .with_step_limit(1 << 40)
-        .run(src)
+        .run(std::hint::black_box(src))
         .expect("benchmark workload runs clean")
 }
 
@@ -76,7 +57,7 @@ struct Workload {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let samples = if quick { 5 } else { 10 };
+    let pairs = if quick { 5 } else { 10 };
     let min_speedup = if quick { 2.0 } else { 3.0 };
 
     group("script: workloads");
@@ -154,26 +135,14 @@ fn main() {
             ExecPolicy::SEQUENTIAL,
         )
         .steps;
-        let (vm_secs, ref_secs) = minsecs_interleaved(
-            samples,
-            || {
-                std::hint::black_box(run(
-                    &mut p_vm,
-                    std::hint::black_box(&w.source),
-                    ScriptEngine::Bytecode,
-                    ExecPolicy::SEQUENTIAL,
-                ));
-            },
-            || {
-                std::hint::black_box(run(
-                    &mut p_ref,
-                    std::hint::black_box(&w.source),
-                    ScriptEngine::Reference,
-                    ExecPolicy::SEQUENTIAL,
-                ));
-            },
+        let on = |p: &mut Profile, engine| run(p, &w.source, engine, ExecPolicy::SEQUENTIAL);
+        let timed = compare(
+            pairs,
+            || on(&mut p_ref, ScriptEngine::Reference),
+            || on(&mut p_vm, ScriptEngine::Bytecode),
         );
-        let speedup = ref_secs / vm_secs;
+        let (ref_secs, vm_secs) = (timed.baseline_secs, timed.candidate_secs);
+        let speedup = timed.speedup;
         // Gate on the largest workload only (most steps): see module
         // docs.
         if steps > gate_steps {
@@ -210,29 +179,15 @@ fn main() {
     let mut p_one = fold.profile.clone();
     let mut p_auto = fold.profile.clone();
     let auto_policy = ExecPolicy::auto();
-    let (one_secs, auto_secs) = minsecs_interleaved(
-        samples,
-        || {
-            std::hint::black_box(run(
-                &mut p_one,
-                std::hint::black_box(&fold.source),
-                ScriptEngine::Bytecode,
-                ExecPolicy::with_threads(1),
-            ));
-        },
-        || {
-            std::hint::black_box(run(
-                &mut p_auto,
-                std::hint::black_box(&fold.source),
-                ScriptEngine::Bytecode,
-                auto_policy,
-            ));
-        },
+    let on = |p: &mut Profile, policy| run(p, &fold.source, ScriptEngine::Bytecode, policy);
+    let fan_out = compare(
+        pairs,
+        || on(&mut p_one, ExecPolicy::with_threads(1)),
+        || on(&mut p_auto, auto_policy),
     );
-    let par_ratio = one_secs / auto_secs;
     println!(
-        "{:<44} 1 thread {:.4}s  auto ({} threads) {:.4}s  ({par_ratio:.2}x)",
-        "", one_secs, auto_policy.threads, auto_secs,
+        "{:<44} 1 thread {:.4}s  auto ({} threads) {:.4}s  ({:.2}x)",
+        "", fan_out.baseline_secs, auto_policy.threads, fan_out.candidate_secs, fan_out.speedup,
     );
 
     // Multi-profile aggregation (paper §V-A-c), the other analysis pass
@@ -261,75 +216,69 @@ fn main() {
         "aggregate: auto() series diverged"
     );
     drop((one, auto));
-    let (agg_one_secs, agg_auto_secs) = minsecs_interleaved(
-        samples,
-        || {
-            std::hint::black_box(aggregate(ExecPolicy::with_threads(1)));
-        },
-        || {
-            std::hint::black_box(aggregate(auto_policy));
-        },
+    let agg = compare(
+        pairs,
+        || aggregate(ExecPolicy::with_threads(1)),
+        || aggregate(auto_policy),
     );
-    let agg_ratio = agg_one_secs / agg_auto_secs;
     println!(
         "{:<44} {} inputs -> {agg_nodes} nodes: 1 thread {:.4}s  auto ({} threads) {:.4}s  \
-         ({agg_ratio:.2}x)",
+         ({:.2}x)",
         "",
         agg_refs.len(),
-        agg_one_secs,
+        agg.baseline_secs,
         auto_policy.threads,
-        agg_auto_secs,
+        agg.candidate_secs,
+        agg.speedup,
     );
 
-    let report = Value::object([
-        ("schema", Value::String("ev-bench-script/v1".to_string())),
-        ("quick", Value::Bool(quick)),
-        ("samples", Value::Int(samples as i64)),
-        ("fixture_bytes", Value::Int(fixture_bytes as i64)),
-        (
-            "fixture_nodes",
-            Value::Int(fold.profile.node_count() as i64),
-        ),
-        ("workloads", Value::Array(entries)),
-        (
-            "gate",
-            Value::object([
-                ("workload", Value::String(gate_name.to_string())),
-                ("speedup", Value::Float(gate_speedup)),
-                ("min_speedup", Value::Float(min_speedup)),
-            ]),
-        ),
-        (
-            "parallel",
-            Value::object([
-                ("workload", Value::String("cct_fold".to_string())),
-                ("auto_threads", Value::Int(auto_policy.threads as i64)),
-                ("one_thread_secs", Value::Float(one_secs)),
-                ("auto_secs", Value::Float(auto_secs)),
-                ("auto_vs_one_thread", Value::Float(par_ratio)),
-            ]),
-        ),
-        (
-            "aggregate",
-            Value::object([
-                ("profiles", Value::Int(agg_refs.len() as i64)),
-                (
-                    "input_nodes",
-                    Value::Int(agg_refs.iter().map(|p| p.node_count() as i64).sum()),
-                ),
-                ("unified_nodes", Value::Int(agg_nodes as i64)),
-                ("auto_threads", Value::Int(auto_policy.threads as i64)),
-                ("one_thread_secs", Value::Float(agg_one_secs)),
-                ("auto_secs", Value::Float(agg_auto_secs)),
-                ("auto_vs_one_thread", Value::Float(agg_ratio)),
-            ]),
-        ),
-    ]);
-    let path = repo_root().join("BENCH_script.json");
-    std::fs::write(&path, ev_json::to_string_pretty(&report)).expect("write BENCH_script.json");
-    let text = std::fs::read_to_string(&path).expect("re-read BENCH_script.json");
-    ev_json::parse(&text).expect("BENCH_script.json re-parses");
-    println!("\nwrote {}", path.display());
+    write_report(
+        "script",
+        2,
+        quick,
+        pairs,
+        vec![
+            ("fixture_bytes", Value::Int(fixture_bytes as i64)),
+            (
+                "fixture_nodes",
+                Value::Int(fold.profile.node_count() as i64),
+            ),
+            ("workloads", Value::Array(entries)),
+            (
+                "gate",
+                Value::object([
+                    ("workload", Value::String(gate_name.to_string())),
+                    ("speedup", Value::Float(gate_speedup)),
+                    ("min_speedup", Value::Float(min_speedup)),
+                ]),
+            ),
+            (
+                "parallel",
+                Value::object([
+                    ("workload", Value::String("cct_fold".to_string())),
+                    ("auto_threads", Value::Int(auto_policy.threads as i64)),
+                    ("one_thread_secs", Value::Float(fan_out.baseline_secs)),
+                    ("auto_secs", Value::Float(fan_out.candidate_secs)),
+                    ("auto_vs_one_thread", Value::Float(fan_out.speedup)),
+                ]),
+            ),
+            (
+                "aggregate",
+                Value::object([
+                    ("profiles", Value::Int(agg_refs.len() as i64)),
+                    (
+                        "input_nodes",
+                        Value::Int(agg_refs.iter().map(|p| p.node_count() as i64).sum()),
+                    ),
+                    ("unified_nodes", Value::Int(agg_nodes as i64)),
+                    ("auto_threads", Value::Int(auto_policy.threads as i64)),
+                    ("one_thread_secs", Value::Float(agg.baseline_secs)),
+                    ("auto_secs", Value::Float(agg.candidate_secs)),
+                    ("auto_vs_one_thread", Value::Float(agg.speedup)),
+                ]),
+            ),
+        ],
+    );
 
     assert!(
         gate_speedup >= min_speedup,

@@ -1,5 +1,6 @@
 //! Serve benchmark: EVP request latency and throughput under
-//! concurrent editor sessions, written to `BENCH_serve.json`.
+//! concurrent editor sessions, written to `BENCH_serve.json` through
+//! `ev_bench::timer`'s report writer.
 //!
 //! The paper's §VII-B experiment measures how fast EasyView answers
 //! the IDE; this benchmark measures our server the same way, but under
@@ -29,23 +30,26 @@
 //! layouts, which every profile write sends back through the
 //! transform: `FlameGraph::bottom_up` and `flat` against the retained
 //! owned-`Frame` transforms (`ev_bench::oracle`) plus a top-down
-//! layout of their tree, in interleaved pairs, on a paper-shaped
-//! profile (21,200 functions, 1.06M samples), after checking that both
-//! sides give the same rects. Full mode gates each view's median
-//! ratio at [`MIN_COLD_VIEW_RATIO`].
+//! layout of their tree, in interleaved pairs
+//! (`ev_bench::timer::compare`), on a paper-shaped profile (21,200
+//! functions, 1.06M samples), after checking that both sides give the
+//! same rects. Full mode gates each view's median per-pair ratio at
+//! [`MIN_COLD_VIEW_RATIO`]. The thread-count replays are one run each:
+//! those whole runs also produce the latency tables and the digest
+//! check.
 //!
 //! Usage: `serve [--quick] [--flight-out <path>]` (quick: smaller
-//! profiles, shorter traces, thread counts 1 and 2 only, and cold views
-//! reported without the gate).
+//! profiles, shorter traces, thread counts 1 and 2 only, cold views
+//! reported without the gate, and the report written under `target/`).
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use ev_analysis::Transformed;
 use ev_bench::oracle;
 use ev_bench::serve::{replay, replay_shared, ReplayResult};
-use ev_bench::timer::{group, interleaved_pairs, median};
+use ev_bench::timer::{compare, group, write_report};
 use ev_flame::{FlameGraph, FlameRect};
 use ev_gen::ide_session::{session_traces, SessionOp};
 use ev_gen::synthetic::SyntheticSpec;
@@ -197,27 +201,18 @@ fn cold_view(
         (want.max_depth(), want.elided(), want.total()),
         "{name}: maxDepth, elided or total"
     );
-    let pairs = interleaved_pairs(
-        COLD_VIEW_PAIRS,
-        || {
-            std::hint::black_box(new(profile, metric));
-        },
-        || {
-            std::hint::black_box(old(profile));
-        },
-    );
-    let ratios: Vec<f64> = pairs.iter().map(|&(a, b)| b / a).collect();
-    let ratio = median(ratios.clone());
-    let new_ms = median(pairs.iter().map(|p| p.0 * 1e3).collect());
-    let old_ms = median(pairs.iter().map(|p| p.1 * 1e3).collect());
+    let timed = compare(COLD_VIEW_PAIRS, || old(profile), || new(profile, metric));
+    let (new_ms, old_ms) = (timed.candidate_secs * 1e3, timed.baseline_secs * 1e3);
     println!(
         "  {name:<9} {} rects, {} elided: {new_ms:>9.1} ms vs retained {old_ms:>9.1} ms, \
-         median ratio {ratio:.2}x (pairs {})",
+         median ratio {:.2}x (pairs {})",
         got.rects().len(),
         got.elided(),
-        ratios
+        timed.speedup,
+        timed
+            .pairs
             .iter()
-            .map(|r| format!("{r:.2}"))
+            .map(|&(old, new)| format!("{:.2}", old / new))
             .collect::<Vec<_>>()
             .join(" ")
     );
@@ -226,20 +221,19 @@ fn cold_view(
         ("elided", Value::Int(got.elided() as i64)),
         ("medianMillis", Value::Float(new_ms)),
         ("retainedMedianMillis", Value::Float(old_ms)),
-        ("medianRatio", Value::Float(ratio)),
+        ("medianRatio", Value::Float(timed.speedup)),
         (
             "pairMillis",
-            pairs
+            timed
+                .pairs
                 .iter()
-                .map(|&(a, b)| Value::Array(vec![Value::Float(a * 1e3), Value::Float(b * 1e3)]))
+                .map(|&(old, new)| {
+                    Value::Array(vec![Value::Float(new * 1e3), Value::Float(old * 1e3)])
+                })
                 .collect(),
         ),
     ]);
-    (row, ratio)
-}
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    (row, timed.speedup)
 }
 
 fn main() {
@@ -441,60 +435,58 @@ fn main() {
         ("functions", Value::Int(cold_functions as i64)),
         ("samples", Value::Int(cold_samples as i64)),
         ("nodes", Value::Int(cold_profile.node_count() as i64)),
-        ("pairs", Value::Int(COLD_VIEW_PAIRS as i64)),
         ("bottomUp", bottom_up_row),
         ("flat", flat_row),
     ]);
     drop(cold_profile);
 
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let report = Value::object([
-        ("schema", Value::from("ev-bench-serve/v2")),
-        ("quick", Value::Bool(quick)),
-        ("cores", Value::Int(cores as i64)),
-        (
-            "profile",
-            Value::object([
-                ("functions", Value::Int(functions as i64)),
-                ("samples", Value::Int(samples as i64)),
-                ("nodes", Value::Int(profile.node_count() as i64)),
-            ]),
-        ),
-        (
-            "session",
-            Value::object([
-                ("seed", Value::Int(SEED as i64)),
-                ("sessions", Value::Int(sessions as i64)),
-                ("opsPerSession", Value::Int(trace_len as i64)),
-                ("expectedErrors", Value::Int(expected_errors as i64)),
-            ]),
-        ),
-        (
-            "digests",
-            reference_digests
-                .iter()
-                .map(|&d| Value::Int(i64::from(d)))
-                .collect(),
-        ),
-        ("runs", Value::Array(runs)),
-        ("metrics", metrics),
-        (
-            "flight",
-            Value::object([
-                ("captures", Value::Int(captures as i64)),
-                ("chromeEvents", Value::Int(events as i64)),
-                ("reimportedNodes", Value::Int(reimported as i64)),
-            ]),
-        ),
-        ("coldViews", cold_views),
-    ]);
-
-    let path = repo_root().join("BENCH_serve.json");
-    let text = ev_json::to_string_pretty(&report);
-    std::fs::write(&path, &text).expect("write BENCH_serve.json");
-    let reread = std::fs::read_to_string(&path).expect("re-read BENCH_serve.json");
-    ev_json::parse(&reread).expect("BENCH_serve.json re-parses");
-    println!("\nreport written to {}", path.display());
+    let report = write_report(
+        "serve",
+        3,
+        quick,
+        COLD_VIEW_PAIRS,
+        vec![
+            (
+                "profile",
+                Value::object([
+                    ("functions", Value::Int(functions as i64)),
+                    ("samples", Value::Int(samples as i64)),
+                    ("nodes", Value::Int(profile.node_count() as i64)),
+                ]),
+            ),
+            (
+                "session",
+                Value::object([
+                    ("seed", Value::Int(SEED as i64)),
+                    ("sessions", Value::Int(sessions as i64)),
+                    ("opsPerSession", Value::Int(trace_len as i64)),
+                    ("expectedErrors", Value::Int(expected_errors as i64)),
+                ]),
+            ),
+            (
+                "digests",
+                reference_digests
+                    .iter()
+                    .map(|&d| Value::Int(i64::from(d)))
+                    .collect(),
+            ),
+            ("runs", Value::Array(runs)),
+            ("metrics", metrics),
+            (
+                "flight",
+                Value::object([
+                    ("captures", Value::Int(captures as i64)),
+                    ("chromeEvents", Value::Int(events as i64)),
+                    ("reimportedNodes", Value::Int(reimported as i64)),
+                ]),
+            ),
+            ("coldViews", cold_views),
+        ],
+    );
+    let cores = report
+        .get("cores")
+        .and_then(Value::as_i64)
+        .expect("envelope cores");
 
     // Gates: a report that violates these is a bug, not a slow run.
     for run in report.get("runs").and_then(Value::as_array).unwrap() {

@@ -1,90 +1,80 @@
-//! A minimal self-contained benchmark timer (the workspace builds
-//! offline, so the external criterion harness is replaced by this).
+//! The bench harness the `ingest`, `script` and `serve` bins share (the
+//! workspace builds offline, so this replaces criterion): [`compare`]
+//! times every comparison of two code paths on one input, and
+//! [`write_report`] writes every report.
 //!
-//! Each measurement runs a warm-up pass, then `samples` timed
-//! iterations, and reports min / median / mean wall-clock time. The
-//! minimum is the headline number: it is the least noisy estimator for
-//! compute-bound work on a shared machine.
+//! [`compare`] gates on the median of per-pair ratios over pairs that
+//! alternate which side runs first: a slow spell of host load spoils
+//! only the pairs it overlaps, and the median passes over them, where a
+//! ratio of minima taken one side after the other compares whichever
+//! runs of each side the spells happened to miss.
 //!
-//! Timestamps come from [`ev_trace::now_ns`], the same monotonic clock
-//! the tracing substrate stamps spans with, so bench numbers and
-//! `--trace-out` recordings are directly comparable.
+//! Timestamps come from [`ev_trace::now_ns`], the clock spans are
+//! stamped with, so bench numbers and `--trace-out` recordings compare.
 
-use std::time::Duration;
+use ev_json::Value;
+use std::path::{Path, PathBuf};
 
-/// Result of one benchmark measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    /// Fastest observed iteration.
-    pub min: Duration,
-    /// Median iteration.
-    pub median: Duration,
-    /// Mean iteration.
-    pub mean: Duration,
-    /// Number of timed iterations.
-    pub samples: usize,
+/// Two code paths timed on one input by [`compare`].
+#[derive(Debug, Clone)]
+pub struct Comparison {
+    /// Median seconds of one baseline run.
+    pub baseline_secs: f64,
+    /// Median seconds of one candidate run.
+    pub candidate_secs: f64,
+    /// Median of the per-pair ratios baseline / candidate: how many
+    /// times faster the candidate runs.
+    pub speedup: f64,
+    /// Each pair's (baseline, candidate) seconds, in run order.
+    pub pairs: Vec<(f64, f64)>,
 }
 
-impl Measurement {
-    /// Throughput in MiB/s for a payload of `bytes`, based on `min`.
-    pub fn mib_per_sec(&self, bytes: usize) -> f64 {
-        bytes as f64 / (1 << 20) as f64 / self.min.as_secs_f64()
-    }
+/// Seconds one call of `f` takes.
+pub fn time_secs(f: impl FnOnce()) -> f64 {
+    let start = ev_trace::now_ns();
+    f();
+    ev_trace::now_ns().saturating_sub(start) as f64 / 1e9
 }
 
-/// Times `f` over `samples` iterations (after one warm-up) and prints a
-/// one-line report.
-pub fn bench<F: FnMut()>(label: &str, samples: usize, mut f: F) -> Measurement {
-    let samples = samples.max(1);
-    f(); // warm-up: faults pages, fills caches, spawns pools
-    let mut times: Vec<Duration> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = ev_trace::now_ns();
-        f();
-        times.push(Duration::from_nanos(
-            ev_trace::now_ns().saturating_sub(start),
-        ));
+/// Times `baseline` against `candidate`: one untimed run of each (page
+/// faults, caches, lazily built tables), then `pairs` pairs that
+/// alternate which side runs first, summarized as each side's median
+/// and the median per-pair ratio. Each run's result goes through
+/// `black_box` and is dropped inside the timed run.
+pub fn compare<A, B>(
+    pairs: usize,
+    mut baseline: impl FnMut() -> A,
+    mut candidate: impl FnMut() -> B,
+) -> Comparison {
+    let mut baseline = move || drop(std::hint::black_box(baseline()));
+    let mut candidate = move || drop(std::hint::black_box(candidate()));
+    baseline();
+    candidate();
+    summarize(interleaved_pairs(pairs, baseline, candidate))
+}
+
+/// Each side's median and the median per-pair ratio of `pairs`
+/// (baseline, candidate) seconds.
+fn summarize(pairs: Vec<(f64, f64)>) -> Comparison {
+    Comparison {
+        baseline_secs: median(pairs.iter().map(|p| p.0).collect()),
+        candidate_secs: median(pairs.iter().map(|p| p.1).collect()),
+        speedup: median(pairs.iter().map(|p| p.0 / p.1).collect()),
+        pairs,
     }
-    times.sort();
-    let min = times[0];
-    let median = times[times.len() / 2];
-    let mean = times.iter().sum::<Duration>() / samples as u32;
-    let m = Measurement {
-        min,
-        median,
-        mean,
-        samples,
-    };
-    println!(
-        "{label:<44} min {:>10.3?}  median {:>10.3?}  mean {:>10.3?}  ({samples} samples)",
-        min, median, mean
-    );
-    m
 }
 
 /// Runs `a` and `b` in `pairs` back-to-back pairs, alternating which
-/// side runs first, and returns each pair's seconds of `a` and `b`. A
-/// slow spell of host load spoils only the pairs it overlaps, and a
-/// median passes over them; a ratio of minima instead compares
-/// whichever runs of each side the spells happened to miss.
-pub fn interleaved_pairs(
-    pairs: usize,
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> Vec<(f64, f64)> {
-    let time = |f: &mut dyn FnMut()| {
-        let start = ev_trace::now_ns();
-        f();
-        ev_trace::now_ns().saturating_sub(start) as f64 / 1e9
-    };
+/// side runs first, and returns each pair's seconds of `a` and `b`.
+fn interleaved_pairs(pairs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> Vec<(f64, f64)> {
     (0..pairs.max(1))
         .map(|pair| {
             if pair % 2 == 0 {
-                let ta = time(&mut a);
-                (ta, time(&mut b))
+                let ta = time_secs(&mut a);
+                (ta, time_secs(&mut b))
             } else {
-                let tb = time(&mut b);
-                (time(&mut a), tb)
+                let tb = time_secs(&mut b);
+                (time_secs(&mut a), tb)
             }
         })
         .collect()
@@ -107,6 +97,52 @@ pub fn group(name: &str) {
     println!("\n== {name} ==");
 }
 
+/// The repository root: where full runs write their reports, and where
+/// the `ingest` bin finds the golden fixtures.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Writes the `name` bin's `rows` under the report envelope — `schema`
+/// (`ev-bench-<name>/v<version>`), `quick`, the host's `cores`, and
+/// `pairs`, the interleaved pairs behind each A/B row (a row timed with
+/// another count says so) — to `BENCH_<name>.json`: at the repo root
+/// for a full run, the report of record, and under the root's `target/`
+/// for a quick one, which must not overwrite it. Proves the file
+/// re-parses, and returns the report.
+pub fn write_report(
+    name: &str,
+    version: u32,
+    quick: bool,
+    pairs: usize,
+    rows: Vec<(&str, Value)>,
+) -> Value {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let envelope = [
+        (
+            "schema",
+            Value::String(format!("ev-bench-{name}/v{version}")),
+        ),
+        ("quick", Value::Bool(quick)),
+        ("cores", Value::Int(cores as i64)),
+        ("pairs", Value::Int(pairs as i64)),
+    ];
+    let report = Value::object(envelope.into_iter().chain(rows));
+    let dir = if quick {
+        repo_root().join("target")
+    } else {
+        repo_root()
+    };
+    let path = dir.join(format!("BENCH_{name}.json"));
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    std::fs::write(&path, ev_json::to_string_pretty(&report))
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    let text = std::fs::read_to_string(&path).expect("re-read the report");
+    ev_json::parse(&text).unwrap_or_else(|e| panic!("{} does not re-parse: {e}", path.display()));
+    println!("\nwrote {}", path.display());
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,24 +150,48 @@ mod tests {
     #[test]
     fn interleaved_pairs_alternate_which_side_runs_first() {
         let order = std::cell::RefCell::new(Vec::new());
-        let pairs = interleaved_pairs(
+        let c = compare(
             4,
             || order.borrow_mut().push('a'),
             || order.borrow_mut().push('b'),
         );
-        assert_eq!(pairs.len(), 4);
-        assert_eq!(order.into_inner(), ['a', 'b', 'b', 'a', 'a', 'b', 'b', 'a']);
+        assert_eq!(c.pairs.len(), 4);
+        // One untimed run of each side, then the four pairs.
+        assert_eq!(
+            order.into_inner(),
+            ['a', 'b', 'a', 'b', 'b', 'a', 'a', 'b', 'b', 'a']
+        );
         assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
     }
 
     #[test]
-    fn bench_reports_ordered_stats() {
-        let m = bench("noop", 5, || {
-            std::hint::black_box(1 + 1);
-        });
-        assert!(m.min <= m.median);
-        assert_eq!(m.samples, 5);
-        assert!(m.mib_per_sec(1 << 20) > 0.0);
+    fn summarize_takes_medians_of_sides_and_of_pair_ratios() {
+        // Odd count: the middle pair ratio (2), where the side medians
+        // (4 and 3) would give 4 / 3.
+        let odd = summarize(vec![(2.0, 1.0), (9.0, 3.0), (4.0, 4.0)]);
+        assert_eq!((odd.baseline_secs, odd.candidate_secs), (4.0, 3.0));
+        assert_eq!(odd.speedup, 2.0);
+        // Even count: the mean of the middle two ratios (1 and 2), where
+        // the side medians (5 and 2.5) would give 2.
+        let even = summarize(vec![(8.0, 2.0), (2.0, 2.0), (4.0, 4.0), (6.0, 3.0)]);
+        assert_eq!((even.baseline_secs, even.candidate_secs), (5.0, 2.5));
+        assert_eq!(even.speedup, 1.5);
+    }
+
+    #[test]
+    fn quick_report_carries_the_envelope_and_re_parses() {
+        let report = write_report("timer_test", 3, true, 7, vec![("rows", Value::Int(1))]);
+        let get = |key: &str| report.get(key).cloned();
+        assert_eq!(get("schema"), Some(Value::from("ev-bench-timer_test/v3")));
+        assert_eq!(get("quick"), Some(Value::Bool(true)));
+        assert!(get("cores").and_then(|c| c.as_i64()).unwrap() >= 1);
+        assert_eq!(get("pairs"), Some(Value::Int(7)));
+        assert_eq!(get("rows"), Some(Value::Int(1)));
+        // Quick reports go under target/, never over a committed one.
+        let path = repo_root().join("target/BENCH_timer_test.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(ev_json::parse(&text).unwrap(), report);
     }
 }

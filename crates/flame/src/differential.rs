@@ -29,10 +29,10 @@ impl DiffFlameGraph {
     /// Propagates `ev_analysis::diff`'s error (the index of the profile
     /// missing the metric).
     pub fn new(first: &Profile, second: &Profile, metric_name: &str) -> Result<DiffFlameGraph, usize> {
-        let d = diff(first, second, metric_name, 0.0)?;
-        // Lay out by a magnitude channel: |before| + |after|.
-        let mut sized = d.profile.clone();
-        let magnitude = sized.add_metric(ev_core::MetricDescriptor::new(
+        let mut d = diff(first, second, metric_name, 0.0)?;
+        // Lay out by a magnitude channel, |before| + |after|, added to
+        // the union tree itself.
+        let magnitude = d.profile.add_metric(ev_core::MetricDescriptor::new(
             "magnitude",
             first
                 .metric_by_name(metric_name)
@@ -40,14 +40,14 @@ impl DiffFlameGraph {
                 .unwrap_or_default(),
             ev_core::MetricKind::Exclusive,
         ));
-        for node in sized.node_ids().collect::<Vec<_>>() {
+        for node in d.profile.node_ids().collect::<Vec<_>>() {
             let e = d.entry(node);
             let v = e.before.abs() + e.after.abs();
             if v != 0.0 {
-                sized.set_value(node, magnitude, v);
+                d.profile.set_value(node, magnitude, v);
             }
         }
-        let mut graph = FlameGraph::top_down(&sized, magnitude);
+        let mut graph = FlameGraph::top_down(&d.profile, magnitude);
         // Re-label and re-color each rect with its diff tag.
         let max_delta = d
             .entries()
@@ -81,7 +81,9 @@ impl DiffFlameGraph {
         &self.graph
     }
 
-    /// The underlying differential result (tags, deltas, tag counts).
+    /// The underlying differential result (tags, deltas, tag counts);
+    /// its tree also carries the `magnitude` channel the layout sized
+    /// rects by.
     pub fn diff(&self) -> &DiffProfile {
         &self.diff
     }

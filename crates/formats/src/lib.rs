@@ -160,8 +160,9 @@ pub fn detect(data: &[u8]) -> Format {
         return Format::EasyView;
     }
     if ev_flate::is_gzip(data) {
-        // pprof files are gzip'd protobuf; other gzip'd formats are
-        // decompressed and re-detected by parse_auto.
+        // pprof files are gzip'd protobuf, and gzip input is always
+        // decoded as pprof: nothing decompresses it to re-detect
+        // another format.
         return Format::Pprof;
     }
     let text_prefix = String::from_utf8_lossy(&data[..data.len().min(4096)]);
@@ -245,12 +246,13 @@ pub fn parse_auto_with(
 
 /// Compressed sizes at or above this route gzip'd pprof input through
 /// the bounded-memory streaming decoder in [`parse_auto_with`]. Below
-/// it the buffered one-pass decoder wins: its sample payloads stay
-/// borrowed slices into the decompressed body instead of being copied
-/// into the spill, and the whole body comfortably fits in memory
-/// anyway. 64 MiB compressed is roughly half a GiB decompressed at
-/// typical pprof ratios — the point where holding the body *and* the
-/// tables starts to hurt.
+/// it the buffered one-pass decoder wins: it inflates and walks the
+/// input once and leaves sample payloads as borrowed slices into the
+/// decompressed body, where the streaming decoder re-inflates and
+/// re-walks the source in a second pass to replay them. The whole body
+/// comfortably fits in memory anyway. 64 MiB compressed is roughly
+/// half a GiB decompressed at typical pprof ratios — the point where
+/// holding the body *and* the tables starts to hurt.
 pub const STREAM_SIZE_THRESHOLD: usize = 64 << 20;
 
 #[cfg(test)]

@@ -483,9 +483,10 @@ fn parse_onepass(body: &[u8]) -> Result<Profile, FormatError> {
 /// `next_sample` yields one sample per call by appending to the
 /// (pre-cleared) id/value vectors, `Ok(false)` when exhausted; the
 /// buffered decoder decodes its deferred payload slices here, the
-/// streaming decoder re-expands its prefix-compressed spill. An error
-/// from the closure aborts the parse at exactly the sample index the
-/// buffered replay would abort at.
+/// streaming decoder the sample payloads of its second pass, which
+/// re-inflates and re-walks the source. An error from the closure
+/// aborts the parse at exactly the sample index the buffered replay
+/// would abort at.
 fn fixup_profile(
     strings: &[&str],
     t: &WalkTables,

@@ -958,12 +958,20 @@ impl EvpServer {
                     ])
                 })
                 .collect();
-            encode_view(&Value::object([
+            let mut fields = vec![
                 ("total", Value::Float(graph.total())),
                 ("maxDepth", Value::Int(graph.max_depth() as i64)),
                 ("elided", Value::Int(graph.elided() as i64)),
                 ("rects", rects),
-            ]))
+            ];
+            // `truncated` counts the laid-out rects `limit` dropped, so
+            // a cut view never reads as complete. A complete view leaves
+            // it out and keeps the bytes it always had.
+            let truncated = graph.rects().len().saturating_sub(limit);
+            if truncated > 0 {
+                fields.push(("truncated", Value::Int(truncated as i64)));
+            }
+            encode_view(&Value::object(fields))
         }))
     }
 
@@ -1626,6 +1634,44 @@ mod tests {
         }
         let stats = server.view_cache_stats();
         assert_eq!((stats.misses, stats.hits), (5, 10));
+    }
+
+    #[test]
+    fn flame_graph_counts_the_rects_limit_drops() {
+        let server = EvpServer::new();
+        let id = open_profile(&server, &small_profile());
+        // A miss, then a hit, which must answer alike: (rect count,
+        // `truncated`, 0 when absent).
+        let flame = |rid: i64, limit: Option<i64>| {
+            let mut params = vec![
+                ("profileId", Value::Int(id)),
+                ("metric", Value::from("cpu")),
+            ];
+            params.extend(limit.map(|l| ("limit", Value::Int(l))));
+            let [miss, hit] = [0, 1].map(|_| {
+                let bytes = wire(
+                    &server,
+                    rid,
+                    "profile/flameGraph",
+                    Value::object(params.clone()),
+                );
+                decode_response(&bytes).outcome.unwrap()
+            });
+            assert_eq!(
+                ev_json::to_string(&miss),
+                ev_json::to_string(&hit),
+                "limit {limit:?}"
+            );
+            let rects = miss.get("rects").and_then(Value::as_array).unwrap().len();
+            let truncated = miss.get("truncated").map(|t| t.as_i64().unwrap());
+            assert_ne!(truncated, Some(0), "a complete view leaves the field out");
+            (rects, truncated.unwrap_or(0))
+        };
+        // Root, main and work, all under the default limit.
+        assert_eq!(flame(1, None), (3, 0));
+        assert_eq!(flame(2, Some(3)), (3, 0));
+        assert_eq!(flame(3, Some(1)), (1, 2));
+        assert_eq!(flame(4, Some(0)), (0, 3));
     }
 
     #[test]

@@ -50,12 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\nper-context scaling ratios:");
-    for node in s.profile.node_ids() {
+    for node in s.profile().node_ids() {
         let ratio = s.ratio(node);
         if ratio == 0.0 {
             continue;
         }
-        let frame = s.profile.resolve_frame(node);
+        let frame = s.profile().resolve_frame(node);
         if frame.name.is_empty() {
             continue;
         }
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (node, ratio) in s.bottlenecks(0.10) {
         println!(
             "  {:<28} {:>6.1}x  <- superlinear, fix before scaling out",
-            s.profile.resolve_frame(node).name,
+            s.profile().resolve_frame(node).name,
             ratio
         );
     }

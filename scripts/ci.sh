@@ -115,25 +115,25 @@ echo "== ingest smoke =="
 # Runs the ingest bench in quick mode over the golden gzip'd pprof
 # fixtures: fast and reference decoders must be byte-identical, the
 # decompressed bytes must match pinned digests, and the fast path must
-# clear the (relaxed, noise-tolerant) speedup gate.
-rm -f BENCH_ingest.json
+# clear the (relaxed, noise-tolerant) speedup gate. Quick runs write
+# their reports under target/, so the committed full-run BENCH_*.json
+# at the root stay as they are.
+INGEST_REPORT=target/BENCH_ingest.json
+rm -f "$INGEST_REPORT"
 target/release/ingest --quick \
     || { echo "FAIL: ingest bench (quick) failed" >&2; exit 1; }
-[ -s BENCH_ingest.json ] \
-    || { echo "FAIL: BENCH_ingest.json missing or empty" >&2; exit 1; }
-grep -q '"schema": "ev-bench-ingest/v1"' BENCH_ingest.json \
-    || { echo "FAIL: BENCH_ingest.json malformed (schema key missing)" >&2; exit 1; }
+[ -s "$INGEST_REPORT" ] \
+    || { echo "FAIL: $INGEST_REPORT missing or empty" >&2; exit 1; }
+grep -q '"schema": "ev-bench-ingest/v2"' "$INGEST_REPORT" \
+    || { echo "FAIL: $INGEST_REPORT malformed (schema key missing)" >&2; exit 1; }
 # Per workload: the decode's walk, sample-resolve and CCT-build phases,
 # timed by EasyView's own spans, and the heap the decoded profile keeps;
 # once per run, the share of an open that spans cost with tracing off.
 for row in wire_walk_secs resolve_secs cct_build_secs heap_bytes_per_node \
     disabled_share_of_open; do
-    grep -q "\"$row\"" BENCH_ingest.json \
-        || { echo "FAIL: BENCH_ingest.json misses the $row row" >&2; exit 1; }
+    grep -q "\"$row\"" "$INGEST_REPORT" \
+        || { echo "FAIL: $INGEST_REPORT misses the $row row" >&2; exit 1; }
 done
-# Restore the committed full-mode report; the quick run is a gate, not
-# the artifact of record.
-git checkout -- BENCH_ingest.json 2>/dev/null || true
 
 echo "== serve smoke =="
 # Runs the serve bench in quick mode: deterministic IDE session replay
@@ -141,30 +141,30 @@ echo "== serve smoke =="
 # across thread counts), per-method latency quantiles, and a
 # flight-recorder chrome export that must re-import through our own
 # parser.
-rm -f BENCH_serve.json
+SERVE_REPORT=target/BENCH_serve.json
+rm -f "$SERVE_REPORT"
 target/release/serve --quick --flight-out "$SMOKE_DIR/flight.trace.json" \
     || { echo "FAIL: serve bench (quick) failed" >&2; exit 1; }
-[ -s BENCH_serve.json ] \
-    || { echo "FAIL: BENCH_serve.json missing or empty" >&2; exit 1; }
-grep -q '"schema": "ev-bench-serve/v2"' BENCH_serve.json \
-    || { echo "FAIL: BENCH_serve.json malformed (schema key missing)" >&2; exit 1; }
-grep -q '"coalesced"' BENCH_serve.json \
-    || { echo "FAIL: BENCH_serve.json misses the view-cache coalescing stats" >&2; exit 1; }
-grep -Eq '"ide.requests": [1-9]' BENCH_serve.json \
-    || { echo "FAIL: BENCH_serve.json has no ide.requests count" >&2; exit 1; }
-grep -q '"ide.latency.profile/codeLink"' BENCH_serve.json \
-    || { echo "FAIL: BENCH_serve.json misses per-method latency histograms" >&2; exit 1; }
-grep -q '"ide.phase.' BENCH_serve.json \
-    || { echo "FAIL: BENCH_serve.json misses the ide.phase.* histograms" >&2; exit 1; }
+[ -s "$SERVE_REPORT" ] \
+    || { echo "FAIL: $SERVE_REPORT missing or empty" >&2; exit 1; }
+grep -q '"schema": "ev-bench-serve/v3"' "$SERVE_REPORT" \
+    || { echo "FAIL: $SERVE_REPORT malformed (schema key missing)" >&2; exit 1; }
+grep -q '"coalesced"' "$SERVE_REPORT" \
+    || { echo "FAIL: $SERVE_REPORT misses the view-cache coalescing stats" >&2; exit 1; }
+grep -Eq '"ide.requests": [1-9]' "$SERVE_REPORT" \
+    || { echo "FAIL: $SERVE_REPORT has no ide.requests count" >&2; exit 1; }
+grep -q '"ide.latency.profile/codeLink"' "$SERVE_REPORT" \
+    || { echo "FAIL: $SERVE_REPORT misses per-method latency histograms" >&2; exit 1; }
+grep -q '"ide.phase.' "$SERVE_REPORT" \
+    || { echo "FAIL: $SERVE_REPORT misses the ide.phase.* histograms" >&2; exit 1; }
 # Cold bottom-up and flat views against the retained transforms.
-grep -q '"coldViews"' BENCH_serve.json \
-    || { echo "FAIL: BENCH_serve.json misses the coldViews row" >&2; exit 1; }
+grep -q '"coldViews"' "$SERVE_REPORT" \
+    || { echo "FAIL: $SERVE_REPORT misses the coldViews row" >&2; exit 1; }
 # The exported flight recording is chrome trace JSON our importer reads.
 [ -s "$SMOKE_DIR/flight.trace.json" ] \
     || { echo "FAIL: serve --flight-out wrote nothing" >&2; exit 1; }
 "$EV" info "$SMOKE_DIR/flight.trace.json" > /dev/null \
     || { echo "FAIL: flight-recorder chrome export does not re-import" >&2; exit 1; }
-git checkout -- BENCH_serve.json 2>/dev/null || true
 
 echo "== script engine smoke =="
 # A real analysis script must print the same at any thread count (the
@@ -204,16 +204,16 @@ echo "== script bench smoke =="
 # Runs the script bench in quick mode: differential pre-gate (VM ==
 # reference == parallel on every workload) plus the relaxed 2x speedup
 # gate on the CCT fold.
-rm -f BENCH_script.json
+SCRIPT_REPORT=target/BENCH_script.json
+rm -f "$SCRIPT_REPORT"
 target/release/script --quick \
     || { echo "FAIL: script bench (quick) failed" >&2; exit 1; }
-[ -s BENCH_script.json ] \
-    || { echo "FAIL: BENCH_script.json missing or empty" >&2; exit 1; }
-grep -q '"schema": "ev-bench-script/v1"' BENCH_script.json \
-    || { echo "FAIL: BENCH_script.json malformed (schema key missing)" >&2; exit 1; }
-grep -q '"aggregate"' BENCH_script.json \
-    || { echo "FAIL: BENCH_script.json misses the aggregate thread-scaling row" >&2; exit 1; }
-git checkout -- BENCH_script.json 2>/dev/null || true
+[ -s "$SCRIPT_REPORT" ] \
+    || { echo "FAIL: $SCRIPT_REPORT missing or empty" >&2; exit 1; }
+grep -q '"schema": "ev-bench-script/v2"' "$SCRIPT_REPORT" \
+    || { echo "FAIL: $SCRIPT_REPORT malformed (schema key missing)" >&2; exit 1; }
+grep -q '"aggregate"' "$SCRIPT_REPORT" \
+    || { echo "FAIL: $SCRIPT_REPORT misses the aggregate thread-scaling row" >&2; exit 1; }
 
 echo "== stats --json smoke =="
 "$EV" stats "$SMOKE_DIR/smoke.pprof" --json > "$SMOKE_DIR/stats.json"
