@@ -6,19 +6,18 @@ use ev_core::{NodeId, Profile};
 
 /// Every node whose frame name contains `query`, both case folded by
 /// `to_lowercase`, in node-id order. Each distinct name id is folded
-/// and tested once per call, however many nodes carry it.
-pub fn search(profile: &Profile, query: &str) -> Vec<NodeId> {
+/// and tested once per search, however many nodes carry it. Matches
+/// are found as the iterator is drawn, so a caller that keeps only the
+/// first few can count the rest without collecting them.
+pub fn search<'p>(profile: &'p Profile, query: &str) -> impl Iterator<Item = NodeId> + 'p {
     let query = query.to_lowercase();
     let strings = profile.strings();
     let mut tested: Vec<Option<bool>> = vec![None; strings.len()];
-    profile
-        .node_ids()
-        .filter(|&id| {
-            let name = profile.node(id).frame().name;
-            *tested[name.index()]
-                .get_or_insert_with(|| strings.resolve(name).to_lowercase().contains(&query))
-        })
-        .collect()
+    profile.node_ids().filter(move |&id| {
+        let name = profile.node(id).frame().name;
+        *tested[name.index()]
+            .get_or_insert_with(|| strings.resolve(name).to_lowercase().contains(&query))
+    })
 }
 
 #[cfg(test)]
@@ -42,9 +41,9 @@ mod tests {
             &[Frame::function("main"), Frame::function("b")],
             &[(m, 3.0)],
         );
-        assert_eq!(search(&p, "MAIN").len(), 1);
-        assert_eq!(search(&p, "nothing").len(), 0);
+        assert_eq!(search(&p, "MAIN").count(), 1);
+        assert_eq!(search(&p, "nothing").count(), 0);
         // Substring matches.
-        assert_eq!(search(&p, "ai").len(), 1);
+        assert_eq!(search(&p, "ai").count(), 1);
     }
 }

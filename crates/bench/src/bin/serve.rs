@@ -34,26 +34,34 @@
 //! (`ev_bench::timer::compare`), on a paper-shaped profile (21,200
 //! functions, 1.06M samples), after checking that both sides give the
 //! same rects. Full mode gates each view's median per-pair ratio at
-//! [`MIN_COLD_VIEW_RATIO`]. The thread-count replays are one run each:
-//! those whole runs also produce the latency tables and the digest
-//! check.
+//! [`MIN_COLD_VIEW_RATIO`]. Its `flameGraphMiss` rows time what a cold
+//! `profile/flameGraph` costs the server per view, the budgeted layout
+//! plus the direct write (`ev_ide::encode_flame_graph`), against the
+//! retained whole layout plus row-form `Value` plus `to_string`, after
+//! checking both give the same bytes: at the mix's limit on the serve
+//! profile and at the server's default limit on the paper-shaped one.
+//! Each row splits its median run into the layout and write stages.
+//! These rows are reported, not gated. The thread-count replays are
+//! one run each: those whole runs also produce the latency tables and
+//! the digest check.
 //!
 //! Usage: `serve [--quick] [--flight-out <path>]` (quick: smaller
 //! profiles, shorter traces, thread counts 1 and 2 only, cold views
 //! reported without the gate, and the report written under `target/`).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use ev_analysis::Transformed;
 use ev_bench::oracle;
-use ev_bench::serve::{replay, replay_shared, ReplayResult};
+use ev_bench::serve::{replay, replay_shared, ReplayResult, FLAME_LIMIT};
 use ev_bench::timer::{compare, group, write_report};
-use ev_flame::{FlameGraph, FlameRect};
+use ev_flame::{FlameGraph, FlameRect, FlameView};
 use ev_gen::ide_session::{session_traces, SessionOp};
 use ev_gen::synthetic::SyntheticSpec;
-use ev_ide::{EditorClient, ServerOptions, SharedEvpServer};
+use ev_ide::{EditorClient, ServerOptions, SharedEvpServer, DEFAULT_FLAME_LIMIT};
 use ev_json::Value;
 
 /// Session-trace seed; fixed so runs are comparable across commits.
@@ -234,6 +242,85 @@ fn cold_view(
         ),
     ]);
     (row, timed.speedup)
+}
+
+/// Cold `profile/flameGraph` misses at `limit`, one row per view: the
+/// server's budgeted layout plus direct write against the retained
+/// whole layout plus row-form `Value` plus `to_string`, bodies checked
+/// equal first, then timed in interleaved pairs. A row's layout and
+/// write stages are those of its median run, so they add up to it.
+fn flame_graph_misses(profile: &ev_core::Profile, limit: usize) -> Value {
+    let views = [
+        ("topDown", FlameView::TopDown),
+        ("bottomUp", FlameView::BottomUp),
+        ("flat", FlameView::Flat),
+    ];
+    let metric = ev_core::MetricId::from_index(0);
+    let mut rows = vec![
+        ("limit", Value::Int(limit as i64)),
+        ("nodes", Value::Int(profile.node_count() as i64)),
+    ];
+    for (name, view) in views {
+        // Seconds of each miss's layout and write, in call order.
+        let stages = RefCell::new(Vec::new());
+        let miss = || {
+            let start = ev_trace::now_ns();
+            let graph = FlameGraph::layout(profile, metric, view, limit);
+            let laid = ev_trace::now_ns();
+            let body = ev_ide::encode_flame_graph(&graph);
+            let end = ev_trace::now_ns();
+            let secs = |from: u64, to: u64| to.saturating_sub(from) as f64 / 1e9;
+            stages
+                .borrow_mut()
+                .push((secs(start, laid), secs(laid, end)));
+            (body, graph.rects().len(), graph.truncated())
+        };
+        let retained = || {
+            let whole = FlameGraph::layout(profile, metric, view, usize::MAX);
+            ev_json::to_string(&oracle::flame_value(&whole, limit))
+        };
+        let (body, rects, truncated) = miss();
+        assert_eq!(body, retained(), "{name} at limit {limit}: served body");
+        stages.borrow_mut().clear();
+        let timed = compare(COLD_VIEW_PAIRS, retained, miss);
+        // `compare` runs each side once untimed, then once per pair.
+        let mut order: Vec<usize> = (0..timed.pairs.len()).collect();
+        order.sort_by(|&a, &b| timed.pairs[a].1.total_cmp(&timed.pairs[b].1));
+        let (layout, write) = stages.borrow()[order[order.len() / 2] + 1];
+        let (new_ms, old_ms) = (timed.candidate_secs * 1e3, timed.baseline_secs * 1e3);
+        println!(
+            "  {name:<9} {rects} rects (+{truncated} counted), {} bytes: {new_ms:>8.2} ms \
+             (layout {:.2} + write {:.2}) vs retained {old_ms:>8.2} ms, median ratio {:.2}x",
+            body.len(),
+            layout * 1e3,
+            write * 1e3,
+            timed.speedup
+        );
+        rows.push((
+            name,
+            Value::object([
+                ("rects", Value::Int(rects as i64)),
+                ("truncated", Value::Int(truncated as i64)),
+                ("bodyBytes", Value::Int(body.len() as i64)),
+                ("medianMillis", Value::Float(new_ms)),
+                ("layoutMillis", Value::Float(layout * 1e3)),
+                ("writeMillis", Value::Float(write * 1e3)),
+                ("retainedMedianMillis", Value::Float(old_ms)),
+                ("medianRatio", Value::Float(timed.speedup)),
+                (
+                    "pairMillis",
+                    timed
+                        .pairs
+                        .iter()
+                        .map(|&(old, new)| {
+                            Value::Array(vec![Value::Float(new * 1e3), Value::Float(old * 1e3)])
+                        })
+                        .collect(),
+                ),
+            ]),
+        ));
+    }
+    Value::object(rows)
 }
 
 fn main() {
@@ -431,12 +518,21 @@ fn main() {
         FlameGraph::flat,
         oracle::flatten,
     );
+    group("serve: cold flameGraph misses (budgeted layout + write vs retained, interleaved)");
+    println!("serve profile, the mix's limit {FLAME_LIMIT}:");
+    let serve_misses = flame_graph_misses(&profile, FLAME_LIMIT as usize);
+    println!("paper-shaped profile, the default limit {DEFAULT_FLAME_LIMIT}:");
+    let paper_misses = flame_graph_misses(&cold_profile, DEFAULT_FLAME_LIMIT);
     let cold_views = Value::object([
         ("functions", Value::Int(cold_functions as i64)),
         ("samples", Value::Int(cold_samples as i64)),
         ("nodes", Value::Int(cold_profile.node_count() as i64)),
         ("bottomUp", bottom_up_row),
         ("flat", flat_row),
+        (
+            "flameGraphMiss",
+            Value::object([("serve", serve_misses), ("paper", paper_misses)]),
+        ),
     ]);
     drop(cold_profile);
 

@@ -1,7 +1,9 @@
 //! The tree transforms that `ev_analysis::bottom_up`, `flatten` and
 //! `collapse_recursion` replaced, kept as oracles for the differential
 //! tests (`tests/transform_oracle.rs`, `tests/open_oracle.rs`,
-//! `tests/views_cross.rs`) and the `serve` bin's `coldViews` gate.
+//! `tests/views_cross.rs`) and the `serve` bin's `coldViews` gate; and
+//! [`flame_value`], the row-form `profile/flameGraph` result that
+//! `ev_ide::encode_flame_graph` replaced.
 //!
 //! Each resolves every frame to owned strings and inserts it with
 //! [`Profile::child`]. The bodies are the replaced ones, except that
@@ -12,6 +14,8 @@
 
 use ev_analysis::{MetricView, Transformed};
 use ev_core::{ContextKind, Frame, MetricId, NodeId, Profile};
+use ev_flame::FlameGraph;
+use ev_json::Value;
 
 /// The bottom-up tree: every nonzero exclusive value inserted along
 /// its reversed call path of resolved frames.
@@ -145,4 +149,41 @@ pub fn collapse_recursion(profile: &Profile) -> Profile {
     }
     out.finish();
     out
+}
+
+/// The `profile/flameGraph` result as the server built it from a whole
+/// layout: a row-form object per rect for the first `limit` rects of
+/// `graph`, and `truncated`, the rects `limit` dropped, when it dropped
+/// any. `ev_json::to_string` of it is the body
+/// `ev_ide::encode_flame_graph` writes for the budgeted layout.
+pub fn flame_value(graph: &FlameGraph, limit: usize) -> Value {
+    let rects: Value = graph
+        .rects()
+        .iter()
+        .take(limit)
+        .map(|r| {
+            Value::object([
+                ("node", Value::Int(r.node.index() as i64)),
+                ("depth", Value::Int(r.depth as i64)),
+                ("x", Value::Float(r.x)),
+                ("width", Value::Float(r.width)),
+                ("label", Value::from(r.label.clone())),
+                ("value", Value::Float(r.value)),
+                ("self", Value::Float(r.self_value)),
+                ("color", Value::from(r.color.to_hex())),
+                ("mapped", Value::Bool(r.mapped)),
+            ])
+        })
+        .collect();
+    let mut fields = vec![
+        ("total", Value::Float(graph.total())),
+        ("maxDepth", Value::Int(graph.max_depth() as i64)),
+        ("elided", Value::Int(graph.elided() as i64)),
+        ("rects", rects),
+    ];
+    let truncated = graph.rects().len().saturating_sub(limit);
+    if truncated > 0 {
+        fields.push(("truncated", Value::Int(truncated as i64)));
+    }
+    Value::object(fields)
 }

@@ -1,26 +1,15 @@
 //! Hand-rolled argument parsing (no dependencies), fully unit-tested.
 
 use crate::CliError;
-
-/// The flame-graph/table shape to render.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Shape {
-    /// Callers above callees (the default).
-    #[default]
-    TopDown,
-    /// Hot leaves first, callers below.
-    BottomUp,
-    /// Module → file → function.
-    Flat,
-}
+use ev_flame::FlameView;
 
 /// Options shared by the analysis commands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Metric name; `None` = the profile's first metric.
     pub metric: Option<String>,
-    /// View shape.
-    pub shape: Shape,
+    /// View shape (`--shape`; top-down by default).
+    pub shape: FlameView,
     /// ANSI width in columns.
     pub width: usize,
     /// Tree-table expansion depth.
@@ -48,7 +37,7 @@ impl Default for Options {
     fn default() -> Options {
         Options {
             metric: None,
-            shape: Shape::TopDown,
+            shape: FlameView::TopDown,
             width: 100,
             depth: 4,
             svg: None,
@@ -182,9 +171,9 @@ pub fn parse_cli(argv: &[String]) -> Result<Cli, CliError> {
             "--metric" => options.metric = Some(take_value(&mut iter, "--metric")?),
             "--shape" => {
                 options.shape = match take_value(&mut iter, "--shape")?.as_str() {
-                    "topdown" => Shape::TopDown,
-                    "bottomup" => Shape::BottomUp,
-                    "flat" => Shape::Flat,
+                    "topdown" => FlameView::TopDown,
+                    "bottomup" => FlameView::BottomUp,
+                    "flat" => FlameView::Flat,
                     other => {
                         return Err(CliError(format!(
                             "unknown shape {other:?} (topdown|bottomup|flat)"
@@ -367,7 +356,7 @@ mod tests {
         let Command::View { input, options } = cmd else { panic!() };
         assert_eq!(input, "p.pprof");
         assert_eq!(options.metric.as_deref(), Some("cpu"));
-        assert_eq!(options.shape, Shape::BottomUp);
+        assert_eq!(options.shape, FlameView::BottomUp);
         assert_eq!(options.width, 80);
         assert_eq!(options.svg.as_deref(), Some("out.svg"));
         assert!(options.color);

@@ -1,11 +1,11 @@
 //! Command implementations. All return their output as a `String` so
 //! they are testable without capturing stdout.
 
-use crate::args::{Cli, Command, Options, Shape, TraceFormat};
+use crate::args::{Cli, Command, Options, TraceFormat};
 use crate::{CliError, USAGE};
 use ev_analysis::{aggregate_with, classify_timeline, view_key, ExecPolicy, MetricView, ViewCache};
 use ev_core::{MetricId, Profile};
-use ev_flame::{render, DiffFlameGraph, FlameGraph, Histogram, TreeTable};
+use ev_flame::{render, DiffFlameGraph, FlameGraph, FlameView, Histogram, TreeTable};
 use ev_script::ScriptHost;
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -124,7 +124,7 @@ fn stats_cmd(input: Option<&str>, options: &Options) -> Result<String, CliError>
                 view_key(&profile, metric, &[shape_tag(options.shape), &threshold_tag]);
             let graph = view_cache().get_or_insert_with(key, || {
                 let pruned = maybe_pruned(&profile, metric, options);
-                layout(&pruned, metric, options.shape)
+                FlameGraph::layout(&pruned, metric, options.shape, usize::MAX)
             });
             Ok((
                 profile.meta().name.clone(),
@@ -285,19 +285,11 @@ fn info(input: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn layout(profile: &Profile, metric: MetricId, shape: Shape) -> FlameGraph {
+fn shape_tag(shape: FlameView) -> &'static str {
     match shape {
-        Shape::TopDown => FlameGraph::top_down(profile, metric),
-        Shape::BottomUp => FlameGraph::bottom_up(profile, metric),
-        Shape::Flat => FlameGraph::flat(profile, metric),
-    }
-}
-
-fn shape_tag(shape: Shape) -> &'static str {
-    match shape {
-        Shape::TopDown => "top_down",
-        Shape::BottomUp => "bottom_up",
-        Shape::Flat => "flat",
+        FlameView::TopDown => "top_down",
+        FlameView::BottomUp => "bottom_up",
+        FlameView::Flat => "flat",
     }
 }
 
@@ -311,7 +303,7 @@ fn view(input: &str, options: &Options) -> Result<String, CliError> {
     let key = view_key(&profile, metric, &[shape_tag(options.shape), &threshold_tag]);
     let graph = view_cache().get_or_insert_with(key, || {
         let pruned = maybe_pruned(&profile, metric, options);
-        layout(&pruned, metric, options.shape)
+        FlameGraph::layout(&pruned, metric, options.shape, usize::MAX)
     });
     let mut out = render::ansi(&graph, options.width, options.color);
     if graph.elided() > 0 {
@@ -331,9 +323,9 @@ fn table(input: &str, options: &Options) -> Result<String, CliError> {
     let metric = pick_metric(&profile, options)?;
     let base = maybe_pruned(&profile, metric, options);
     let shaped = match options.shape {
-        Shape::TopDown => base,
-        Shape::BottomUp => Cow::Owned(ev_analysis::bottom_up(&base, metric).profile),
-        Shape::Flat => Cow::Owned(ev_analysis::flatten(&base, metric).profile),
+        FlameView::TopDown => base,
+        FlameView::BottomUp => Cow::Owned(ev_analysis::bottom_up(&base, metric).profile),
+        FlameView::Flat => Cow::Owned(ev_analysis::flatten(&base, metric).profile),
     };
     let metric = pick_metric(&shaped, options)?;
     let mut t = TreeTable::new(&shaped, &[metric]);
@@ -426,7 +418,7 @@ fn aggregate_cmd(inputs: &[String], options: &Options) -> Result<String, CliErro
 
 fn search(input: &str, query: &str) -> Result<String, CliError> {
     let profile = load(input, ExecPolicy::auto())?;
-    let matches = ev_analysis::search(&profile, query);
+    let matches: Vec<_> = ev_analysis::search(&profile, query).collect();
     let mut out = String::new();
     for &id in &matches {
         let path: Vec<String> = profile

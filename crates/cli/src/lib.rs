@@ -24,7 +24,7 @@
 mod args;
 mod commands;
 
-pub use args::{parse_args, parse_cli, Cli, Command, Options, Shape, TraceFormat, TraceOptions};
+pub use args::{parse_args, parse_cli, Cli, Command, Options, TraceFormat, TraceOptions};
 pub use commands::{run, run_cli};
 
 use std::error::Error;

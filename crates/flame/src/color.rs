@@ -20,14 +20,20 @@ impl Color {
 
     /// CSS hex form (`#rrggbb`).
     pub fn to_hex(self) -> String {
-        const DIGITS: &[u8; 16] = b"0123456789abcdef";
         let mut hex = String::with_capacity(7);
-        hex.push('#');
-        for channel in [self.r, self.g, self.b] {
-            hex.push(char::from(DIGITS[usize::from(channel >> 4)]));
-            hex.push(char::from(DIGITS[usize::from(channel & 0xf)]));
-        }
+        self.write_hex(&mut hex);
         hex
+    }
+
+    /// Appends the CSS hex form (`#rrggbb`) to `out`, which needs no
+    /// JSON escape, without allocating a string per color.
+    pub fn write_hex(self, out: &mut String) {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        out.push('#');
+        for channel in [self.r, self.g, self.b] {
+            out.push(char::from(DIGITS[usize::from(channel >> 4)]));
+            out.push(char::from(DIGITS[usize::from(channel & 0xf)]));
+        }
     }
 
     /// Scales all channels by `factor` (clamped to [0, 1]), darkening

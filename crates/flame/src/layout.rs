@@ -3,12 +3,24 @@
 use crate::color::{Color, ColorScheme};
 use ev_analysis::{MetricView, Transformed};
 use ev_core::{MetricId, NodeId, Profile};
-use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// Rectangles narrower than this fraction of the total width are elided
 /// from the layout (they would be sub-pixel at any realistic viewport);
 /// the count of elided frames is kept for display.
 const MIN_WIDTH: f64 = 1e-5;
+
+/// Whether a rect of `width` is elided. A NaN width is not.
+fn sub_pixel(width: f64) -> bool {
+    width < MIN_WIDTH
+}
+
+/// Cached handle for the `flame.rects_counted` counter: rects a layout
+/// counted past its budget but never built.
+fn rects_counted() -> &'static ev_trace::Counter {
+    static HANDLE: OnceLock<&'static ev_trace::Counter> = OnceLock::new();
+    HANDLE.get_or_init(|| ev_trace::counter("flame.rects_counted"))
+}
 
 /// One frame rectangle of a laid-out flame graph.
 ///
@@ -17,8 +29,8 @@ const MIN_WIDTH: f64 = 1e-5;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlameRect {
     /// A node of the caller's profile, in every view. For
-    /// [`FlameGraph::top_down`] it is the node the rectangle draws. For
-    /// [`FlameGraph::bottom_up`] and [`FlameGraph::flat`] it is the
+    /// [`FlameView::TopDown`] it is the node the rectangle draws. For
+    /// [`FlameView::BottomUp`] and [`FlameView::Flat`] it is the
     /// first source context that contributes to the rectangle (its
     /// [`ev_analysis::Transformed::sources`] entry): one with the
     /// rectangle's frame for bottom-up, one in the rectangle's module,
@@ -43,6 +55,18 @@ pub struct FlameRect {
     pub mapped: bool,
 }
 
+/// The tree shape a flame graph draws (paper §VI-A-a).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlameView {
+    /// The calling context tree itself (paper Fig. 4): root at depth 0,
+    /// callees below.
+    TopDown,
+    /// Leaf functions at the first level, callers below (paper Fig. 6).
+    BottomUp,
+    /// Load modules → files → functions.
+    Flat,
+}
+
 /// A laid-out flame graph. It holds only geometry: the profile it was
 /// laid out from stays with the caller.
 #[derive(Debug, Clone)]
@@ -51,107 +75,178 @@ pub struct FlameGraph {
     max_depth: usize,
     elided: usize,
     total: f64,
+    truncated: usize,
 }
 
 impl FlameGraph {
-    /// Lays out the top-down view (paper Fig. 4): root at depth 0,
-    /// callees below, width ∝ inclusive metric.
+    /// Lays out `view` of `profile`, building at most `limit` rects:
+    /// the first `limit` of the whole layout's (depth, x, node id)
+    /// order. The rects past the budget are only counted
+    /// ([`FlameGraph::truncated`]); `max_depth`, `elided` and `total`
+    /// are those of the whole layout.
     ///
-    /// Rows are laid out breadth-first from the caller's profile, each
-    /// node's children left to right by decreasing value. The rect list
-    /// is then sorted by a total order (depth, x, node id).
+    /// The layout walks the tree row by row. Each row's visible nodes
+    /// are sorted by (x, node id), and a rect (label and color) is built
+    /// for each while the budget lasts. Each node's children go left to
+    /// right by decreasing value (classic flame-graph ordering), each
+    /// offset by the cumulative width of its earlier siblings. Past the
+    /// budget the walk only counts visible and sub-pixel nodes: it sorts
+    /// no children and builds no rect.
+    pub fn layout(
+        profile: &Profile,
+        metric: MetricId,
+        view: FlameView,
+        limit: usize,
+    ) -> FlameGraph {
+        match view {
+            FlameView::TopDown => Self::budgeted(profile, metric, limit),
+            FlameView::BottomUp => Self::transformed(
+                profile,
+                metric,
+                ev_analysis::bottom_up(profile, metric),
+                limit,
+            ),
+            FlameView::Flat => Self::transformed(
+                profile,
+                metric,
+                ev_analysis::flatten(profile, metric),
+                limit,
+            ),
+        }
+    }
+
+    /// Lays out the whole top-down view: [`FlameGraph::layout`] with no
+    /// budget.
     pub fn top_down(profile: &Profile, metric: MetricId) -> FlameGraph {
-        let _span = ev_trace::span("flame.layout");
-        let view = MetricView::compute(profile, metric);
-        let scheme = ColorScheme::default();
-        let strings = profile.strings();
-        let total = view.total().max(f64::MIN_POSITIVE);
-        let mut rects = Vec::new();
-        let mut max_depth = 0usize;
-        let mut elided = 0usize;
-        // Queue of (node, depth, left edge), and one buffer that orders
-        // each node's children.
-        let mut work: VecDeque<(NodeId, usize, f64)> = VecDeque::from([(profile.root(), 0, 0.0)]);
-        let mut ordered: Vec<(NodeId, f64)> = Vec::new();
-        while let Some((node, depth, x)) = work.pop_front() {
-            let inclusive = view.inclusive(node);
-            let width = inclusive / total;
-            let root = node == NodeId::ROOT;
-            if width < MIN_WIDTH && !root {
-                elided += 1;
-                continue;
-            }
-            let frame = profile.node(node).frame();
-            let name = strings.resolve(frame.name);
-            let file = strings.resolve(frame.file);
-            let mapped = !file.is_empty() && frame.line != 0;
-            max_depth = max_depth.max(depth);
-            rects.push(FlameRect {
-                node,
-                depth,
-                x,
-                width: if root { 1.0 } else { width },
-                label: if root { "ROOT" } else { name }.to_owned(),
-                value: inclusive,
-                self_value: view.exclusive(node),
-                color: scheme.color_for(name, strings.resolve(frame.module), file, mapped),
-                mapped,
-            });
-            // Children left to right by decreasing value (classic
-            // flame-graph ordering), each offset by the cumulative width
-            // of its earlier siblings.
-            ordered.clear();
-            ordered.extend(
-                profile
-                    .node(node)
-                    .children()
-                    .iter()
-                    .map(|&c| (c, view.inclusive(c))),
-            );
-            ordered.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let mut cursor = x;
-            for &(child, inclusive) in &ordered {
-                work.push_back((child, depth + 1, cursor));
-                cursor += inclusive / total;
-            }
-        }
-        rects.sort_unstable_by(|a, b| {
-            a.depth
-                .cmp(&b.depth)
-                .then(a.x.total_cmp(&b.x))
-                .then(a.node.index().cmp(&b.node.index()))
-        });
-        FlameGraph {
-            rects,
-            max_depth,
-            elided,
-            total,
-        }
+        Self::layout(profile, metric, FlameView::TopDown, usize::MAX)
     }
 
-    /// Lays out the bottom-up view (paper Fig. 6): leaf functions at the
-    /// first level, callers below.
+    /// Lays out the whole bottom-up view: [`FlameGraph::layout`] with
+    /// no budget.
     pub fn bottom_up(profile: &Profile, metric: MetricId) -> FlameGraph {
-        Self::transformed(profile, metric, ev_analysis::bottom_up(profile, metric))
+        Self::layout(profile, metric, FlameView::BottomUp, usize::MAX)
     }
 
-    /// Lays out the flat view: load modules → files → functions.
+    /// Lays out the whole flat view: [`FlameGraph::layout`] with no
+    /// budget.
     pub fn flat(profile: &Profile, metric: MetricId) -> FlameGraph {
-        Self::transformed(profile, metric, ev_analysis::flatten(profile, metric))
+        Self::layout(profile, metric, FlameView::Flat, usize::MAX)
     }
 
     /// Lays out a tree transformed from `profile`, then names each
     /// rect's source node. The rects stay sorted by the transformed
     /// tree's ids.
-    fn transformed(profile: &Profile, metric: MetricId, shaped: Transformed) -> FlameGraph {
+    fn transformed(
+        profile: &Profile,
+        metric: MetricId,
+        shaped: Transformed,
+        limit: usize,
+    ) -> FlameGraph {
         let m = shaped
             .profile
             .metric_by_name(&profile.metric(metric).name)
             .expect("transform keeps the metric");
-        let mut graph = Self::top_down(&shaped.profile, m);
+        let mut graph = Self::budgeted(&shaped.profile, m, limit);
         for rect in &mut graph.rects {
             rect.node = shaped.sources[rect.node.index()];
         }
+        graph
+    }
+
+    /// The one layout body behind [`FlameGraph::layout`].
+    fn budgeted(profile: &Profile, metric: MetricId, limit: usize) -> FlameGraph {
+        let _span = ev_trace::span("flame.layout");
+        let view = MetricView::compute(profile, metric);
+        let scheme = ColorScheme::default();
+        let strings = profile.strings();
+        let total = view.total().max(f64::MIN_POSITIVE);
+        let mut graph = FlameGraph {
+            rects: Vec::new(),
+            max_depth: 0,
+            elided: 0,
+            total,
+            truncated: 0,
+        };
+        let mut budget = limit;
+        // The visible nodes of row `depth`, each with its left edge.
+        let mut row: Vec<(f64, NodeId)> = vec![(0.0, profile.root())];
+        let mut next: Vec<(f64, NodeId)> = Vec::new();
+        // One buffer that orders each node's children.
+        let mut ordered: Vec<(NodeId, f64)> = Vec::new();
+        let mut depth = 0usize;
+        loop {
+            row.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.index().cmp(&b.1.index())));
+            graph.max_depth = depth;
+            let kept = budget.min(row.len());
+            budget -= kept;
+            graph.truncated += row.len() - kept;
+            for &(x, node) in &row[..kept] {
+                let inclusive = view.inclusive(node);
+                let root = node == NodeId::ROOT;
+                let frame = profile.node(node).frame();
+                let name = strings.resolve(frame.name);
+                let file = strings.resolve(frame.file);
+                let mapped = !file.is_empty() && frame.line != 0;
+                graph.rects.push(FlameRect {
+                    node,
+                    depth,
+                    x,
+                    width: if root { 1.0 } else { inclusive / total },
+                    label: if root { "ROOT" } else { name }.to_owned(),
+                    value: inclusive,
+                    self_value: view.exclusive(node),
+                    color: scheme.color_for(name, strings.resolve(frame.module), file, mapped),
+                    mapped,
+                });
+            }
+            if budget == 0 {
+                // Past the budget: count what lies below this row, in
+                // any order.
+                let mut stack: Vec<(NodeId, usize)> =
+                    row.iter().map(|&(_, node)| (node, depth)).collect();
+                while let Some((node, depth)) = stack.pop() {
+                    for &child in profile.node(node).children() {
+                        if sub_pixel(view.inclusive(child) / total) {
+                            graph.elided += 1;
+                        } else {
+                            graph.truncated += 1;
+                            graph.max_depth = graph.max_depth.max(depth + 1);
+                            stack.push((child, depth + 1));
+                        }
+                    }
+                }
+                break;
+            }
+            // The whole row was built, so every child's left edge counts.
+            next.clear();
+            for &(x, node) in &row {
+                ordered.clear();
+                ordered.extend(
+                    profile
+                        .node(node)
+                        .children()
+                        .iter()
+                        .map(|&c| (c, view.inclusive(c))),
+                );
+                ordered.sort_by(|a, b| b.1.total_cmp(&a.1));
+                let mut cursor = x;
+                for &(child, inclusive) in &ordered {
+                    let width = inclusive / total;
+                    if sub_pixel(width) {
+                        graph.elided += 1;
+                    } else {
+                        next.push((cursor, child));
+                    }
+                    cursor += width;
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            std::mem::swap(&mut row, &mut next);
+            depth += 1;
+        }
+        rects_counted().add(graph.truncated as u64);
         graph
     }
 
@@ -173,6 +268,12 @@ impl FlameGraph {
     /// Total metric value (the root's inclusive value).
     pub fn total(&self) -> f64 {
         self.total
+    }
+
+    /// Number of visible rects past the layout's budget: counted, never
+    /// built. 0 for a whole layout.
+    pub fn truncated(&self) -> usize {
+        self.truncated
     }
 
     pub(crate) fn replace_rects(&mut self, rects: Vec<FlameRect>) {

@@ -9,9 +9,11 @@
 //!
 //! Views:
 //!
-//! * **Generic flame graphs** (§VI-A-a): [`FlameGraph::top_down`],
-//!   [`FlameGraph::bottom_up`], [`FlameGraph::flat`] — the three tree
-//!   shapes from the analysis engine.
+//! * **Generic flame graphs** (§VI-A-a): [`FlameGraph::layout`] of a
+//!   [`FlameView`] under a rect budget, or the whole
+//!   [`FlameGraph::top_down`], [`FlameGraph::bottom_up`] and
+//!   [`FlameGraph::flat`] layouts — the three tree shapes from the
+//!   analysis engine.
 //! * **Differential flame graphs** (§VI-A-b, Fig. 3):
 //!   [`DiffFlameGraph`] tags every frame `[A]`/`[D]`/`[+]`/`[-]` and
 //!   quantifies the delta.
@@ -58,5 +60,5 @@ pub use color::{Color, ColorScheme};
 pub use correlated::CorrelatedView;
 pub use differential::DiffFlameGraph;
 pub use histogram::Histogram;
-pub use layout::{FlameGraph, FlameRect};
+pub use layout::{FlameGraph, FlameRect, FlameView};
 pub use tree_table::{TableRow, TreeTable};

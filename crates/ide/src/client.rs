@@ -323,12 +323,18 @@ impl EditorClient {
         )
     }
 
-    /// Searches frames by name substring.
+    /// Searches frames by name substring: the (node, label) matches the
+    /// server lists, and how many more it left out past its cap (0 for
+    /// a complete answer).
     ///
     /// # Errors
     ///
     /// Propagates server errors.
-    pub fn search(&mut self, profile_id: i64, query: &str) -> Result<Vec<(i64, String)>, IdeError> {
+    pub fn search(
+        &mut self,
+        profile_id: i64,
+        query: &str,
+    ) -> Result<(Vec<(i64, String)>, usize), IdeError> {
         let result = self.request(
             "profile/search",
             Value::object([
@@ -336,7 +342,7 @@ impl EditorClient {
                 ("query", Value::from(query)),
             ]),
         )?;
-        Ok(result
+        let matches = result
             .get("matches")
             .and_then(Value::as_array)
             .unwrap_or(&[])
@@ -347,7 +353,9 @@ impl EditorClient {
                     m.get("label").and_then(Value::as_str).unwrap_or("").to_owned(),
                 )
             })
-            .collect())
+            .collect();
+        let truncated = result.get("truncated").and_then(Value::as_i64).unwrap_or(0);
+        Ok((matches, usize::try_from(truncated).unwrap_or(0)))
     }
 
     /// Aggregates several opened profiles into a new server-side
@@ -495,6 +503,7 @@ impl EditorClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::SEARCH_CAP;
     use ev_core::{Frame, MetricDescriptor, MetricKind, MetricUnit};
 
     fn demo_profile() -> Profile {
@@ -561,9 +570,26 @@ mod tests {
     fn search_and_summary() {
         let mut client = EditorClient::connect(EvpServer::new());
         let id = client.open_profile(&demo_profile()).unwrap();
-        let hits = client.search(id, "buf").unwrap();
+        let (hits, truncated) = client.search(id, "buf").unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].1, "newBufWriter");
+        assert_eq!(truncated, 0);
+        // Past the server's cap the client reports what it left out.
+        let mut wide = Profile::new("wide");
+        let m = wide.add_metric(MetricDescriptor::new(
+            "cpu",
+            MetricUnit::Count,
+            MetricKind::Exclusive,
+        ));
+        for i in 0..SEARCH_CAP {
+            wide.add_sample(
+                &[Frame::function("main"), Frame::function(format!("f{i}"))],
+                &[(m, 1.0)],
+            );
+        }
+        let wide = client.open_profile(&wide).unwrap();
+        let (hits, truncated) = client.search(wide, "").unwrap();
+        assert_eq!((hits.len(), truncated), (SEARCH_CAP, 2));
         let summary = client.summary(id).unwrap();
         assert_eq!(summary.get("nodes").and_then(Value::as_i64), Some(4));
         let hottest = summary.get("hottest").unwrap().as_array().unwrap();

@@ -53,7 +53,9 @@ pub mod rpc;
 mod server;
 
 pub use client::{EditorClient, EditorState, RectInfo};
-pub use server::{EvpServer, ServerOptions, SharedEvpServer};
+pub use server::{
+    encode_flame_graph, EvpServer, ServerOptions, SharedEvpServer, DEFAULT_FLAME_LIMIT,
+};
 
 use std::error::Error;
 use std::fmt;

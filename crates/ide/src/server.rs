@@ -17,7 +17,7 @@ use ev_analysis::{
     CacheStats, MetricView, ViewCache,
 };
 use ev_core::{MetricId, NodeId, Profile};
-use ev_flame::FlameGraph;
+use ev_flame::{FlameGraph, FlameView};
 use ev_json::Value;
 use ev_script::ScriptHost;
 use ev_trace::{CaptureReason, FlightRecorder, SpanRecord};
@@ -294,6 +294,66 @@ impl Answer {
 /// The compact JSON of a view result, as the view cache holds it.
 fn encode_view(result: &Value) -> Box<str> {
     ev_json::to_string(result).into_boxed_str()
+}
+
+/// `limit` of a `profile/flameGraph` request when it names none.
+pub const DEFAULT_FLAME_LIMIT: usize = 100_000;
+
+/// The most matches a `profile/search` answer lists; `truncated`
+/// counts the rest. It keeps every match of a query on a profile of ten
+/// thousand nodes.
+pub(crate) const SEARCH_CAP: usize = 10_000;
+
+/// The `profile/flameGraph` result for `graph`, written straight into
+/// text: keys in the sorted order a `Value::Object` gives them, numbers
+/// and strings through `ev_json`'s own writers, so the text is
+/// byte-identical to `ev_json::to_string` of the row-form `Value` (which
+/// `ev_bench::oracle::flame_value` keeps as the oracle). `truncated` is
+/// written only for a cut view, so a complete view keeps the bytes it
+/// always had.
+pub fn encode_flame_graph(graph: &FlameGraph) -> String {
+    let _span = ev_trace::span("ide.view_write");
+    // About 170 bytes per rect, as written for paper-scale profiles.
+    let mut out = String::with_capacity(96 + 176 * graph.rects().len());
+    out.push_str("{\"elided\":");
+    ev_json::write_int(&mut out, graph.elided() as i64);
+    out.push_str(",\"maxDepth\":");
+    ev_json::write_int(&mut out, graph.max_depth() as i64);
+    out.push_str(",\"rects\":[");
+    for (i, r) in graph.rects().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"color\":\"");
+        r.color.write_hex(&mut out);
+        out.push_str("\",\"depth\":");
+        ev_json::write_int(&mut out, r.depth as i64);
+        out.push_str(",\"label\":");
+        ev_json::write_string(&mut out, &r.label);
+        out.push_str(if r.mapped {
+            ",\"mapped\":true,\"node\":"
+        } else {
+            ",\"mapped\":false,\"node\":"
+        });
+        ev_json::write_int(&mut out, r.node.index() as i64);
+        out.push_str(",\"self\":");
+        ev_json::write_float(&mut out, r.self_value);
+        out.push_str(",\"value\":");
+        ev_json::write_float(&mut out, r.value);
+        out.push_str(",\"width\":");
+        ev_json::write_float(&mut out, r.width);
+        out.push_str(",\"x\":");
+        ev_json::write_float(&mut out, r.x);
+        out.push('}');
+    }
+    out.push_str("],\"total\":");
+    ev_json::write_float(&mut out, graph.total());
+    if graph.truncated() > 0 {
+        out.push_str(",\"truncated\":");
+        ev_json::write_int(&mut out, graph.truncated() as i64);
+    }
+    out.push('}');
+    out
 }
 
 /// RAII decrement of a session's in-flight count.
@@ -916,17 +976,31 @@ impl EvpServer {
             .get("view")
             .and_then(Value::as_str)
             .unwrap_or("topDown");
-        if !matches!(view, "topDown" | "bottomUp" | "flat") {
-            return Err((
-                codes::INVALID_PARAMS,
-                format!("unknown view {view:?} (topDown|bottomUp|flat)"),
-            ));
-        }
-        let limit = params
-            .get("limit")
-            .and_then(Value::as_i64)
-            .unwrap_or(100_000)
-            .max(0) as usize;
+        let shape = match view {
+            "topDown" => FlameView::TopDown,
+            "bottomUp" => FlameView::BottomUp,
+            "flat" => FlameView::Flat,
+            _ => {
+                return Err((
+                    codes::INVALID_PARAMS,
+                    format!("unknown view {view:?} (topDown|bottomUp|flat)"),
+                ))
+            }
+        };
+        // `limit`: the default when absent, 0 when negative. Any other
+        // value than an integer is refused, not read as the default.
+        let limit = match params.get("limit") {
+            None => DEFAULT_FLAME_LIMIT,
+            Some(limit) => {
+                let limit = limit.as_i64().ok_or_else(|| {
+                    (
+                        codes::INVALID_PARAMS,
+                        format!("limit must be an integer, not {limit}"),
+                    )
+                })?;
+                usize::try_from(limit).unwrap_or(0)
+            }
+        };
         // The result is memoized on the profile version's content
         // fingerprint + metric + the full transform descriptor (view
         // and limit shape the JSON), so a cached answer is
@@ -935,43 +1009,7 @@ impl EvpServer {
         let limit_tag = format!("limit:{limit}");
         let key = fingerprint_view_key(loaded.fingerprint, metric, &["flame", view, &limit_tag]);
         Ok(self.views.get_or_insert_with(key, || {
-            let graph = match view {
-                "topDown" => FlameGraph::top_down(profile, metric),
-                "bottomUp" => FlameGraph::bottom_up(profile, metric),
-                _ => FlameGraph::flat(profile, metric),
-            };
-            let rects: Value = graph
-                .rects()
-                .iter()
-                .take(limit)
-                .map(|r| {
-                    Value::object([
-                        ("node", Value::Int(r.node.index() as i64)),
-                        ("depth", Value::Int(r.depth as i64)),
-                        ("x", Value::Float(r.x)),
-                        ("width", Value::Float(r.width)),
-                        ("label", Value::from(r.label.clone())),
-                        ("value", Value::Float(r.value)),
-                        ("self", Value::Float(r.self_value)),
-                        ("color", Value::from(r.color.to_hex())),
-                        ("mapped", Value::Bool(r.mapped)),
-                    ])
-                })
-                .collect();
-            let mut fields = vec![
-                ("total", Value::Float(graph.total())),
-                ("maxDepth", Value::Int(graph.max_depth() as i64)),
-                ("elided", Value::Int(graph.elided() as i64)),
-                ("rects", rects),
-            ];
-            // `truncated` counts the laid-out rects `limit` dropped, so
-            // a cut view never reads as complete. A complete view leaves
-            // it out and keeps the bytes it always had.
-            let truncated = graph.rects().len().saturating_sub(limit);
-            if truncated > 0 {
-                fields.push(("truncated", Value::Int(truncated as i64)));
-            }
-            encode_view(&Value::object(fields))
+            encode_flame_graph(&FlameGraph::layout(profile, metric, shape, limit)).into_boxed_str()
         }))
     }
 
@@ -1118,7 +1156,7 @@ impl EvpServer {
             .get("query")
             .and_then(Value::as_str)
             .ok_or((codes::INVALID_PARAMS, "missing query".to_owned()))?;
-        Ok(search_result(profile, query))
+        Ok(search_result(profile, query, SEARCH_CAP))
     }
 
     /// The flight-recorder surface: lists retained captures (oldest
@@ -1286,11 +1324,15 @@ fn hover_result(profile: &Profile, file: &str, line: u32) -> Value {
     ])
 }
 
-/// `profile/search`: every node [`ev_analysis::search`] matches, with
-/// its name.
-fn search_result(profile: &Profile, query: &str) -> Value {
-    let matches: Value = search(profile, query)
-        .into_iter()
+/// `profile/search`: the first `cap` nodes [`ev_analysis::search`]
+/// matches, with their names. `truncated` counts the matches past
+/// `cap`, which are never collected; a complete result has no
+/// `truncated` field.
+fn search_result(profile: &Profile, query: &str, cap: usize) -> Value {
+    let mut found = search(profile, query);
+    let matches: Value = found
+        .by_ref()
+        .take(cap)
         .map(|id| {
             let name = profile.node(id).frame().name;
             Value::object([
@@ -1299,7 +1341,12 @@ fn search_result(profile: &Profile, query: &str) -> Value {
             ])
         })
         .collect();
-    Value::object([("matches", matches)])
+    let mut fields = vec![("matches", matches)];
+    let truncated = found.count();
+    if truncated > 0 {
+        fields.push(("truncated", Value::Int(truncated as i64)));
+    }
+    Value::object(fields)
 }
 
 /// The error for a profile id the table does not hold.
@@ -1466,11 +1513,12 @@ mod tests {
         ])
     }
 
-    /// `profile/search` lowercasing every node's resolved name; the
-    /// oracle for [`search_result`].
-    fn search_oracle(profile: &Profile, query: &str) -> Value {
+    /// `profile/search` lowercasing every node's resolved name and
+    /// collecting every match before it cuts them to `cap`; the oracle
+    /// for [`search_result`].
+    fn search_oracle(profile: &Profile, query: &str, cap: usize) -> Value {
         let query = query.to_lowercase();
-        let matches: Value = profile
+        let mut matches: Vec<Value> = profile
             .node_ids()
             .filter_map(|id| {
                 let frame = profile.resolve_frame(id);
@@ -1484,7 +1532,12 @@ mod tests {
                 }
             })
             .collect();
-        Value::object([("matches", matches)])
+        let cut = matches.split_off(cap.min(matches.len()));
+        let mut fields = vec![("matches", Value::Array(matches))];
+        if !cut.is_empty() {
+            fields.push(("truncated", Value::Int(cut.len() as i64)));
+        }
+        Value::object(fields)
     }
 
     /// Files the generated profiles draw from: mapped, empty (unmapped
@@ -1557,7 +1610,12 @@ mod tests {
                 "", "main", "WORK", "_json", "école", "ÉCOLE", "i̇", "σίσυφος", "Σ", "absent",
             ];
             for query in queries {
-                prop_assert_eq!(search_result(&profile, query), search_oracle(&profile, query));
+                for cap in [SEARCH_CAP, 0, 1, 3] {
+                    prop_assert_eq!(
+                        search_result(&profile, query, cap),
+                        search_oracle(&profile, query, cap)
+                    );
+                }
             }
         }
     }
@@ -1672,6 +1730,74 @@ mod tests {
         assert_eq!(flame(2, Some(3)), (3, 0));
         assert_eq!(flame(3, Some(1)), (1, 2));
         assert_eq!(flame(4, Some(0)), (0, 3));
+    }
+
+    #[test]
+    fn search_counts_the_matches_past_its_cap() {
+        // The root, main and `SEARCH_CAP` leaves f0, f1, ...
+        let mut profile = Profile::new("wide");
+        let m = profile.add_metric(MetricDescriptor::new(
+            "cpu",
+            MetricUnit::Count,
+            MetricKind::Exclusive,
+        ));
+        for i in 0..SEARCH_CAP {
+            profile.add_sample(
+                &[Frame::function("main"), Frame::function(format!("f{i}"))],
+                &[(m, 1.0)],
+            );
+        }
+        let server = EvpServer::new();
+        let id = open_profile(&server, &profile);
+        // (matches, `truncated`, 0 when absent).
+        let search = |rid: i64, query: &str| {
+            let params =
+                Value::object([("profileId", Value::Int(id)), ("query", Value::from(query))]);
+            let bytes = wire(&server, rid, "profile/search", params);
+            let result = decode_response(&bytes).outcome.unwrap();
+            let matches = result
+                .get("matches")
+                .and_then(Value::as_array)
+                .unwrap()
+                .len();
+            let truncated = result.get("truncated").map(|t| t.as_i64().unwrap());
+            assert_ne!(truncated, Some(0), "a complete result leaves the field out");
+            (matches, truncated.unwrap_or(0))
+        };
+        // "" matches every node; "f1" matches f1, f10-f19, f100-f199
+        // and f1000-f1999.
+        assert_eq!(search(1, ""), (SEARCH_CAP, 2));
+        assert_eq!(search(2, "f1"), (1_111, 0));
+    }
+
+    #[test]
+    fn flame_graph_refuses_a_non_integer_limit() {
+        let server = EvpServer::new();
+        let id = open_profile(&server, &small_profile());
+        let flame = |rid: i64, limit: Value| {
+            let params = Value::object([
+                ("profileId", Value::Int(id)),
+                ("metric", Value::from("cpu")),
+                ("limit", limit),
+            ]);
+            decode_response(&wire(&server, rid, "profile/flameGraph", params)).outcome
+        };
+        for (rid, limit) in [
+            Value::from("10"),
+            Value::Float(1.5),
+            Value::Float(1e300),
+            Value::Null,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let err = flame(rid as i64, limit.clone()).unwrap_err();
+            assert_eq!(err.0, codes::INVALID_PARAMS, "limit {limit}");
+            assert!(err.1.contains("limit"), "{}", err.1);
+        }
+        // A whole-number float is an integer.
+        let outcome = flame(9, Value::Float(2.0));
+        assert!(outcome.is_ok(), "{outcome:?}");
     }
 
     #[test]

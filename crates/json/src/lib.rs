@@ -8,7 +8,10 @@
 //! (`ev-ide`) is JSON-RPC, like the Language Server Protocol that
 //! inspired it (§VI-B). This crate provides the common JSON layer:
 //! a recursive-descent parser producing a [`Value`] tree, and a
-//! serializer with compact and pretty modes.
+//! serializer with compact and pretty modes. The serializer's number and
+//! string writers ([`write_int`], [`write_float`], [`write_string`]) are
+//! public, so a caller can write a large document straight into text,
+//! byte-identical to [`to_string`] of the same tree.
 //!
 //! # Examples
 //!
@@ -30,7 +33,7 @@ mod ser;
 mod value;
 
 pub use parse::parse;
-pub use ser::{to_string, to_string_pretty};
+pub use ser::{to_string, to_string_pretty, write_float, write_int, write_string};
 pub use value::Value;
 
 use std::error::Error;

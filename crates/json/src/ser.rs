@@ -33,14 +33,9 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: us
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => {
-            if *i < 0 {
-                out.push('-');
-            }
-            write_digits(out, i.unsigned_abs());
-        }
-        Value::Float(f) => write_f64(out, *f),
-        Value::String(s) => write_escaped(out, s),
+        Value::Int(i) => write_int(out, *i),
+        Value::Float(f) => write_float(out, *f),
+        Value::String(s) => write_string(out, s),
         Value::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -68,7 +63,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: us
                     out.push(',');
                 }
                 newline_indent(out, indent, level + 1);
-                write_escaped(out, key);
+                write_string(out, key);
                 out.push(':');
                 if indent.is_some() {
                     out.push(' ');
@@ -90,6 +85,15 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
+/// Appends `i` as [`to_string`] writes a [`Value::Int`]: for callers
+/// that write a document straight into text, without a [`Value`].
+pub fn write_int(out: &mut String, i: i64) {
+    if i < 0 {
+        out.push('-');
+    }
+    write_digits(out, i.unsigned_abs());
+}
+
 /// Writes `n` in decimal.
 fn write_digits(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
@@ -105,10 +109,10 @@ fn write_digits(out: &mut String, mut n: u64) {
     out.push_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"));
 }
 
-/// Writes a float in a form that parses back to the same value. JSON has
-/// no NaN/Infinity; they serialize as `null`, matching common JS
-/// `JSON.stringify` behaviour.
-fn write_f64(out: &mut String, f: f64) {
+/// Appends `f` as [`to_string`] writes a [`Value::Float`]: in a form
+/// that parses back to the same value. JSON has no NaN/Infinity; they
+/// serialize as `null`, matching common JS `JSON.stringify` behaviour.
+pub fn write_float(out: &mut String, f: f64) {
     if f.is_finite() {
         if f == f.trunc() && f.abs() < 1e15 {
             // A whole number below 1e15 is exact as a u64. Keep the sign
@@ -127,9 +131,10 @@ fn write_f64(out: &mut String, f: f64) {
     }
 }
 
-/// Writes `s` as a JSON string literal, copying each run of bytes that
-/// needs no escape in one piece.
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as [`to_string`] writes a [`Value::String`] or an object
+/// key: a JSON string literal, each run of bytes that needs no escape
+/// copied in one piece.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Search.
-    let hits = client.search(id, "handle")?;
+    let (hits, _) = client.search(id, "handle")?;
     println!(
         "search \"handle\": {:?}",
         hits.iter().map(|(_, l)| l.as_str()).collect::<Vec<_>>()

@@ -160,6 +160,12 @@ grep -q '"ide.phase.' "$SERVE_REPORT" \
 # Cold bottom-up and flat views against the retained transforms.
 grep -q '"coldViews"' "$SERVE_REPORT" \
     || { echo "FAIL: $SERVE_REPORT misses the coldViews row" >&2; exit 1; }
+# Cold flameGraph misses (budgeted layout plus direct write) against
+# the retained whole layout plus Value plus to_string, split by stage.
+for row in flameGraphMiss layoutMillis writeMillis; do
+    grep -q "\"$row\"" "$SERVE_REPORT" \
+        || { echo "FAIL: $SERVE_REPORT misses the $row row" >&2; exit 1; }
+done
 # The exported flight recording is chrome trace JSON our importer reads.
 [ -s "$SMOKE_DIR/flight.trace.json" ] \
     || { echo "FAIL: serve --flight-out wrote nothing" >&2; exit 1; }

@@ -8,13 +8,19 @@
 //! the retained transforms of `ev_bench::oracle`, whose rect nodes are
 //! then replaced by their representatives in the source profile.
 //! Views are compared bit for bit, layouts rect by rect, JSON as bytes.
+//! A layout under a rect budget must keep the first rects of the whole
+//! oracle layout and count the rest, and every `profile/flameGraph`
+//! body the server writes must be the bytes of the row-form result
+//! (`ev_bench::oracle::flame_value`) of the whole layout.
 
 use ev_analysis::{aggregate, diff, prune, MetricView};
 use ev_core::{
     ContextKind, Frame, MetricDescriptor, MetricId, MetricKind, MetricUnit, NodeId, Profile,
 };
-use ev_flame::{Color, ColorScheme, FlameGraph, FlameRect};
+use ev_flame::{Color, ColorScheme, FlameGraph, FlameRect, FlameView};
 use ev_gen::synthetic::SyntheticSpec;
+use ev_ide::rpc::{encode_frame, Request};
+use ev_ide::{EditorClient, SharedEvpServer};
 use ev_json::Value;
 use ev_test::prelude::*;
 use ev_test::profiles::SampleSpec;
@@ -391,40 +397,78 @@ fn rect_key(r: &FlameRect) -> RectKey<'_> {
     )
 }
 
-fn assert_layouts_match(p: &Profile, metric: MetricId, what: &str) {
+/// The limits a budget can end at in a layout of `rects`:
+/// nothing, one rect, exactly at a depth boundary and in the middle of
+/// the next row (every depth, or every eighth of a deep layout), all
+/// rects, more than all, and `pick` mod (rect count + 2).
+fn budget_limits(rects: &[FlameRect], max_depth: usize, pick: u64) -> Vec<usize> {
+    let n = rects.len();
+    // `ends[d]`: the rects at depth `d` or above.
+    let mut ends = vec![0usize; max_depth + 1];
+    for r in rects {
+        ends[r.depth] += 1;
+    }
+    for d in 1..ends.len() {
+        ends[d] += ends[d - 1];
+    }
+    let mut limits = vec![0, 1, n, n + 1, (pick % (n as u64 + 2)) as usize];
+    for d in (0..=max_depth).step_by((max_depth / 8).max(1)) {
+        limits.push(ends[d]);
+        if let Some(&end) = ends.get(d + 1) {
+            limits.push(ends[d] + (end - ends[d]) / 2);
+        }
+    }
+    limits.sort_unstable();
+    limits.dedup();
+    limits
+}
+
+/// `new`, laid out under `limit`, keeps the first `limit` rects of the
+/// whole oracle layout `old`, counts the rest as `truncated`, and
+/// reports the whole layout's total, depth and elided count.
+fn assert_budget_matches(new: &FlameGraph, old: &oracle::Layout, limit: usize, what: &str) {
+    let kept = limit.min(old.rects.len());
+    assert_eq!(new.rects().len(), kept, "{what}: rect count");
+    for (i, (a, b)) in new.rects().iter().zip(&old.rects).enumerate() {
+        assert_eq!(rect_key(a), rect_key(b), "{what}: rect {i}");
+    }
+    assert_eq!(new.truncated(), old.rects.len() - kept, "{what}: truncated");
+    assert_eq!(new.total().to_bits(), old.total.to_bits(), "{what}: total");
+    assert_eq!(new.max_depth(), old.max_depth, "{what}: max_depth");
+    assert_eq!(new.elided(), old.elided, "{what}: elided");
+}
+
+/// Every view, whole and under each of [`budget_limits`], against the
+/// oracle's whole layout.
+fn assert_layouts_match(p: &Profile, metric: MetricId, pick: u64, what: &str) {
     type NewFn = fn(&Profile, MetricId) -> FlameGraph;
     type OldFn = fn(&Profile, MetricId) -> oracle::Layout;
-    let views: [(&str, NewFn, OldFn); 3] = [
-        ("top_down", FlameGraph::top_down, oracle::top_down),
-        ("bottom_up", FlameGraph::bottom_up, oracle::bottom_up),
-        ("flat", FlameGraph::flat, oracle::flat),
+    let views: [(FlameView, NewFn, OldFn); 3] = [
+        (FlameView::TopDown, FlameGraph::top_down, oracle::top_down),
+        (
+            FlameView::BottomUp,
+            FlameGraph::bottom_up,
+            oracle::bottom_up,
+        ),
+        (FlameView::Flat, FlameGraph::flat, oracle::flat),
     ];
-    for (name, new, old) in views {
-        let (new, old) = (new(p, metric), old(p, metric));
-        assert_eq!(
-            new.rects().len(),
-            old.rects.len(),
-            "{what} {name}: rect count"
-        );
-        for (i, (a, b)) in new.rects().iter().zip(&old.rects).enumerate() {
-            assert_eq!(rect_key(a), rect_key(b), "{what} {name}: rect {i}");
+    for (view, whole, old) in views {
+        let old = old(p, metric);
+        let what = format!("{what} {view:?}");
+        assert_budget_matches(&whole(p, metric), &old, usize::MAX, &what);
+        for limit in budget_limits(&old.rects, old.max_depth, pick) {
+            let new = FlameGraph::layout(p, metric, view, limit);
+            assert_budget_matches(&new, &old, limit, &format!("{what} limit {limit}"));
         }
-        assert_eq!(
-            new.total().to_bits(),
-            old.total.to_bits(),
-            "{what} {name}: total"
-        );
-        assert_eq!(new.max_depth(), old.max_depth, "{what} {name}: max_depth");
-        assert_eq!(new.elided(), old.elided, "{what} {name}: elided");
     }
 }
 
-fn assert_open_matches(p: &Profile, what: &str) {
+fn assert_open_matches(p: &Profile, pick: u64, what: &str) {
     for (i, m) in p.metrics().iter().enumerate() {
         let metric = MetricId::from_index(i);
         let what = format!("{what} metric {:?}", m.name);
         assert_view_matches(p, metric, &what);
-        assert_layouts_match(p, metric, &what);
+        assert_layouts_match(p, metric, pick, &what);
     }
 }
 
@@ -491,6 +535,26 @@ fn frame(i: usize) -> Frame {
     Frame::new(kind, name)
         .with_module(module)
         .with_source(file, line)
+}
+
+/// `samples` with their values replaced by `shape`: 0 keeps them, 1
+/// zeroes every one (a zero total), 2 makes every one 1.0 (siblings of
+/// equal width), and 3 makes each 1e6 or 1e-9 (sub-pixel subtrees
+/// beside wide ones).
+fn reshaped(samples: &[Sample], shape: u8) -> Vec<Sample> {
+    samples
+        .iter()
+        .map(|(path, value, parent_too)| {
+            let value = match shape {
+                0 => *value,
+                1 => 0,
+                2 => 2,
+                _ if value % 2 == 0 => 7,
+                _ => 5,
+            };
+            (path.clone(), value, *parent_too)
+        })
+        .collect()
 }
 
 /// A profile with one metric of each kind over the same samples.
@@ -568,21 +632,41 @@ fn big_inclusive_profile() -> Profile {
 property! {
     #![cases(64)]
 
-    fn views_and_layouts_match_oracle(s in samples(), t in samples()) {
+    fn views_and_layouts_match_oracle(s in samples(), t in samples(), pick in any_u64()) {
         let p = kinds_profile(&s);
-        assert_open_matches(&p, "built");
-        assert_open_matches(&evpf_decoded(&p), "EVPF-decoded");
+        assert_open_matches(&p, pick, "built");
+        assert_open_matches(&evpf_decoded(&p), pick, "EVPF-decoded");
         // Graft-built trees: prune, diff and aggregate copy with
         // `Profile::graft`.
         let q = kinds_profile(&t);
         let exc = p.metric_by_name("exc").unwrap();
-        assert_open_matches(&prune(&p, exc, 0.05), "pruned");
-        assert_open_matches(&diff(&p, &q, "exc", 0.0).unwrap().profile, "diff");
-        assert_open_matches(&aggregate(&[&p, &q], "exc").unwrap().profile, "aggregate");
+        assert_open_matches(&prune(&p, exc, 0.05), pick, "pruned");
+        assert_open_matches(&diff(&p, &q, "exc", 0.0).unwrap().profile, pick, "diff");
+        assert_open_matches(&aggregate(&[&p, &q], "exc").unwrap().profile, pick, "aggregate");
     }
 
-    fn ev_test_profiles_match_oracle(p in arb_profile(40, 8)) {
-        assert_open_matches(&p, "arb_profile");
+    fn ev_test_profiles_match_oracle(p in arb_profile(40, 8), pick in any_u64()) {
+        assert_open_matches(&p, pick, "arb_profile");
+    }
+
+    // The shapes a budget can trip on, made on purpose: zero totals,
+    // rows of equal-width siblings, and wide nodes beside sub-pixel
+    // subtrees (whose own children are never visited).
+    fn budgeted_layouts_keep_the_oracles_first_rects(
+        s in samples(),
+        t in samples(),
+        shape in 0u8..4,
+        pick in any_u64(),
+    ) {
+        let p = kinds_profile(&reshaped(&s, shape));
+        let q = kinds_profile(&reshaped(&t, shape));
+        assert_open_matches(&p, pick, "budget");
+        assert_open_matches(&diff(&p, &q, "exc", 0.0).unwrap().profile, pick, "budget diff");
+        assert_open_matches(
+            &aggregate(&[&p, &q], "exc").unwrap().profile,
+            pick,
+            "budget aggregate",
+        );
     }
 
     fn colors_match_oracle_for_every_scheme(s in samples()) {
@@ -622,7 +706,7 @@ fn metric_view_matches_oracle_on_large_inclusive_profile() {
 #[test]
 fn flame_layouts_match_oracle_on_large_profile() {
     let p = big_profile();
-    assert_layouts_match(&p, p.metric_by_name("cpu").unwrap(), "synthetic");
+    assert_layouts_match(&p, p.metric_by_name("cpu").unwrap(), 512, "synthetic");
 }
 
 #[test]
@@ -634,8 +718,87 @@ fn golden_fixture_views_match_oracle() {
     ] {
         let bytes = std::fs::read(fixture_dir().join(file)).expect("fixture exists");
         let profile = ev_formats::pprof::parse(&bytes).expect("fixture decodes");
-        assert_open_matches(&profile, file);
+        assert_open_matches(&profile, 512, file);
     }
+}
+
+// ---------------------------------------------------------------------
+// Served flame graphs.
+
+/// The `result` text of an EVP response frame. The envelope's keys sort
+/// as `id`, `jsonrpc`, `meta`, `result`, and `meta` holds only numbers,
+/// so the first `"result":` is the envelope's.
+fn result_text(frame: &[u8]) -> &str {
+    let text = std::str::from_utf8(frame).expect("frames are UTF-8");
+    let body = &text[text.find("\r\n\r\n").expect("a framed response") + 4..];
+    let start = body.find("\"result\":").expect("a result") + "\"result\":".len();
+    body[start..]
+        .strip_suffix('}')
+        .expect("result is the envelope's last member")
+}
+
+/// Every `profile/flameGraph` body served for `p`, for each metric,
+/// view and limit `limits` gives for the view's whole layout, on a miss
+/// and then on a hit, is byte for byte `ev_json::to_string` of the
+/// retained row-form result of the whole layout.
+fn assert_served_bodies_match(p: &Profile, limits: impl Fn(&FlameGraph) -> Vec<usize>, what: &str) {
+    let views = [
+        ("topDown", FlameView::TopDown),
+        ("bottomUp", FlameView::BottomUp),
+        ("flat", FlameView::Flat),
+    ];
+    let server = SharedEvpServer::new();
+    let mut client = EditorClient::connect_shared(server.clone()).expect("session/open");
+    let id = client.open_profile(p).expect("profile/open");
+    let mut requests = 0;
+    for (i, m) in p.metrics().iter().enumerate() {
+        for (view, shape) in views {
+            let whole = FlameGraph::layout(p, MetricId::from_index(i), shape, usize::MAX);
+            for limit in limits(&whole) {
+                let want = ev_json::to_string(&ev_bench::oracle::flame_value(&whole, limit));
+                let params = Value::object([
+                    ("profileId", Value::Int(id)),
+                    ("metric", Value::from(m.name.as_str())),
+                    ("view", Value::from(view)),
+                    ("limit", Value::Int(limit as i64)),
+                ]);
+                let frame = encode_frame(&Request::new(7, "profile/flameGraph", params).to_value());
+                for pass in ["miss", "hit"] {
+                    let (bytes, _) = server.handle_bytes(&frame).expect("one whole frame");
+                    assert_eq!(
+                        result_text(&bytes),
+                        want,
+                        "{what} metric {:?} {view} limit {limit} ({pass})",
+                        m.name
+                    );
+                }
+                requests += 1;
+            }
+        }
+    }
+    let stats = server.view_cache_stats();
+    assert_eq!((stats.misses, stats.hits), (requests, requests), "{what}");
+}
+
+property! {
+    #![cases(32)]
+
+    fn served_flame_graphs_match_the_row_form_oracle(
+        s in samples(),
+        shape in 0u8..4,
+        pick in any_u64(),
+    ) {
+        let limits = |g: &FlameGraph| budget_limits(g.rects(), g.max_depth(), pick);
+        assert_served_bodies_match(&kinds_profile(&reshaped(&s, shape)), limits, "served");
+    }
+}
+
+#[test]
+fn served_flame_graphs_match_the_row_form_oracle_on_large_profiles() {
+    let limits = |g: &FlameGraph| vec![512, g.rects().len() / 2, g.rects().len() + 1];
+    assert_served_bodies_match(&big_profile(), limits, "synthetic");
+    // LULESH's CPU time is fractional seconds.
+    assert_served_bodies_match(&ev_gen::lulesh::cpu_profile(7), limits, "lulesh");
 }
 
 // ---------------------------------------------------------------------
