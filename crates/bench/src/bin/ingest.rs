@@ -2,9 +2,8 @@
 //! the `flate.inflate → wire.decode → convert.pprof` pipeline and
 //! writes `BENCH_ingest.json` (through `ev_bench::timer`'s report
 //! writer) so the perf trajectory is machine-readable across PRs.
-//! Every fast/reference, parallel/sequential and streaming/buffered
-//! ratio is the median per-pair ratio of interleaved pairs
-//! (`ev_bench::timer::compare`).
+//! Every fast/reference and streaming/buffered ratio is the median
+//! per-pair ratio of interleaved pairs (`ev_bench::timer::compare`).
 //!
 //! Also the correctness gate for the fast paths: every golden fixture is
 //! decoded by both the fast LUT decoder and the retained reference
@@ -27,8 +26,8 @@
 use ev_bench::pipeline::easyview_open;
 use ev_bench::timer::{compare, group, median, repo_root, time_secs, write_report, Comparison};
 use ev_flate::{
-    crc32, crc32_reference, deflate_compress, gzip_decompress, gzip_decompress_with, inflate,
-    inflate_reference, CompressionLevel, ExecPolicy, DEFAULT_CHUNK_SIZE,
+    crc32, crc32_reference, gzip_decompress, inflate, inflate_reference, ExecPolicy,
+    DEFAULT_CHUNK_SIZE,
 };
 use ev_formats::pprof;
 use ev_gen::synthetic::{pprof_longrun, pprof_with_size};
@@ -232,21 +231,6 @@ fn compare_calls<A, B>(
         candidate_secs: timed.candidate_secs / iters as f64,
         ..timed
     }
-}
-
-/// Re-wraps `raw` as `parts` concatenated gzip members — the RFC 1952
-/// multi-member shape the member-streaming decoder fans out in
-/// parallel.
-fn multi_member_gz(raw: &[u8], parts: usize) -> Vec<u8> {
-    let mut gz = Vec::new();
-    for i in 0..parts {
-        let chunk = &raw[raw.len() * i / parts..raw.len() * (i + 1) / parts];
-        gz.extend_from_slice(&[0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 255]);
-        gz.extend_from_slice(&deflate_compress(chunk, CompressionLevel::Fast));
-        gz.extend_from_slice(&crc32(chunk).to_le_bytes());
-        gz.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-    }
-    gz
 }
 
 fn main() {
@@ -483,47 +467,6 @@ fn main() {
         trace_on_share * 100.0,
     );
 
-    // Multi-member ingest: the same body as `parts` concatenated
-    // members, decoded sequentially vs fanned out on `ev-par`. The
-    // parallel result is asserted byte-identical before timing.
-    group("ingest: multi-member gzip, sequential vs parallel");
-    let parts = 8;
-    let multi = multi_member_gz(&largest.raw, parts);
-    let seq_out = gzip_decompress(&multi).expect("multi-member decompresses");
-    assert_eq!(seq_out, largest.raw, "multi-member reassembly differs");
-    // Correctness runs with a pinned thread count so the split path is
-    // exercised even on 1-core CI hosts (auto() would degrade to the
-    // sequential member walk there and the assert would be vacuous).
-    let par_policy = ExecPolicy::with_threads(parts.min(8));
-    let par_out = gzip_decompress_with(&multi, par_policy).expect("parallel decompress");
-    assert_eq!(par_out, seq_out, "parallel output differs from sequential");
-    // Timing gates on auto(): the policy `gzip_decompress` actually
-    // ships, so the ratio measures the regression a user could see.
-    // Forcing 8 threads onto a 1-core host instead measures a
-    // configuration the library never chooses there — and its
-    // scheduler tax makes min-of-N estimates swing 0.82–0.96 from the
-    // same binary, which no gate threshold can hold honestly.
-    let auto_policy = ExecPolicy::auto();
-    let multi_iters = (2 << 20) / largest.raw.len().max(1) + 1;
-    // Parallel vs sequential, as a ratio: the per-member-size threshold
-    // in `ev-flate` routes small-member files (like the quick-mode
-    // fixtures) to the sequential walk outright, so this must never
-    // fall meaningfully below 1.0 again.
-    let multi_member = compare_calls(
-        pairs,
-        multi_iters,
-        || gzip_decompress(black_box(&multi)).unwrap(),
-        || gzip_decompress_with(black_box(&multi), auto_policy).unwrap(),
-    );
-    println!(
-        "{:<44} seq {:>9.3} ms  par(auto,{}t) {:>9.3} ms  ({parts} members, {:.2}x)",
-        largest.name,
-        multi_member.baseline_secs * 1e3,
-        auto_policy.threads,
-        multi_member.candidate_secs * 1e3,
-        multi_member.speedup,
-    );
-
     // Streaming bounded-memory gate, on the workload shape the
     // streaming path exists for: a long capture — a million
     // individually-written samples over a small chain pool, string
@@ -637,22 +580,6 @@ fn main() {
                     ("crc32_speedup", Value::Float(crc.speedup)),
                 ]),
             ),
-            (
-                "multi_member",
-                Value::object([
-                    ("workload", Value::String(largest.name.clone())),
-                    ("members", Value::Int(parts as i64)),
-                    ("compressed_bytes", Value::Int(multi.len() as i64)),
-                    ("sequential_secs", Value::Float(multi_member.baseline_secs)),
-                    ("parallel_secs", Value::Float(multi_member.candidate_secs)),
-                    ("parallel_vs_sequential", Value::Float(multi_member.speedup)),
-                    ("auto_threads", Value::Int(auto_policy.threads as i64)),
-                    (
-                        "par_member_min_bytes",
-                        Value::Int(ev_flate::PAR_MEMBER_MIN_BYTES as i64),
-                    ),
-                ]),
-            ),
             ("streaming_gate", streaming_gate),
             (
                 "tracing_overhead",
@@ -684,15 +611,6 @@ fn main() {
         wire_gate_speedup >= min_speedup,
         "one-pass pprof decode is only {wire_gate_speedup:.2}x the reference on \
          {wire_gate_name} (need >= {min_speedup}x)"
-    );
-    // The multi-member split must never lose to the sequential walk
-    // again (the 0.9 floor absorbs timer noise; the threshold routes
-    // genuinely small members to the sequential path, and auto() keeps
-    // 1-core hosts on the sequential walk outright).
-    assert!(
-        multi_member.speedup >= 0.9,
-        "auto-policy multi-member decode is {:.2}x sequential (need >= 0.9x)",
-        multi_member.speedup
     );
     assert!(
         trace_off_share < TRACE_OFF_BUDGET,

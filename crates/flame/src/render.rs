@@ -80,12 +80,13 @@ pub fn svg(graph: &FlameGraph, options: &SvgOptions) -> String {
             row - 1.0,
             fill
         );
-        // Label only when it plausibly fits (≈6.6 px/char).
+        // Label only when it plausibly fits (≈6.6 px/char), cut by
+        // characters so multi-byte names stay whole.
         let chars = (w / 6.6) as usize;
         if chars >= 3 {
-            let mut label = rect.label.clone();
-            if label.len() > chars {
-                label.truncate(chars.saturating_sub(1));
+            let mut label: String = rect.label.chars().take(chars).collect();
+            if label.len() < rect.label.len() {
+                label.pop();
                 label.push('…');
             }
             let _ = writeln!(
@@ -120,13 +121,13 @@ pub fn ansi(graph: &FlameGraph, columns: usize, color: bool) -> String {
             if start >= columns {
                 continue;
             }
-            // Fill with the label, padded/truncated to the span.
-            let width = end - start;
-            let mut label: Vec<char> = rect.label.chars().take(width).collect();
-            while label.len() < width {
-                label.push(' ');
+            // Fill with the label, padded/truncated to the span. Plain
+            // text leaves the first column to the boundary pipe below.
+            let text_start = if color { start } else { start + 1 };
+            let label = rect.label.chars().chain(std::iter::repeat(' '));
+            for (cell, ch) in line[text_start..end].iter_mut().zip(label) {
+                *cell = ch;
             }
-            line[start..end].copy_from_slice(&label);
             spans.push((start, end, rect));
         }
         if color {
@@ -227,14 +228,42 @@ mod tests {
         let rows: Vec<&str> = text.lines().collect();
         // ROOT, main, {alpha, <b&d>} = 3 depth rows.
         assert_eq!(rows.len(), 3);
-        assert!(rows[0].starts_with('|'), "{}", rows[0]);
-        // The boundary pipe overwrites the first label character.
-        assert!(rows[1].contains("ain"), "{}", rows[1]);
-        // alpha's span is ~75% of the row; its label interior survives
-        // the boundary markers.
-        assert!(rows[2].contains("lpha"), "{}", rows[2]);
+        // Each label starts right after its left boundary pipe.
+        assert!(rows[0].starts_with("|ROOT"), "{}", rows[0]);
+        assert!(rows[1].starts_with("|main"), "{}", rows[1]);
+        assert!(rows[2].starts_with("|alpha"), "{}", rows[2]);
+        assert!(rows[2].contains("||<b&d>"), "{}", rows[2]);
         for row in &rows {
             assert!(row.len() <= 80);
+        }
+    }
+
+    #[test]
+    fn svg_cuts_multi_byte_labels_at_characters() {
+        // One frame 11× wider than each of three narrow ones whose
+        // names are 2-, 3- and 4-byte characters: each narrow rect
+        // fits 12 characters, so its label is cut.
+        let mut p = Profile::new("t");
+        let m = p.add_metric(MetricDescriptor::new(
+            "cpu",
+            MetricUnit::Count,
+            MetricKind::Exclusive,
+        ));
+        p.add_sample(
+            &[Frame::function("main"), Frame::function("wide")],
+            &[(m, 110.0)],
+        );
+        let names = ["é", "中", "😀"];
+        for ch in names {
+            p.add_sample(
+                &[Frame::function("main"), Frame::function(ch.repeat(40))],
+                &[(m, 10.0)],
+            );
+        }
+        let doc = svg(&FlameGraph::top_down(&p, m), &SvgOptions::default());
+        for ch in names {
+            let cut = format!(">{}…</text>", ch.repeat(11));
+            assert!(doc.contains(&cut), "{ch}: {doc}");
         }
     }
 

@@ -6,9 +6,9 @@
 //! so the decoder here is member-streaming: each member's header is
 //! parsed, its DEFLATE stream inflated to its own `BFINAL` boundary,
 //! its *own* CRC32/ISIZE trailer verified in place, and decoding then
-//! resumes at the next member's magic. Independent members are fanned
-//! out onto `ev-par` threads by [`gzip_decompress_with`]; the join is
-//! order-preserving and bit-identical at any thread count.
+//! resumes at the next member's magic. The members are walked in order
+//! on the calling thread; [`crate::GzipStream`] is the bounded-memory
+//! form of the same walk.
 
 use crate::checksum::crc32;
 use crate::deflate::{deflate_compress, CompressionLevel};
@@ -25,11 +25,6 @@ const FEXTRA: u8 = 1 << 2;
 const FNAME: u8 = 1 << 3;
 const FCOMMENT: u8 = 1 << 4;
 const RESERVED: u8 = 0xe0;
-
-/// Smallest possible member: 10-byte header, a 2-byte DEFLATE stream
-/// (a fixed-Huffman block holding only end-of-block), 8-byte trailer.
-/// Used to prune candidate member starts during the parallel split.
-const MIN_MEMBER_LEN: usize = 20;
 
 /// Returns `true` if `data` begins with the gzip magic bytes.
 ///
@@ -152,11 +147,6 @@ pub(crate) fn verify_trailer(
     Ok(())
 }
 
-/// Verifies one member's trailer against its decompressed bytes.
-fn check_trailer(out: &[u8], stored_crc: u32, stored_len: u32) -> Result<(), FlateError> {
-    verify_trailer(crc32(out), out.len() as u32, stored_crc, stored_len)
-}
-
 /// Decompresses a gzip file: one member, or any number of concatenated
 /// members (RFC 1952 §2.2) whose outputs are concatenated in order.
 ///
@@ -178,24 +168,6 @@ fn check_trailer(out: &[u8], stored_crc: u32, stored_len: u32) -> Result<(), Fla
 /// truncated input, DEFLATE errors, trailer mismatches, or trailing
 /// garbage.
 pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>, FlateError> {
-    gzip_decompress_with(data, ExecPolicy::SEQUENTIAL)
-}
-
-/// Like [`gzip_decompress`], inflating independent members on `ev-par`
-/// threads under `policy`.
-///
-/// Output and errors are **bit-identical** to the sequential path at
-/// any thread count: member boundaries are discovered by an optimistic
-/// magic-byte split whose every segment must decode as exactly one
-/// whole member (header, stream, matching trailer, nothing left
-/// over) — a DEFLATE stream is self-delimiting, so a fully validated
-/// split reproduces the sequential walk exactly — and any rejected
-/// segment abandons the split for the sequential member walk.
-///
-/// # Errors
-///
-/// Same conditions as [`gzip_decompress`].
-pub fn gzip_decompress_with(data: &[u8], policy: ExecPolicy) -> Result<Vec<u8>, FlateError> {
     let _span = ev_trace::span("flate.inflate");
     if ev_trace::enabled() {
         crate::metrics::in_bytes().add(data.len() as u64);
@@ -206,7 +178,7 @@ pub fn gzip_decompress_with(data: &[u8], policy: ExecPolicy) -> Result<Vec<u8>, 
     if data.len() < 18 {
         return Err(FlateError::UnexpectedEof);
     }
-    let (out, members) = decompress_members(data, policy)?;
+    let (out, members) = decompress_members(data)?;
     if ev_trace::enabled() {
         crate::metrics::members().add(members);
         crate::metrics::out_bytes().add(out.len() as u64);
@@ -214,40 +186,21 @@ pub fn gzip_decompress_with(data: &[u8], policy: ExecPolicy) -> Result<Vec<u8>, 
     Ok(out)
 }
 
-/// Minimum average compressed bytes per candidate member before the
-/// parallel split is attempted. Below this, per-member work is too
-/// small to amortize the candidate scan and fork-join overhead and the
-/// split used to run *slower* than the sequential walk (the `ingest`
-/// bench's 8 × ~40 KiB workload measured ~7% under sequential), so
-/// small-member files take the sequential path outright. The
-/// `flate.split_parallel` / `flate.split_fallback` counters record
-/// which way each file went.
-pub const PAR_MEMBER_MIN_BYTES: usize = 256 << 10;
-
-fn decompress_members(data: &[u8], policy: ExecPolicy) -> Result<(Vec<u8>, u64), FlateError> {
-    // Files too small for even two threshold-sized members skip the
-    // candidate scan entirely.
-    if !policy.is_sequential() && data.len() >= 2 * PAR_MEMBER_MIN_BYTES {
-        let starts = member_start_candidates(data);
-        if starts.len() > 1 {
-            if data.len() / starts.len() >= PAR_MEMBER_MIN_BYTES {
-                if ev_trace::enabled() {
-                    crate::metrics::split_parallel().add(1);
-                }
-                if let Some(out) = decompress_split(data, &starts, policy) {
-                    return Ok((out, starts.len() as u64));
-                }
-            } else if ev_trace::enabled() {
-                crate::metrics::split_fallback().add(1);
-            }
-        }
-    }
-    decompress_members_seq(data)
+/// [`gzip_decompress`] under another name; `policy` is ignored. Its
+/// only caller is the `perfbench` workspace, which passes
+/// [`ExecPolicy::SEQUENTIAL`]; it goes once perfbench calls
+/// [`gzip_decompress`].
+///
+/// # Errors
+///
+/// Same conditions as [`gzip_decompress`].
+pub fn gzip_decompress_with(data: &[u8], _policy: ExecPolicy) -> Result<Vec<u8>, FlateError> {
+    gzip_decompress(data)
 }
 
-/// The sequential member walk — the semantic reference the parallel
-/// split must reproduce bit-for-bit (and error-for-error).
-fn decompress_members_seq(data: &[u8]) -> Result<(Vec<u8>, u64), FlateError> {
+/// The member walk: decodes each member in turn and returns the
+/// concatenated output with the number of members.
+fn decompress_members(data: &[u8]) -> Result<(Vec<u8>, u64), FlateError> {
     let mut out: Vec<u8> = Vec::new();
     let mut pos = 0usize;
     let mut members = 0u64;
@@ -273,7 +226,7 @@ fn decompress_members_seq(data: &[u8]) -> Result<(Vec<u8>, u64), FlateError> {
             return Err(FlateError::UnexpectedEof);
         }
         let (stored_crc, stored_len) = read_trailer(data, trailer);
-        check_trailer(&piece, stored_crc, stored_len)?;
+        verify_trailer(crc32(&piece), piece.len() as u32, stored_crc, stored_len)?;
         if members == 0 {
             out = piece;
         } else {
@@ -283,87 +236,6 @@ fn decompress_members_seq(data: &[u8]) -> Result<(Vec<u8>, u64), FlateError> {
         pos = trailer + 8;
     }
     Ok((out, members))
-}
-
-/// Scans for plausible member starts: byte offsets where the gzip
-/// magic, the DEFLATE method byte, and a clean flag byte line up, far
-/// enough from the previous candidate to fit a whole member. Offset 0
-/// is always a candidate. False positives (the pattern occurring
-/// inside compressed data) cost only a rejected split, never
-/// correctness.
-fn member_start_candidates(data: &[u8]) -> Vec<usize> {
-    let mut starts = vec![0usize];
-    if data.len() < 2 * MIN_MEMBER_LEN {
-        return starts;
-    }
-    let last = data.len() - MIN_MEMBER_LEN;
-    let mut i = MIN_MEMBER_LEN;
-    while i <= last {
-        // memchr-style skip to the next 0x1f before the full check.
-        match data[i..=last].iter().position(|&b| b == 0x1f) {
-            None => break,
-            Some(off) => i += off,
-        }
-        if data[i + 1] == MAGIC[1]
-            && data[i + 2] == METHOD_DEFLATE
-            && data[i + 3] & RESERVED == 0
-            && i - starts.last().expect("non-empty") >= MIN_MEMBER_LEN
-        {
-            starts.push(i);
-        }
-        i += 1;
-    }
-    starts
-}
-
-/// Optimistically decodes the candidate split in parallel. Returns
-/// `None` — falling back to the sequential walk — unless **every**
-/// segment decodes as exactly one whole member. In the all-valid case
-/// the concatenation equals the sequential result by induction:
-/// segment 0 starts where the sequential walk starts, and a segment
-/// that fully decodes consumes exactly the bytes the walk would,
-/// placing the walk at the next segment's start.
-fn decompress_split(data: &[u8], starts: &[usize], policy: ExecPolicy) -> Option<Vec<u8>> {
-    let segments: Vec<&[u8]> = starts
-        .iter()
-        .zip(starts[1..].iter().chain(std::iter::once(&data.len())))
-        .map(|(&a, &b)| &data[a..b])
-        .collect();
-    let pieces: Vec<Vec<u8>> = ev_par::fan_out(segments, policy, decode_whole_member)
-        .into_iter()
-        .collect::<Option<_>>()?;
-    // Parallel ordered join: carve the output into one disjoint slice
-    // per piece, then copy each piece into its own. The sequential
-    // `extend_from_slice` walk this replaces was a measurable fraction
-    // of multi-member wall-clock once inflate itself was parallel.
-    let mut out = vec![0u8; pieces.iter().map(Vec::len).sum()];
-    let mut rest = out.as_mut_slice();
-    let mut copies = Vec::with_capacity(pieces.len());
-    for piece in &pieces {
-        let (dst, tail) = std::mem::take(&mut rest).split_at_mut(piece.len());
-        copies.push((dst, piece.as_slice()));
-        rest = tail;
-    }
-    ev_par::fan_out(copies, policy, |(dst, piece)| dst.copy_from_slice(piece));
-    Some(out)
-}
-
-/// Decodes `segment` if and only if it is exactly one well-formed
-/// member: header, DEFLATE stream ending precisely 8 bytes before the
-/// segment end, and a matching trailer. Anything else (including any
-/// decode error) returns `None`.
-fn decode_whole_member(segment: &[u8]) -> Option<Vec<u8>> {
-    let body = parse_header(segment, 0).ok()?;
-    if segment.len() - body < 8 {
-        return None;
-    }
-    let (stored_crc, stored_len) = read_trailer(segment, segment.len() - 8);
-    let (out, consumed) = inflate_member(&segment[body..], stored_len as usize).ok()?;
-    if body + consumed + 8 != segment.len() {
-        return None;
-    }
-    check_trailer(&out, stored_crc, stored_len).ok()?;
-    Some(out)
 }
 
 #[cfg(test)]
@@ -536,14 +408,7 @@ mod tests {
         fields.extend_from_slice(&2u16.to_le_bytes());
         fields.extend_from_slice(b"xy");
         gz.extend_from_slice(&member_with_header(parts[2], FEXTRA, &fields));
-        let expected: Vec<u8> = parts.concat();
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                gzip_decompress_with(&gz, ExecPolicy::with_threads(threads)).unwrap(),
-                expected,
-                "threads {threads}"
-            );
-        }
+        assert_eq!(gzip_decompress(&gz).unwrap(), parts.concat());
     }
 
     #[test]
@@ -562,18 +427,13 @@ mod tests {
         let mut gz = gzip_compress(b"whole first member", CompressionLevel::Fast);
         let second = gzip_compress(b"second member that gets cut", CompressionLevel::Fast);
         gz.extend_from_slice(&second[..second.len() - 3]);
-        for threads in [1, 4] {
-            assert!(
-                gzip_decompress_with(&gz, ExecPolicy::with_threads(threads)).is_err(),
-                "threads {threads}"
-            );
-        }
+        assert!(gzip_decompress(&gz).is_err());
     }
 
     #[test]
-    fn parallel_matches_sequential_on_many_members() {
-        // Enough members that the split actually fans out, with bodies
-        // containing 0x1f bytes to exercise false-positive candidates.
+    fn many_members_with_gzip_magic_in_their_bodies() {
+        // Member bodies carry the gzip magic and method bytes; only a
+        // trailer's end may start the next member.
         let parts: Vec<Vec<u8>> = (0..12)
             .map(|i| {
                 let mut p = format!("member {i} ").repeat(20 + i).into_bytes();
@@ -588,15 +448,7 @@ mod tests {
             gz.extend_from_slice(&gzip_compress(p, level));
             expected.extend_from_slice(p);
         }
-        let seq = gzip_decompress(&gz).unwrap();
-        assert_eq!(seq, expected);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                gzip_decompress_with(&gz, ExecPolicy::with_threads(threads)).unwrap(),
-                seq,
-                "threads {threads}"
-            );
-        }
+        assert_eq!(gzip_decompress(&gz).unwrap(), expected);
     }
 
     property! {
@@ -630,18 +482,14 @@ mod tests {
             let _ = gzip_decompress(&gz);
         }
 
-        fn concatenated_members_equal_individual(
-            parts in vec(vec(any_u8(), 0..96), 1..5),
-            threads in 1usize..9,
-        ) {
+        fn concatenated_members_equal_individual(parts in vec(vec(any_u8(), 0..96), 1..5)) {
             let mut gz = Vec::new();
             let mut expected = Vec::new();
             for part in &parts {
                 gz.extend_from_slice(&gzip_compress(part, CompressionLevel::Fast));
                 expected.extend_from_slice(part);
             }
-            let got = gzip_decompress_with(&gz, ExecPolicy::with_threads(threads)).unwrap();
-            prop_assert_eq!(got, expected);
+            prop_assert_eq!(gzip_decompress(&gz).unwrap(), expected);
         }
     }
 }

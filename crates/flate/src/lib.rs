@@ -70,7 +70,7 @@ pub(crate) mod metrics {
     }
 
     /// Gzip members decoded (a multi-member file counts once per
-    /// member; the parallel split and the sequential walk agree).
+    /// member).
     pub(crate) fn members() -> &'static Counter {
         static HANDLE: OnceLock<&'static Counter> = OnceLock::new();
         HANDLE.get_or_init(|| ev_trace::counter("flate.members"))
@@ -100,25 +100,11 @@ pub(crate) mod metrics {
         static HANDLE: OnceLock<&'static Counter> = OnceLock::new();
         HANDLE.get_or_init(|| ev_trace::counter("flate.stream_chunks"))
     }
-
-    /// Multi-member files whose average member size cleared the
-    /// parallel-split threshold (the split was attempted).
-    pub(crate) fn split_parallel() -> &'static Counter {
-        static HANDLE: OnceLock<&'static Counter> = OnceLock::new();
-        HANDLE.get_or_init(|| ev_trace::counter("flate.split_parallel"))
-    }
-
-    /// Multi-member files whose members were too small to parallelize,
-    /// decoded by the sequential walk instead.
-    pub(crate) fn split_fallback() -> &'static Counter {
-        static HANDLE: OnceLock<&'static Counter> = OnceLock::new();
-        HANDLE.get_or_init(|| ev_trace::counter("flate.split_fallback"))
-    }
 }
 
 pub use checksum::{crc32, crc32_reference, Crc32};
 pub use deflate::{deflate_compress, CompressionLevel};
-pub use gzip::{gzip_compress, gzip_decompress, gzip_decompress_with, is_gzip, PAR_MEMBER_MIN_BYTES};
+pub use gzip::{gzip_compress, gzip_decompress, gzip_decompress_with, is_gzip};
 pub use inflate::{
     inflate, inflate_member, inflate_reference, inflate_reference_member, inflate_with_size_hint,
     MAX_SIZE_HINT,

@@ -1,6 +1,6 @@
 //! Pull-based streaming decompression with bounded output memory.
 //!
-//! The buffered path ([`crate::gzip_decompress_with`]) materializes a
+//! The buffered path ([`crate::gzip_decompress`]) materializes a
 //! whole member's output before anything downstream runs, so peak
 //! memory is O(raw profile). The two types here invert that into a
 //! pull pipeline:
@@ -258,7 +258,7 @@ struct GzipMember<'a> {
 }
 
 /// A streaming gzip decoder: the member walk of
-/// [`crate::gzip_decompress_with`] as a pull pipeline.
+/// [`crate::gzip_decompress`] as a pull pipeline.
 ///
 /// Each [`next_chunk`](Self::next_chunk) yields the next slice of
 /// decompressed output and folds it into the member's CRC32. Each

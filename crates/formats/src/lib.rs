@@ -211,9 +211,11 @@ pub fn parse_auto(data: &[u8]) -> Result<Profile, FormatError> {
     parse_auto_with(data, ev_flate::ExecPolicy::SEQUENTIAL)
 }
 
-/// Like [`parse_auto`], passing an execution policy to converters with
-/// parallelizable ingest (currently pprof's multi-member gzip
-/// decompression). Output is bit-identical at any thread count.
+/// Like [`parse_auto`], with an execution policy for the one route that
+/// uses it: gzip'd pprof at or above [`STREAM_SIZE_THRESHOLD`], whose
+/// streaming decoder inflates on an `ev-par` pipeline thread ahead of
+/// the wire walk. Every other input decodes on the calling thread.
+/// Output is bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -227,7 +229,7 @@ pub fn parse_auto_with(
         Format::Pprof if ev_flate::is_gzip(data) && data.len() >= STREAM_SIZE_THRESHOLD => {
             pprof::parse_streaming_with(data, policy, ev_flate::DEFAULT_CHUNK_SIZE)
         }
-        Format::Pprof => pprof::parse_with(data, policy),
+        Format::Pprof => pprof::parse(data),
         Format::PerfScript => {
             perf_script::parse(&String::from_utf8_lossy(data))
         }

@@ -20,8 +20,7 @@ use ev_core::{
     Profile, StringId,
 };
 use ev_flate::{
-    gzip_compress, gzip_decompress_with, is_gzip, CompressionLevel, ExecPolicy, FlateError,
-    GzipStream,
+    gzip_compress, gzip_decompress, is_gzip, CompressionLevel, ExecPolicy, FlateError, GzipStream,
 };
 use ev_wire::{
     decode_packed_int64, decode_packed_uint64, ChunkSource, FieldValue, Reader, StreamError,
@@ -107,21 +106,10 @@ fn unit_to_str(unit: MetricUnit) -> &'static str {
 ///
 /// Fails on gzip/wire-level corruption or dangling ids.
 pub fn parse(data: &[u8]) -> Result<Profile, FormatError> {
-    parse_with(data, ExecPolicy::SEQUENTIAL)
-}
-
-/// Like [`parse`], decompressing independent gzip members on `ev-par`
-/// threads under `policy`. Output is bit-identical at any thread
-/// count (the `ev-par` determinism contract).
-///
-/// # Errors
-///
-/// Same conditions as [`parse`].
-pub fn parse_with(data: &[u8], policy: ExecPolicy) -> Result<Profile, FormatError> {
     let _span = ev_trace::span("convert.pprof");
     let decompressed;
     let body: &[u8] = if is_gzip(data) {
-        decompressed = gzip_decompress_with(data, policy)?;
+        decompressed = gzip_decompress(data)?;
         &decompressed
     } else {
         data
@@ -139,19 +127,10 @@ pub fn parse_with(data: &[u8], policy: ExecPolicy) -> Result<Profile, FormatErro
 ///
 /// Same conditions as [`parse`].
 pub fn parse_reference(data: &[u8]) -> Result<Profile, FormatError> {
-    parse_reference_with(data, ExecPolicy::SEQUENTIAL)
-}
-
-/// Like [`parse_reference`], with a decompression [`ExecPolicy`].
-///
-/// # Errors
-///
-/// Same conditions as [`parse`].
-pub fn parse_reference_with(data: &[u8], policy: ExecPolicy) -> Result<Profile, FormatError> {
     let _span = ev_trace::span("convert.pprof");
     let decompressed;
     let body: &[u8] = if is_gzip(data) {
-        decompressed = gzip_decompress_with(data, policy)?;
+        decompressed = gzip_decompress(data)?;
         &decompressed
     } else {
         data
@@ -159,7 +138,7 @@ pub fn parse_reference_with(data: &[u8], policy: ExecPolicy) -> Result<Profile, 
     parse_twopass(body)
 }
 
-/// Like [`parse_with`], but bounded-memory: the gzip body inflates in
+/// Like [`parse`], but bounded-memory: the gzip body inflates in
 /// chunks of roughly `chunk_size` bytes that feed the one-pass decoder
 /// through a resumable `ev-wire` stream walk, so peak memory tracks
 /// the *decoded tables* plus the final profile, never the whole
@@ -176,7 +155,7 @@ pub fn parse_reference_with(data: &[u8], policy: ExecPolicy) -> Result<Profile, 
 /// the sample count — sample payloads dominate large profiles.
 ///
 /// Differential contract: byte-identical profiles and identical errors
-/// to [`parse_with`] at any chunk size and any thread count. In
+/// to [`parse`] at any chunk size and any thread count. In
 /// particular, a container (gzip) error anywhere in the input outranks
 /// a wire error anywhere in the body, exactly as if the body had been
 /// decompressed up front.

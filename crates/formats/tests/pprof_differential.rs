@@ -1,14 +1,11 @@
 //! Differential decode-conformance suite for the pprof decoders.
 //!
-//! The one-pass arena-backed decoder (`pprof::parse_with`) is only
+//! The one-pass arena-backed decoder (`pprof::parse`) is only
 //! shippable because the two-pass reference decoder
-//! (`pprof::parse_reference_with`) is retained and these properties
-//! prove the two produce **identical profiles and identical errors**
-//! on any input — the `inflate_reference`/`crc32_reference` pattern
-//! applied to wire decode. Every property runs both decoders at
-//! thread counts 1, 2, and 8 (the `ExecPolicy` reaches the gzip
-//! member inflation; profile output must be bit-identical at any
-//! count).
+//! (`pprof::parse_reference`) is retained and these properties prove
+//! the two produce **identical profiles and identical errors** on any
+//! input — the `inflate_reference`/`crc32_reference` pattern applied to
+//! wire decode.
 //!
 //! Payload fabricators live in `common/mod.rs`, shared with the
 //! streaming chunk-boundary suite (`pprof_streaming.rs`).
@@ -25,57 +22,37 @@ use ev_formats::{pprof, FormatError};
 use ev_test::prelude::*;
 use ev_test::Rng;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Runs both decoders under `policy` and returns their results.
-fn decode_both(
-    data: &[u8],
-    threads: usize,
-) -> (
-    Result<Profile, FormatError>,
-    Result<Profile, FormatError>,
-) {
-    let policy = ExecPolicy::with_threads(threads);
-    (
-        pprof::parse_with(data, policy),
-        pprof::parse_reference_with(data, policy),
-    )
+/// Runs both decoders and returns their results.
+fn decode_both(data: &[u8]) -> (Result<Profile, FormatError>, Result<Profile, FormatError>) {
+    (pprof::parse(data), pprof::parse_reference(data))
 }
 
 property! {
     fn decoders_agree_on_synthetic_profiles(data in seeded(1..12, synth_pprof)) {
-        for &threads in &THREAD_COUNTS {
-            let (one, reference) = decode_both(&data, threads);
-            prop_assert_eq!(one, reference);
-        }
+        let (one, reference) = decode_both(&data);
+        prop_assert_eq!(one, reference);
     }
 
     fn decoders_agree_on_deep_stacks(data in seeded(1..8, synth_deep_stacks)) {
-        for &threads in &THREAD_COUNTS {
-            let (one, reference) = decode_both(&data, threads);
-            prop_assert_eq!(one, reference);
-        }
+        let (one, reference) = decode_both(&data);
+        prop_assert_eq!(one, reference);
     }
 
     fn decoders_agree_on_multi_sample_type(data in seeded(1..6, synth_multi_type)) {
-        for &threads in &THREAD_COUNTS {
-            let (one, reference) = decode_both(&data, threads);
-            prop_assert_eq!(one, reference);
-        }
+        let (one, reference) = decode_both(&data);
+        prop_assert_eq!(one, reference);
     }
 
     fn decoders_agree_on_degenerate_tables(data in seeded(1..4, synth_degenerate)) {
-        for &threads in &THREAD_COUNTS {
-            let (one, reference) = decode_both(&data, threads);
-            prop_assert_eq!(one, reference);
-        }
+        let (one, reference) = decode_both(&data);
+        prop_assert_eq!(one, reference);
     }
 
     fn decoders_agree_on_truncations(data in seeded(1..6, synth_pprof), cut in any_u64()) {
         // Any prefix of a valid payload must fail (or succeed)
         // identically in both decoders.
         let cut = (cut as usize) % (data.len() + 1);
-        let (one, reference) = decode_both(&data[..cut], 1);
+        let (one, reference) = decode_both(&data[..cut]);
         prop_assert_eq!(one, reference);
     }
 
@@ -89,14 +66,12 @@ property! {
             let n = data.len();
             data[(pos as usize) % n] ^= 1 << (bit % 8);
         }
-        for &threads in &THREAD_COUNTS {
-            let (one, reference) = decode_both(&data, threads);
-            prop_assert_eq!(one, reference);
-        }
+        let (one, reference) = decode_both(&data);
+        prop_assert_eq!(one, reference);
     }
 
     fn decoders_agree_on_arbitrary_bytes(data in vec(any_u8(), 0..512)) {
-        let (one, reference) = decode_both(&data, 1);
+        let (one, reference) = decode_both(&data);
         prop_assert_eq!(one, reference);
     }
 }
@@ -109,7 +84,7 @@ fn decoders_agree_on_every_prefix_of_a_small_profile() {
     let mut rng = Rng::new(0x5eed);
     let data = synth_pprof(&mut rng, 4);
     for cut in 0..=data.len() {
-        let (one, reference) = decode_both(&data[..cut], 1);
+        let (one, reference) = decode_both(&data[..cut]);
         assert_eq!(one, reference, "prefix of {cut}/{} bytes", data.len());
     }
 }
@@ -121,7 +96,7 @@ fn roundtrip_through_writer_agrees() {
     let mut rng = Rng::new(42);
     for size in 1..8 {
         let data = synth_deep_stacks(&mut rng, size);
-        let (one, reference) = decode_both(&data, 1);
+        let (one, reference) = decode_both(&data);
         let profile = one.expect("writer output must parse");
         assert_eq!(Ok(&profile), reference.as_ref());
         let rewritten = pprof::write(
@@ -131,7 +106,7 @@ fn roundtrip_through_writer_agrees() {
                 level: CompressionLevel::Store,
             },
         );
-        let (one2, reference2) = decode_both(&rewritten, 1);
+        let (one2, reference2) = decode_both(&rewritten);
         assert_eq!(one2, reference2);
         assert!(one2.is_ok());
     }
@@ -152,7 +127,7 @@ fn decoders_agree_across_replay_batches() {
         let (data, steps) = synth_multi_batch(&mut rng, flaw);
         assert!(steps >= MULTI_BATCH_STEPS, "{steps} frame steps");
         let batches = ev_trace::counter_value("core.cct_batches");
-        let (one, reference) = decode_both(&data, 1);
+        let (one, reference) = decode_both(&data);
         assert_eq!(one.is_ok(), flaw == LateFlaw::None, "{flaw:?}");
         if flaw == LateFlaw::None {
             assert!(ev_trace::counter_value("core.cct_batches") - batches >= 3);

@@ -4,7 +4,7 @@
 //! `pprof::parse_streaming_with` re-derives the buffered one-pass
 //! decode from a bounded-memory inflate→walk pipeline, so its contract
 //! is **identical profiles and identical errors** to
-//! `pprof::parse_with` at *any* chunk size — including 1 byte, where
+//! `pprof::parse` at *any* chunk size — including 1 byte, where
 //! every wire field straddles a refill — and any thread count (the
 //! `ExecPolicy` reaches the pipelined per-chunk CRC). Fixtures cover
 //! valid, truncated, and bit-flipped payloads, raw and gzip'd, so both

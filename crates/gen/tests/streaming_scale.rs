@@ -25,7 +25,7 @@ fn streaming_matches_buffered_at_scale() {
         gz.len()
     );
     let policy = ev_flate::ExecPolicy::with_threads(4);
-    let buffered = pprof::parse_with(&gz, policy).expect("buffered parse");
+    let buffered = pprof::parse(&gz).expect("buffered parse");
     for chunk_size in [ev_flate::DEFAULT_CHUNK_SIZE, 3 << 20] {
         let streamed =
             pprof::parse_streaming_with(&gz, policy, chunk_size).expect("streaming parse");

@@ -286,13 +286,15 @@ pub fn decode_frame(input: &[u8]) -> Result<Option<(Value, usize)>, String> {
     }
     let length = length.ok_or("missing Content-Length header")?;
     let body_start = header_end + 4;
-    if input.len() < body_start + length {
+    let body_end = body_start
+        .checked_add(length)
+        .ok_or("Content-Length out of range")?;
+    let Some(body) = input.get(body_start..body_end) else {
         return Ok(None);
-    }
-    let body = std::str::from_utf8(&input[body_start..body_start + length])
-        .map_err(|_| "non-utf8 body")?;
+    };
+    let body = std::str::from_utf8(body).map_err(|_| "non-utf8 body")?;
     let value = ev_json::parse(body).map_err(|e| e.to_string())?;
-    Ok(Some((value, body_start + length)))
+    Ok(Some((value, body_end)))
 }
 
 fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {

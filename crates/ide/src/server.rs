@@ -2075,6 +2075,23 @@ mod tests {
     }
 
     #[test]
+    fn oversized_content_length_is_a_transport_error() {
+        let server = EvpServer::new();
+        for length in [
+            u64::MAX.to_string(),
+            (usize::MAX - 3).to_string(),
+            "12x".to_owned(),
+        ] {
+            let frame = format!("Content-Length: {length}\r\n\r\n{{}}");
+            let err = server.handle_bytes(frame.as_bytes()).unwrap_err();
+            assert!(err.contains("Content-Length"), "{length}: {err}");
+        }
+        // The same server keeps answering.
+        let answer = decode_response(&wire(&server, 1, "initialize", Value::Null));
+        assert!(answer.outcome.is_ok(), "{answer:?}");
+    }
+
+    #[test]
     fn deeply_nested_script_is_an_error_not_an_abort() {
         let server = EvpServer::new();
         let id = open_profile(&server, &small_profile());

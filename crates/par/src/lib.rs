@@ -1,15 +1,15 @@
 //! `ev-par` — EasyView's parallel execution substrate, built on
 //! `std::thread::scope` alone.
 //!
-//! The analysis engine (paper §4) runs three coarse passes in
-//! parallel: multi-profile aggregation, multi-member gzip ingest, and
-//! EVscript's per-node callbacks. Each is a handful of large
-//! independent tasks, so the crate offers one ordered fan-out,
-//! [`fan_out`], plus the two-stage [`with_pipeline`] hand-off that
-//! streaming ingest uses. Per the workspace charter everything is std
-//! only — no rayon, no crossbeam — and the crate holds no `unsafe`:
-//! every thread is a scoped thread, joined before the call returns, so
-//! tasks borrow the caller's data through ordinary references.
+//! The analysis engine (paper §4) runs two coarse passes in parallel:
+//! multi-profile aggregation and EVscript's per-node callbacks. Each
+//! is a handful of large independent tasks, so the crate offers one
+//! ordered fan-out, [`fan_out`], plus the two-stage [`with_pipeline`]
+//! hand-off that streaming ingest uses. Per the workspace charter
+//! everything is std only — no rayon, no crossbeam — and the crate
+//! holds no `unsafe`: every thread is a scoped thread, joined before
+//! the call returns, so tasks borrow the caller's data through ordinary
+//! references.
 //!
 //! # Execution model
 //!
@@ -18,7 +18,7 @@
 //! runs on the caller. It starts at most [`max_threads`]` − 1` threads
 //! per call, whatever `ExecPolicy::threads` asks for, and none when
 //! the policy is sequential or there is at most one item. There is no
-//! pool: a spawn and join costs tens of microseconds, which the three
+//! pool: a spawn and join costs tens of microseconds, which the two
 //! passes amortize over milliseconds of work per thread.
 //!
 //! # Determinism contract

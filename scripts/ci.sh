@@ -41,6 +41,11 @@ for threads in 2 4; do
         exit 1
     fi
 done
+# Plain-text labels start right after their frame's boundary pipe.
+for label in main work inner idle; do
+    grep -qF "|$label " "$SMOKE_DIR/seq.txt" \
+        || { echo "FAIL: plain view does not show the label $label whole" >&2; exit 1; }
+done
 "$EV" diff "$SMOKE_DIR/smoke.folded" "$SMOKE_DIR/smoke.folded" --threads 4 > /dev/null
 "$EV" aggregate "$SMOKE_DIR/smoke.folded" "$SMOKE_DIR/smoke.folded" --threads 4 > /dev/null
 # The same contract for the multi-profile commands, on two profiles

@@ -17,7 +17,7 @@
 //!
 //! and update the golden constants from the test's output.
 
-use ev_analysis::{profile_fingerprint, view_key, ExecPolicy, MetricView, ViewCache};
+use ev_analysis::{profile_fingerprint, view_key, MetricView, ViewCache};
 use ev_core::Profile;
 use ev_flate::{gzip_decompress, is_gzip};
 use ev_gen::{grpc_leak, synthetic::SyntheticSpec};
@@ -402,21 +402,14 @@ fn negative_fixtures_yield_identical_typed_outcomes() {
 fn every_fixture_decodes_identically_via_reference() {
     // Sweep the whole fixture directory — positive goldens, the
     // multi-member gzip file, and every negative — asserting the
-    // one-pass and reference decoders agree byte for byte, at several
-    // thread counts.
+    // one-pass and reference decoders agree byte for byte.
     let mut seen = 0;
     for entry in std::fs::read_dir(fixture_dir()).unwrap() {
         let path = entry.unwrap().path();
         let bytes = std::fs::read(&path).unwrap();
-        for threads in [1, 2, 8] {
-            let policy = ExecPolicy::with_threads(threads);
-            let one = ev_formats::pprof::parse_with(&bytes, policy);
-            let reference = ev_formats::pprof::parse_reference_with(&bytes, policy);
-            match (&one, &reference) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "{} threads={threads}", path.display()),
-                (a, b) => assert_eq!(a, b, "{} threads={threads}", path.display()),
-            }
-        }
+        let one = ev_formats::pprof::parse(&bytes);
+        let reference = ev_formats::pprof::parse_reference(&bytes);
+        assert_eq!(one, reference, "{}", path.display());
         seen += 1;
     }
     assert!(seen >= GOLDENS.len() + NEGATIVES.len(), "fixture sweep saw {seen} files");

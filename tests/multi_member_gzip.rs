@@ -5,7 +5,7 @@
 //! last FEXTRA — concatenated back to back, which is exactly what Go's
 //! pprof writer or a `cat a.gz b.gz c.gz` pipeline produces. The
 //! member-streaming decoder must reassemble it byte-identically to the
-//! single-member fixture at any thread count.
+//! single-member fixture.
 //!
 //! Regenerate (after an intentional generator change) with:
 //!
@@ -13,8 +13,7 @@
 //! cargo test -p ev-bench --test multi_member_gzip -- --ignored regenerate
 //! ```
 
-use ev_flate::{crc32, deflate_compress, gzip_decompress, gzip_decompress_with, CompressionLevel,
-               ExecPolicy};
+use ev_flate::{crc32, deflate_compress, gzip_decompress, CompressionLevel};
 use std::path::PathBuf;
 
 const FIXTURE: &str = "multi_member.pb.gz";
@@ -70,14 +69,10 @@ fn fixture_matches_generator() {
 }
 
 #[test]
-fn decompresses_to_pinned_digest_at_every_thread_count() {
+fn decompresses_to_pinned_digest() {
     let multi = std::fs::read(fixture_dir().join(FIXTURE)).expect("fixture");
-    let seq = gzip_decompress(&multi).expect("multi-member decompresses");
-    assert_eq!(crc32(&seq), PINNED_DIGEST, "reassembled body digest drifted");
-    for threads in [1, 2, 8] {
-        let par = gzip_decompress_with(&multi, ExecPolicy::with_threads(threads)).unwrap();
-        assert_eq!(par, seq, "threads {threads}");
-    }
+    let body = gzip_decompress(&multi).expect("multi-member decompresses");
+    assert_eq!(crc32(&body), PINNED_DIGEST, "reassembled body digest drifted");
 }
 
 #[test]
@@ -86,16 +81,12 @@ fn converts_identically_to_the_single_member_source() {
     let single = std::fs::read(fixture_dir().join(SOURCE_FIXTURE)).expect("source");
     // Same decompressed body ⇒ the converted profiles are identical.
     let from_single = ev_formats::pprof::parse(&single).unwrap();
-    for threads in [1, 2, 8] {
-        let from_multi =
-            ev_formats::pprof::parse_with(&multi, ExecPolicy::with_threads(threads)).unwrap();
-        assert_eq!(from_multi, from_single, "threads {threads}");
-        assert_eq!(
-            ev_formats::easyview::write(&from_multi),
-            ev_formats::easyview::write(&from_single),
-            "threads {threads}"
-        );
-    }
+    let from_multi = ev_formats::pprof::parse(&multi).unwrap();
+    assert_eq!(from_multi, from_single);
+    assert_eq!(
+        ev_formats::easyview::write(&from_multi),
+        ev_formats::easyview::write(&from_single)
+    );
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! determinism contract of `ev-par`). Random profiles are run at 1, 2,
 //! 4, and 8 threads and compared through the serialized EasyView native
 //! format, so any divergence — values, tree shape, string-table order,
-//! node numbering — fails the test.
+//! node numbering — fails the test. The same comparison pins
+//! multi-member gzip ingest to the single-member conversion.
 
 use ev_analysis::{aggregate_with, ExecPolicy};
 use ev_core::Profile;
@@ -39,9 +40,8 @@ property! {
     }
 
     // Multi-member gzip ingest: a pprof body split into N gzip members
-    // must convert bit-identically whether the members are inflated
-    // sequentially or fanned out onto the pool.
-    fn multi_member_ingest_matches_sequential(
+    // must convert bit-identically to the same body in one member.
+    fn multi_member_ingest_matches_single_member(
         batch in arb_profile_batch(2..6, 30, 6),
         splits in 2usize..5,
     ) {
@@ -59,12 +59,9 @@ property! {
             multi.extend_from_slice(&crc32(part).to_le_bytes());
             multi.extend_from_slice(&(part.len() as u32).to_le_bytes());
         }
-        let seq = ev_formats::pprof::parse_with(&multi, ExecPolicy::SEQUENTIAL).unwrap();
-        let seq_bytes = easyview_bytes(&seq);
-        for &t in &THREADS {
-            let par = ev_formats::pprof::parse_with(&multi, ExecPolicy::with_threads(t)).unwrap();
-            prop_assert_eq!(&easyview_bytes(&par), &seq_bytes, "threads={}", t);
-        }
+        let from_single = ev_formats::pprof::parse(&single).unwrap();
+        let from_multi = ev_formats::pprof::parse(&multi).unwrap();
+        prop_assert_eq!(easyview_bytes(&from_multi), easyview_bytes(&from_single));
     }
 }
 
