@@ -44,6 +44,8 @@
 //! assert_eq!(view.inclusive(p.root()), 4.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod aggregate;
 mod cache;
 mod diff;

@@ -92,17 +92,15 @@ pub fn flatten(profile: &Profile, metric: MetricId) -> Transformed {
             None => {
                 let frame = node.frame();
                 let mut row = |out: &mut Profile, parent, [name, module, file]: [StringId; 3]| {
-                    let row = out.child_ref(
-                        parent,
-                        FrameRef {
-                            kind: ContextKind::Function,
-                            name,
-                            module,
-                            file,
-                            line: 0,
-                            address: 0,
-                        },
-                    );
+                    let frame = out.frame_id(FrameRef {
+                        kind: ContextKind::Function,
+                        name,
+                        module,
+                        file,
+                        line: 0,
+                        address: 0,
+                    });
+                    let row = out.child_id(parent, frame);
                     sources.resize(out.node_count(), id);
                     row
                 };

@@ -158,7 +158,8 @@ pub fn prune(profile: &Profile, metric: MetricId, threshold: f64) -> Profile {
         if pruned_total > 0.0 {
             let frame =
                 *pruned_frame.get_or_insert_with(|| out.intern_frame(&Frame::function("«pruned»")));
-            let pruned = out.child_ref(dst, frame);
+            let frame = out.frame_id(frame);
+            let pruned = out.child_id(dst, frame);
             out.add_value(pruned, metric, pruned_total);
         }
     });

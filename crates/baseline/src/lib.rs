@@ -23,6 +23,8 @@
 //! parses once into the prefix-merged CCT and lays out only the
 //! geometry actually rendered.
 
+#![forbid(unsafe_code)]
+
 use ev_formats::{pprof, FormatError};
 use std::collections::HashMap;
 

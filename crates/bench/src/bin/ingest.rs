@@ -9,7 +9,7 @@
 //! decoded by both the fast LUT decoder and the retained reference
 //! decoder, the outputs must be byte-identical, and the decompressed
 //! bytes must match pinned CRC32 digests. The same pattern guards the
-//! pprof layer: the one-pass arena-backed decoder and the retained
+//! pprof layer: the one-pass decoder and the retained
 //! two-pass `parse_reference` must produce equal `Profile`s before
 //! either is timed.
 //!

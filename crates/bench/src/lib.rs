@@ -14,6 +14,8 @@
 //! [`oracle`] keeps the tree transforms the frame-id ones replaced, for
 //! the differential tests and the `serve` bin's `coldViews` gate.
 
+#![forbid(unsafe_code)]
+
 pub mod loc;
 pub mod oracle;
 pub mod pipeline;

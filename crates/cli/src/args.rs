@@ -119,17 +119,6 @@ pub enum Command {
     },
 }
 
-/// Parses `argv` (without the program name), dropping the cross-cutting
-/// trace options. Kept for callers that predate [`parse_cli`].
-///
-/// # Errors
-///
-/// Returns a formatted message on unknown commands/flags, missing
-/// operands, or unparsable flag values.
-pub fn parse_args(argv: &[String]) -> Result<Command, CliError> {
-    parse_cli(argv).map(|cli| cli.command)
-}
-
 /// Parses `argv` (without the program name).
 ///
 /// # Errors
@@ -336,7 +325,7 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<Command, CliError> {
         let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        parse_args(&argv)
+        parse_cli(&argv).map(|cli| cli.command)
     }
 
     #[test]

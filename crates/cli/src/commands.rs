@@ -467,7 +467,7 @@ fn convert(input: &str, output: &str) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_args;
+    use crate::parse_cli;
     use ev_core::{Frame, MetricDescriptor, MetricKind, MetricUnit};
 
     fn tmpdir() -> std::path::PathBuf {
@@ -497,7 +497,7 @@ mod tests {
 
     fn run_line(line: &[&str]) -> Result<String, CliError> {
         let argv: Vec<String> = line.iter().map(|s| s.to_string()).collect();
-        run(parse_args(&argv)?)
+        run(parse_cli(&argv)?.command)
     }
 
     #[test]

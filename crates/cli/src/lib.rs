@@ -21,10 +21,12 @@
 //! The crate keeps command logic in a library so every code path is unit
 //! tested; the binary is a thin `main`.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 
-pub use args::{parse_args, parse_cli, Cli, Command, Options, TraceFormat, TraceOptions};
+pub use args::{parse_cli, Cli, Command, Options, TraceFormat, TraceOptions};
 pub use commands::{run, run_cli};
 
 use std::error::Error;

@@ -2,11 +2,11 @@
 //! terminal driver reproduces the same findings the examples and
 //! `paper_tables` do.
 
-use ev_cli::{parse_args, run};
+use ev_cli::{parse_cli, run};
 
 fn run_line(line: &[&str]) -> String {
     let argv: Vec<String> = line.iter().map(|s| s.to_string()).collect();
-    run(parse_args(&argv).expect("parse")).expect("run")
+    run(parse_cli(&argv).expect("parse").command).expect("run")
 }
 
 fn tmp(name: &str) -> String {

@@ -50,7 +50,8 @@
 //! assert_eq!(profile.total(cpu), 1000.0);
 //! ```
 
-pub mod arena;
+#![forbid(unsafe_code)]
+
 mod builder;
 pub mod fast_hash;
 pub mod format;

@@ -377,8 +377,9 @@ impl Profile {
 
     /// Interns a frame's strings, returning the compact stored form.
     /// Producers that reuse frames many times (generators, converters)
-    /// intern once and insert with [`Profile::child_ref`], avoiding
-    /// per-sample string hashing.
+    /// intern once, look the frame's id up with [`Profile::frame_id`]
+    /// and insert with [`Profile::child_id`], avoiding per-sample
+    /// string hashing.
     pub fn intern_frame(&mut self, frame: &Frame) -> FrameRef {
         frame.intern(&mut self.strings)
     }
@@ -472,16 +473,7 @@ impl Profile {
     /// absent — the prefix-merging step that keeps the CCT compact.
     pub fn child(&mut self, parent: NodeId, frame: &Frame) -> NodeId {
         let frame_ref = frame.intern(&mut self.strings);
-        self.child_ref(parent, frame_ref)
-    }
-
-    /// Like [`Profile::child`] for an already-interned frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is not a node of this profile.
-    pub fn child_ref(&mut self, parent: NodeId, frame: FrameRef) -> NodeId {
-        let frame = self.frame_id(frame);
+        let frame = self.frame_id(frame_ref);
         self.child_id(parent, frame)
     }
 
@@ -1405,13 +1397,15 @@ mod tests {
         q.intern_frame(&Frame::function("b"));
         q.frame_id(fb);
         q.frame_id(fa);
-        let pa = p.child_ref(NodeId::ROOT, fa);
-        p.child_ref(pa, fb);
-        let qa = q.child_ref(NodeId::ROOT, fa);
-        q.child_ref(qa, fb);
+        let (pfa, pfb) = (p.frame_id(fa), p.frame_id(fb));
+        let pa = p.child_id(NodeId::ROOT, pfa);
+        p.child_id(pa, pfb);
+        let (qfa, qfb) = (q.frame_id(fa), q.frame_id(fb));
+        let qa = q.child_id(NodeId::ROOT, qfa);
+        q.child_id(qa, qfb);
         assert_ne!(p.frame[1], q.frame[1]);
         assert_eq!(p, q);
-        q.child_ref(qa, fa);
+        q.child_id(qa, qfa);
         assert_ne!(p, q);
     }
 

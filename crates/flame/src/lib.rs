@@ -48,6 +48,8 @@
 //! assert!((work.width - 0.9).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod color;
 mod correlated;
 mod differential;

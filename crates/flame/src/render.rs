@@ -103,16 +103,71 @@ pub fn svg(graph: &FlameGraph, options: &SvgOptions) -> String {
     out
 }
 
+/// Code point ranges a terminal draws two columns wide: the East Asian
+/// Wide and Fullwidth blocks and the emoji blocks. Everything else
+/// takes one column.
+const WIDE: [(u32, u32); 17] = [
+    (0x1100, 0x115F),   // Hangul Jamo initial consonants
+    (0x2E80, 0x303E),   // CJK radicals, Kangxi, CJK symbols and punctuation
+    (0x3041, 0x33FF),   // Hiragana, Katakana, Bopomofo, CJK compatibility
+    (0x3400, 0x4DBF),   // CJK extension A
+    (0x4E00, 0x9FFF),   // CJK unified ideographs
+    (0xA000, 0xA4CF),   // Yi
+    (0xAC00, 0xD7A3),   // Hangul syllables
+    (0xF900, 0xFAFF),   // CJK compatibility ideographs
+    (0xFE30, 0xFE4F),   // CJK compatibility forms
+    (0xFF00, 0xFF60),   // Fullwidth forms
+    (0xFFE0, 0xFFE6),   // Fullwidth signs
+    (0x1F300, 0x1F64F), // Pictographs and emoticons
+    (0x1F680, 0x1F6FF), // Transport and map symbols
+    (0x1F900, 0x1F9FF), // Supplemental symbols and pictographs
+    (0x1FA70, 0x1FAFF), // Symbols and pictographs extended-A
+    (0x20000, 0x2FFFD), // CJK extensions B-F
+    (0x30000, 0x3FFFD), // CJK extension G and beyond
+];
+
+/// Terminal columns `c` takes: 2 inside [`WIDE`], else 1.
+fn columns_of(c: char) -> usize {
+    let cp = u32::from(c);
+    if WIDE.iter().any(|&(lo, hi)| (lo..=hi).contains(&cp)) {
+        2
+    } else {
+        1
+    }
+}
+
+/// Writes `ch` into cell `i` of a terminal row, and marks the cell
+/// after it `None` when `ch` is two columns wide. A two-column
+/// character that loses one of its cells becomes a space, so a row
+/// never holds half of one.
+fn put(row: &mut [Option<char>], i: usize, ch: char) {
+    let cells = columns_of(ch);
+    for j in i..i + cells {
+        if row[j].is_none() {
+            row[j - 1] = Some(' ');
+        }
+        if row.get(j + 1) == Some(&None) {
+            row[j + 1] = Some(' ');
+        }
+    }
+    row[i] = Some(ch);
+    if cells == 2 {
+        row[i + 1] = None;
+    }
+}
+
 /// Renders the flame graph for a terminal: one line per depth row,
 /// frames drawn as colored segments with 24-bit ANSI backgrounds.
 /// `columns` is the terminal width; pass `color: false` for plain text
-/// (used in tests and logs).
+/// (used in tests and logs). Two-column characters (CJK, emoji) take
+/// two cells, and a label stops before one that would cross its
+/// frame's end.
 pub fn ansi(graph: &FlameGraph, columns: usize, color: bool) -> String {
     let _span = ev_trace::span("flame.render");
     assert!(columns >= 8, "terminal too narrow");
     let mut out = String::new();
     for depth in 0..=graph.max_depth() {
-        let mut line = vec![' '; columns];
+        let mut line = vec![Some(' '); columns];
         let mut spans: Vec<(usize, usize, &FlameRect)> = Vec::new();
         for rect in graph.rects().iter().filter(|r| r.depth == depth) {
             let start = (rect.x * columns as f64).round() as usize;
@@ -122,20 +177,44 @@ pub fn ansi(graph: &FlameGraph, columns: usize, color: bool) -> String {
                 continue;
             }
             // Fill with the label, padded/truncated to the span. Plain
-            // text leaves the first column to the boundary pipe below.
-            let text_start = if color { start } else { start + 1 };
-            let label = rect.label.chars().chain(std::iter::repeat(' '));
-            for (cell, ch) in line[text_start..end].iter_mut().zip(label) {
-                *cell = ch;
+            // text leaves the first and last columns to the boundary
+            // pipes below.
+            let (text_start, text_end) = if color {
+                (start, end)
+            } else {
+                (start + 1, (end - 1).max(start + 1))
+            };
+            let mut cell = text_start;
+            for ch in rect.label.chars() {
+                let width = columns_of(ch);
+                if cell + width > text_end {
+                    break;
+                }
+                put(&mut line, cell, ch);
+                cell += width;
+            }
+            for pad in cell..text_end {
+                put(&mut line, pad, ' ');
             }
             spans.push((start, end, rect));
         }
+        if !color {
+            // Plain text: mark frame boundaries with pipes.
+            for &(start, end, _) in &spans {
+                put(&mut line, start, '|');
+                if end - 1 > start {
+                    put(&mut line, end - 1, '|');
+                }
+            }
+        }
+        let cells =
+            |range: std::ops::Range<usize>| line[range].iter().flatten().collect::<String>();
         if color {
             // Emit the row segment by segment with background colors.
             let mut cursor = 0usize;
             for (start, end, rect) in &spans {
                 if *start > cursor {
-                    out.extend(line[cursor..*start].iter());
+                    out.push_str(&cells(cursor..*start));
                 }
                 let c = rect.color;
                 let _ = write!(
@@ -144,22 +223,15 @@ pub fn ansi(graph: &FlameGraph, columns: usize, color: bool) -> String {
                     c.r,
                     c.g,
                     c.b,
-                    line[*start..*end].iter().collect::<String>()
+                    cells(*start..*end)
                 );
                 cursor = *end;
             }
             if cursor < columns {
-                out.extend(line[cursor..].iter());
+                out.push_str(&cells(cursor..columns));
             }
         } else {
-            // Plain text: mark frame boundaries with pipes.
-            for (start, end, _) in &spans {
-                line[*start] = '|';
-                if *end - 1 > *start {
-                    line[*end - 1] = '|';
-                }
-            }
-            out.extend(line.iter());
+            out.push_str(&cells(0..columns));
         }
         // Trim trailing whitespace per row.
         while out.ends_with(' ') {
@@ -265,6 +337,90 @@ mod tests {
             let cut = format!(">{}…</text>", ch.repeat(11));
             assert!(doc.contains(&cut), "{ch}: {doc}");
         }
+    }
+
+    /// Terminal columns of a rendered row whose only two-column
+    /// characters are `wide`.
+    fn row_columns(row: &str, wide: &[char]) -> usize {
+        row.chars()
+            .map(|c| if wide.contains(&c) { 2 } else { 1 })
+            .sum()
+    }
+
+    #[test]
+    fn ansi_rows_fit_the_terminal_with_wide_labels() {
+        // `main;wide 110` beside one frame of 40 two-column characters
+        // with value 10, and one of 40 narrow multi-byte characters.
+        let mut p = Profile::new("t");
+        let m = p.add_metric(MetricDescriptor::new(
+            "cpu",
+            MetricUnit::Count,
+            MetricKind::Exclusive,
+        ));
+        p.add_sample(
+            &[Frame::function("main"), Frame::function("wide")],
+            &[(m, 110.0)],
+        );
+        for name in ["中", "😀", "é"] {
+            p.add_sample(
+                &[Frame::function("main"), Frame::function(name.repeat(40))],
+                &[(m, 10.0)],
+            );
+        }
+        let g = FlameGraph::top_down(&p, m);
+        let wide = ['中', '😀'];
+        for columns in [80, 99, 100, 101, 120, 200] {
+            let text = ansi(&g, columns, false);
+            for row in text.lines() {
+                assert!(
+                    row_columns(row, &wide) <= columns,
+                    "{columns} columns: {row}"
+                );
+            }
+            // Each label shows whole characters after its pipe.
+            let leaf = text.lines().nth(2).unwrap();
+            assert!(leaf.contains("|wide"), "{leaf}");
+            for ch in ["中", "😀", "é"] {
+                assert!(leaf.contains(&format!("|{ch}")), "{leaf}");
+            }
+        }
+        // At 100 columns every leaf spans 7 columns: 5 label columns
+        // between the pipes, so two wide characters and a space.
+        let leaf = ansi(&g, 100, false).lines().nth(2).unwrap().to_owned();
+        assert!(leaf.ends_with("||中中 ||😀😀 ||ééééé|"), "{leaf:?}");
+        // Color mode fills each span whole and never splits a wide
+        // character across a span's end either.
+        let colored = ansi(&g, 101, true);
+        for row in colored.lines() {
+            let plain: String = row
+                .split("\x1b[")
+                .map(|part| part.split_once('m').map_or(part, |(_, t)| t))
+                .collect();
+            assert!(row_columns(&plain, &wide) <= 101, "{plain}");
+        }
+    }
+
+    #[test]
+    fn column_widths() {
+        for c in "a| éπ…\u{10FFFF}".chars() {
+            assert_eq!(columns_of(c), 1, "{c:?}");
+        }
+        for c in "中日ア한！😀🎈🚀🤖\u{20000}".chars() {
+            assert_eq!(columns_of(c), 2, "{c:?}");
+        }
+    }
+
+    #[test]
+    fn put_never_leaves_half_a_wide_character() {
+        let mut row = vec![Some(' '); 6];
+        put(&mut row, 1, '中');
+        put(&mut row, 3, '中');
+        assert_eq!(row.iter().flatten().collect::<String>(), " 中中 ");
+        // A pipe over the second cell of the first, a pipe over the
+        // first cell of the second.
+        put(&mut row, 2, '|');
+        put(&mut row, 3, '|');
+        assert_eq!(row.iter().flatten().collect::<String>(), "  ||  ");
     }
 
     #[test]

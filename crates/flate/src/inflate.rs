@@ -138,32 +138,20 @@ fn fixed_reference_tables() -> &'static (Huffman, Huffman) {
 pub fn inflate(input: &[u8]) -> Result<Vec<u8>, FlateError> {
     // Heuristic preallocation: deflate rarely exceeds ~4x expansion on
     // realistic profile data. Container callers that know the exact
-    // output size (gzip ISIZE) use `inflate_with_size_hint` instead.
-    inflate_with_size_hint(input, input.len().saturating_mul(3))
+    // output size (gzip ISIZE) pass it to `inflate_member` instead.
+    inflate_member(input, input.len().saturating_mul(3)).map(|(out, _)| out)
 }
 
-/// Like [`inflate`], preallocating `size_hint` bytes of output.
+/// Like [`inflate`], preallocating `size_hint` bytes of output and
+/// additionally returning how many input bytes the DEFLATE stream
+/// occupied (the bit position after the final block, rounded up to the
+/// next byte boundary).
 ///
-/// `gzip_decompress` passes the ISIZE trailer here so typical profiles
-/// decompress into a single exact allocation. The hint is advisory and
-/// untrusted: it is capped internally and the output still grows as
-/// needed, so a lying hint affects speed, never correctness.
-///
-/// # Errors
-///
-/// Same conditions as [`inflate`].
-pub fn inflate_with_size_hint(input: &[u8], size_hint: usize) -> Result<Vec<u8>, FlateError> {
-    let mut reader = BitReader::new(input);
-    let mut out = Vec::with_capacity(size_hint.min(MAX_SIZE_HINT));
-    let mut stats = LutStats::default();
-    let result = inflate_fast_loop(&mut reader, &mut out, &mut stats);
-    stats.flush();
-    result.map(|()| out)
-}
-
-/// Like [`inflate_with_size_hint`], additionally returning how many
-/// input bytes the DEFLATE stream occupied (the bit position after the
-/// final block, rounded up to the next byte boundary).
+/// The gzip decoder passes each member's ISIZE trailer as the hint, so
+/// typical profiles decompress into a single exact allocation. The hint
+/// is advisory and untrusted: it is capped at [`MAX_SIZE_HINT`] and the
+/// output still grows as needed, so a lying hint affects speed, never
+/// correctness.
 ///
 /// This is the member-streaming entry point: a gzip container holds
 /// `header · deflate stream · trailer` per member, and RFC 1952 allows

@@ -106,8 +106,7 @@ pub use checksum::{crc32, crc32_reference, Crc32};
 pub use deflate::{deflate_compress, CompressionLevel};
 pub use gzip::{gzip_compress, gzip_decompress, gzip_decompress_with, is_gzip};
 pub use inflate::{
-    inflate, inflate_member, inflate_reference, inflate_reference_member, inflate_with_size_hint,
-    MAX_SIZE_HINT,
+    inflate, inflate_member, inflate_reference, inflate_reference_member, MAX_SIZE_HINT,
 };
 pub use stream::{GzipStream, InflateStream, DEFAULT_CHUNK_SIZE, WINDOW_SIZE};
 

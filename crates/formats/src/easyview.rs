@@ -17,12 +17,6 @@ pub fn parse(data: &[u8]) -> Result<Profile, FormatError> {
     Ok(ev_core::format::from_bytes(data)?)
 }
 
-/// Serializes a profile to the native format (alias of
-/// `ev_core::format::to_bytes` for symmetry).
-pub fn write(profile: &Profile) -> Vec<u8> {
-    ev_core::format::to_bytes(profile)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,7 +31,7 @@ mod tests {
             MetricKind::Exclusive,
         ));
         p.add_sample(&[Frame::function("main")], &[(m, 1.0)]);
-        let bytes = write(&p);
+        let bytes = ev_core::format::to_bytes(&p);
         assert_eq!(parse(&bytes).unwrap(), p);
     }
 

@@ -44,17 +44,11 @@ pub fn parse(text: &str) -> Result<Profile, FormatError> {
     profile.meta_mut().profiler = "hpctoolkit".to_owned();
     let mut tables = Tables::default();
 
-    // Stack of CCT nodes for open structural elements; `None` entries
-    // are transparent elements (C and sections) that pop without a node.
-    let mut stack: Vec<Option<NodeId>> = Vec::new();
-
-    let current = |stack: &[Option<NodeId>]| -> NodeId {
-        stack
-            .iter()
-            .rev()
-            .find_map(|&n| n)
-            .unwrap_or(NodeId::ROOT)
-    };
+    // The CCT node of every open element, innermost last. Transparent
+    // elements (C, sections, tables, M) repeat the enclosing node, so
+    // the current node is always the top of the stack.
+    let mut stack: Vec<NodeId> = Vec::new();
+    let current = |stack: &[NodeId]| stack.last().copied().unwrap_or(NodeId::ROOT);
 
     while let Some(event) = parser.next_event()? {
         match event {
@@ -63,7 +57,7 @@ pub fn parse(text: &str) -> Result<Profile, FormatError> {
                     if let Some(name) = tag.attr("n") {
                         profile.meta_mut().name = name.to_owned();
                     }
-                    stack.push(None);
+                    stack.push(current(&stack));
                 }
                 "Metric" => {
                     let id = require_u64(&tag, "i")?;
@@ -84,19 +78,19 @@ pub fn parse(text: &str) -> Result<Profile, FormatError> {
                         },
                     ));
                     tables.metrics.insert(id, (metric, scale));
-                    stack.push(None);
+                    stack.push(current(&stack));
                 }
                 "Procedure" => {
                     insert_table(&mut tables.procedures, &tag)?;
-                    stack.push(None);
+                    stack.push(current(&stack));
                 }
                 "File" => {
                     insert_table(&mut tables.files, &tag)?;
-                    stack.push(None);
+                    stack.push(current(&stack));
                 }
                 "LoadModule" => {
                     insert_table(&mut tables.modules, &tag)?;
-                    stack.push(None);
+                    stack.push(current(&stack));
                 }
                 "PF" | "Pr" => {
                     let name = match tag.attr_u64("n") {
@@ -120,7 +114,7 @@ pub fn parse(text: &str) -> Result<Profile, FormatError> {
                         }
                     }
                     let node = profile.child(current(&stack), &frame);
-                    stack.push(Some(node));
+                    stack.push(node);
                 }
                 "L" => {
                     let line = tag.attr_u64("l").unwrap_or(0) as u32;
@@ -138,7 +132,7 @@ pub fn parse(text: &str) -> Result<Profile, FormatError> {
                         frame = frame.with_source(file, line);
                     }
                     let node = profile.child(current(&stack), &frame);
-                    stack.push(Some(node));
+                    stack.push(node);
                 }
                 "S" => {
                     let line = tag.attr_u64("l").unwrap_or(0) as u32;
@@ -151,7 +145,7 @@ pub fn parse(text: &str) -> Result<Profile, FormatError> {
                         frame = frame.with_source(file, line);
                     }
                     let node = profile.child(parent, &frame);
-                    stack.push(Some(node));
+                    stack.push(node);
                 }
                 "M" => {
                     let id = require_u64(&tag, "n")?;
@@ -162,9 +156,9 @@ pub fn parse(text: &str) -> Result<Profile, FormatError> {
                         FormatError::Schema(format!("M references unknown metric {id}"))
                     })?;
                     profile.add_value(current(&stack), metric, value * scale);
-                    stack.push(None);
+                    stack.push(current(&stack));
                 }
-                _ => stack.push(None),
+                _ => stack.push(current(&stack)),
             },
             Event::End(_) => {
                 stack.pop();
@@ -301,6 +295,26 @@ mod tests {
         </SecCallPathProfileData></HPCToolkitExperiment>"#;
         let p = parse(doc).unwrap();
         assert!(p.node_ids().any(|id| p.resolve_frame(id).name == "proc-999"));
+    }
+
+    #[test]
+    fn deeply_nested_call_sites_attribute_to_the_enclosing_frame() {
+        let depth = 20_000;
+        let doc = format!(
+            r#"<HPCToolkitExperiment>
+              <MetricTable><Metric i="0" n="m" t="exclusive"/></MetricTable>
+              <SecCallPathProfileData><PF i="1" n="f">{}<M n="0" v="3.5"/>{}</PF>
+            </SecCallPathProfileData></HPCToolkitExperiment>"#,
+            r#"<C i="2" l="7">"#.repeat(depth),
+            "</C>".repeat(depth)
+        );
+        let p = parse(&doc).unwrap();
+        assert_eq!(p.node_count(), 2, "C elements add no nodes");
+        let f = NodeId::from_index(1);
+        assert_eq!(p.resolve_frame(f).name, "f");
+        let m = p.metric_by_name("m").unwrap();
+        assert_eq!(p.value(f, m), 3.5);
+        assert_eq!(p.total(m), 3.5);
     }
 
     #[test]

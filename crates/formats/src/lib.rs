@@ -40,6 +40,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod collapsed;
 pub mod easyview;

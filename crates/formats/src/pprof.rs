@@ -13,7 +13,6 @@
 //! raw protobuf or gzip members (Go always gzips).
 
 use crate::FormatError;
-use ev_core::arena::{Arena, Span};
 use ev_core::fast_hash::FxHashMap;
 use ev_core::{
     ContextKind, Frame, FrameId, FrameRef, MetricDescriptor, MetricId, MetricKind, MetricUnit,
@@ -27,6 +26,7 @@ use ev_wire::{
     StreamReader, WireError, Writer,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Samples decoded through the one-pass path (`wire.onepass_samples`).
 fn onepass_samples_counter() -> &'static ev_trace::Counter {
@@ -97,8 +97,8 @@ fn unit_to_str(unit: MetricUnit) -> &'static str {
 /// CCT frames.
 ///
 /// This is the one-pass decoder: a single forward walk over the wire
-/// bytes interns strings and builds the CCT directly into
-/// arena-backed profile storage. [`parse_reference`] is the retained
+/// bytes interns strings and builds the CCT directly into the
+/// profile's columns. [`parse_reference`] is the retained
 /// two-pass decoder; the differential conformance suite proves the two
 /// produce identical profiles and identical errors on any input.
 ///
@@ -188,14 +188,14 @@ pub fn parse_streaming_with(
 }
 
 /// A `Location` record in the one-pass decoder. Its inline-line run
-/// lives in a shared [`Arena`] instead of a per-record `Vec`, so
+/// is a range of one shared `Vec` instead of a per-record `Vec`, so
 /// decoding a million locations costs one allocation, not a million.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct LocRec {
     id: u64,
     mapping_id: u64,
     address: u64,
-    lines: Span,
+    lines: Range<u32>,
 }
 
 /// Maps pprof entity ids (locations, functions, mappings) to their
@@ -291,15 +291,15 @@ fn decode_mapping(msg: &[u8]) -> Result<Mapping, WireError> {
 }
 
 /// Decodes a `Location` sub-message (profile field 4), appending its
-/// inline-line run to the shared arena.
-fn decode_location(msg: &[u8], lines: &mut Arena<Line>) -> Result<LocRec, WireError> {
+/// inline-line run to the shared `lines`.
+fn decode_location(msg: &[u8], lines: &mut Vec<Line>) -> Result<LocRec, WireError> {
     let mut loc = LocRec {
         id: 0,
         mapping_id: 0,
         address: 0,
-        lines: Span::default(),
+        lines: 0..0,
     };
-    let mark = lines.mark();
+    let start = run_end(lines);
     let mut m = Reader::new(msg);
     while let Some((f, v)) = m.next_field()? {
         match (f, v) {
@@ -321,7 +321,7 @@ fn decode_location(msg: &[u8], lines: &mut Arena<Line>) -> Result<LocRec, WireEr
             _ => {}
         }
     }
-    loc.lines = lines.span_since(mark);
+    loc.lines = start..run_end(lines);
     Ok(loc)
 }
 
@@ -367,7 +367,7 @@ fn decode_sample_payload(
 struct WalkTables {
     sample_types: Vec<ValueType>,
     locs: Vec<LocRec>,
-    lines: Arena<Line>,
+    lines: Vec<Line>,
     functions: Vec<Function>,
     mappings: Vec<Mapping>,
     time_nanos: i64,
@@ -506,12 +506,12 @@ fn fixup_profile(
     // the order is part of the conformance contract, not a detail.)
     let mut sid_memo = vec![u32::MAX; strings.len()];
     // Each location's frame run, outermost first, as frame-table ids
-    // in one shared arena.
-    let mut frame_ids: Arena<FrameId> = Arena::with_capacity(t.lines.len().max(t.locs.len()));
-    // `Span::default()` (empty) marks "not yet materialized": every
-    // materialized location yields at least one frame (unsymbolized
-    // locations synthesize one from the address).
-    let mut frame_spans: Vec<Span> = vec![Span::default(); t.locs.len()];
+    // in one shared `Vec`.
+    let mut frame_ids: Vec<FrameId> = Vec::with_capacity(t.lines.len().max(t.locs.len()));
+    // An empty range marks "not yet materialized": every materialized
+    // location yields at least one frame (unsymbolized locations
+    // synthesize one from the address).
+    let mut frame_runs: Vec<Range<u32>> = vec![0..0; t.locs.len()];
 
     // Replay the deferred samples in batches. Each sample's locations
     // resolve to frame ids outermost first, as the reference walks them,
@@ -545,13 +545,13 @@ fn fixup_profile(
                     "sample references unknown location {loc_id}"
                 )));
             };
-            let mut span = frame_spans[slot as usize];
-            if span.is_empty() {
-                span = materialize_frames(
+            let mut run = frame_runs[slot as usize].clone();
+            if run.is_empty() {
+                run = materialize_frames(
                     slot as usize,
                     &mut profile,
                     &mut frame_ids,
-                    &mut frame_spans,
+                    &mut frame_runs,
                     &mut sid_memo,
                     strings,
                     &t.locs,
@@ -562,7 +562,7 @@ fn fixup_profile(
                     &mapping_index,
                 );
             }
-            batch.frames.extend_from_slice(frame_ids.get(span));
+            batch.frames.extend_from_slice(run_of(&frame_ids, &run));
         }
         let sample = batch.ends.len() as u32;
         batch.ends.push(batch.frames.len() as u32);
@@ -633,7 +633,7 @@ fn check_sample_type_count(count: usize) -> Result<(), FormatError> {
 }
 
 /// Expands location `slot` into its frame run (outermost inline frame
-/// first) in the shared arena, interning the strings it touches and
+/// first) at the end of `frame_ids`, interning the strings it touches and
 /// the frames it yields. Called at a location's first use by a sample,
 /// so intern order matches the reference decoder's per-step
 /// `Frame::intern` order: name, module, file, per frame.
@@ -641,22 +641,22 @@ fn check_sample_type_count(count: usize) -> Result<(), FormatError> {
 fn materialize_frames(
     slot: usize,
     profile: &mut Profile,
-    frame_ids: &mut Arena<FrameId>,
-    frame_spans: &mut [Span],
+    frame_ids: &mut Vec<FrameId>,
+    frame_runs: &mut [Range<u32>],
     sid_memo: &mut [u32],
     strings: &[&str],
     locs: &[LocRec],
-    lines: &Arena<Line>,
+    lines: &[Line],
     functions: &[Function],
     function_index: &IdIndex,
     mappings: &[Mapping],
     mapping_index: &IdIndex,
-) -> Span {
-    let loc = locs[slot];
+) -> Range<u32> {
+    let loc = &locs[slot];
     let module_idx = mapping_index
         .get(loc.mapping_id)
         .map(|mslot| mappings[mslot as usize].filename);
-    let mark = frame_ids.mark();
+    let start = run_end(frame_ids);
     if loc.lines.is_empty() {
         // Unsymbolized location: synthesize a frame from the address.
         let name = profile.intern(&format!("0x{:x}", loc.address));
@@ -675,7 +675,7 @@ fn materialize_frames(
         frame_ids.push(profile.frame_id(frame));
     } else {
         // lines[0] is the leaf-most inline frame; emit outermost first.
-        for line in lines.get(loc.lines).iter().rev() {
+        for line in run_of(lines, &loc.lines).iter().rev() {
             let func = location_function(function_index, functions, line.function_id);
             let name = sid_for(profile, sid_memo, strings, func.name);
             let module = match module_idx {
@@ -694,9 +694,23 @@ fn materialize_frames(
             frame_ids.push(profile.frame_id(frame));
         }
     }
-    let span = frame_ids.span_since(mark);
-    frame_spans[slot] = span;
-    span
+    let run = start..run_end(frame_ids);
+    frame_runs[slot] = run.clone();
+    run
+}
+
+/// The end of `items` as a run bound.
+///
+/// # Panics
+///
+/// Panics if `items` already holds `u32::MAX` elements.
+fn run_end<T>(items: &[T]) -> u32 {
+    u32::try_from(items.len()).expect("run overflow")
+}
+
+/// The elements of `run`.
+fn run_of<'a, T>(items: &'a [T], run: &Range<u32>) -> &'a [T] {
+    &items[run.start as usize..run.end as usize]
 }
 
 /// Resolves a `Line`'s function id, defaulting (like the reference's

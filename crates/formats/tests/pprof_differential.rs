@@ -1,6 +1,6 @@
 //! Differential decode-conformance suite for the pprof decoders.
 //!
-//! The one-pass arena-backed decoder (`pprof::parse`) is only
+//! The one-pass decoder (`pprof::parse`) is only
 //! shippable because the two-pass reference decoder
 //! (`pprof::parse_reference`) is retained and these properties prove
 //! the two produce **identical profiles and identical errors** on any

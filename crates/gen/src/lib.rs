@@ -28,6 +28,8 @@
 //!
 //! All generators take explicit seeds and are deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod grpc_leak;
 pub mod ide_session;
 pub mod lulesh;

@@ -48,6 +48,8 @@
 //! assert_eq!(client.editor().highlighted_line, Some(10));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod client;
 pub mod rpc;
 mod server;

@@ -28,6 +28,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod parse;
 mod ser;
 mod value;

@@ -1,10 +1,12 @@
 //! The script host: binds EVscript to an `ev_core::Profile`.
 
 use crate::compile::compile;
-use crate::interp::{Interpreter, ProfileApi, DEFAULT_STEP_LIMIT};
+use crate::interp::{Interpreter, DEFAULT_STEP_LIMIT};
 use crate::parser::parse;
 use crate::ScriptError;
-use ev_core::{MetricDescriptor, MetricKind, MetricUnit, NodeId, Profile};
+use ev_core::{
+    FrameRef, MetricDescriptor, MetricId, MetricKind, MetricUnit, NodeId, Profile, StringId,
+};
 use ev_par::ExecPolicy;
 
 /// What a script run produced.
@@ -151,10 +153,7 @@ impl<'p> ScriptHost<'p> {
         &mut self,
         program: &[crate::ast::Stmt],
     ) -> Result<ScriptOutput, ScriptError> {
-        let mut api = ProfileBinding {
-            profile: self.profile,
-        };
-        let mut interp = Interpreter::new(&mut api, self.step_limit);
+        let mut interp = Interpreter::new(Binding::Write(self.profile), self.step_limit);
         let result = interp.run(program);
         self.last_steps = interp.steps();
         self.last_stdout = std::mem::take(&mut interp.stdout);
@@ -167,10 +166,12 @@ impl<'p> ScriptHost<'p> {
 
     fn run_vm(&mut self, chunk: &crate::compile::Chunk) -> Result<ScriptOutput, ScriptError> {
         ev_trace::counter("script.chunks_compiled").inc();
-        let mut api = ProfileBinding {
-            profile: self.profile,
-        };
-        let mut vm = crate::vm::Vm::new(&mut api, chunk, self.step_limit, self.policy);
+        let mut vm = crate::vm::Vm::new(
+            Binding::Write(self.profile),
+            chunk,
+            self.step_limit,
+            self.policy,
+        );
         let result = vm.run();
         self.last_steps = vm.steps();
         self.last_stdout = std::mem::take(&mut vm.stdout);
@@ -194,123 +195,125 @@ pub fn disassemble_source(source: &str) -> Result<String, ScriptError> {
     Ok(crate::compile::disassemble(&compile(&program)?))
 }
 
-// ---- profile bindings ----------------------------------------------
-//
-// `ProfileBinding` (exclusive, read-write) backs normal runs;
-// `ReadBinding` (shared, read-only) backs the VM's parallel callback
-// workers, where many threads read one profile. Both answer reads
-// through the same free functions, so the two views cannot drift.
+// ---- profile binding -----------------------------------------------
 
-fn node_of(profile: &Profile, node: usize) -> Option<NodeId> {
-    if node < profile.node_count() {
-        Some(NodeId::from_index(node))
-    } else {
-        None
-    }
+/// The profile a script run reads and writes: writable on the
+/// caller's thread, read-only in the VM's parallel callback workers,
+/// where many threads read one profile. The purity gate keeps workers
+/// off the writes; one that got there would get an error, which sends
+/// the run through the inline fallback.
+pub(crate) enum Binding<'p> {
+    /// The caller's thread: reads and writes.
+    Write(&'p mut Profile),
+    /// A parallel callback worker: reads only, and never fans out.
+    Read(&'p Profile),
 }
 
-fn metric_of(profile: &Profile, name: &str) -> Result<ev_core::MetricId, String> {
-    profile
-        .metric_by_name(name)
-        .ok_or_else(|| format!("unknown metric {name:?}"))
-}
-
-fn read_name(profile: &Profile, node: usize) -> Option<String> {
-    Some(profile.resolve_frame(node_of(profile, node)?).name)
-}
-
-fn read_file(profile: &Profile, node: usize) -> Option<String> {
-    Some(profile.resolve_frame(node_of(profile, node)?).file)
-}
-
-fn read_line(profile: &Profile, node: usize) -> Option<u32> {
-    Some(profile.resolve_frame(node_of(profile, node)?).line)
-}
-
-fn read_module(profile: &Profile, node: usize) -> Option<String> {
-    Some(profile.resolve_frame(node_of(profile, node)?).module)
-}
-
-fn read_parent(profile: &Profile, node: usize) -> Option<usize> {
-    profile
-        .node(node_of(profile, node)?)
-        .parent()
-        .map(NodeId::index)
-}
-
-fn read_children(profile: &Profile, node: usize) -> Option<Vec<usize>> {
-    Some(
-        profile
-            .node(node_of(profile, node)?)
-            .children()
-            .iter()
-            .map(|c| c.index())
-            .collect(),
-    )
-}
-
-fn read_value(profile: &Profile, node: usize, metric: &str) -> Result<f64, String> {
-    let id = metric_of(profile, metric)?;
-    let node = node_of(profile, node).ok_or("node out of range")?;
-    Ok(profile.value(node, id))
-}
-
-fn read_total(profile: &Profile, metric: &str) -> Result<f64, String> {
-    let id = metric_of(profile, metric)?;
-    Ok(profile.total(id))
-}
-
-fn read_metric_names(profile: &Profile) -> Vec<String> {
-    profile.metrics().iter().map(|m| m.name.clone()).collect()
-}
-
-struct ProfileBinding<'p> {
-    profile: &'p mut Profile,
-}
-
-impl ProfileApi for ProfileBinding<'_> {
-    fn node_count(&self) -> usize {
-        self.profile.node_count()
+impl Binding<'_> {
+    fn profile(&self) -> &Profile {
+        match self {
+            Binding::Write(profile) => profile,
+            Binding::Read(profile) => profile,
+        }
     }
 
-    fn node_name(&self, node: usize) -> Option<String> {
-        read_name(self.profile, node)
+    fn profile_mut(&mut self) -> Result<&mut Profile, String> {
+        match self {
+            Binding::Write(profile) => Ok(profile),
+            Binding::Read(_) => Err("read-only profile view".to_owned()),
+        }
     }
 
-    fn node_file(&self, node: usize) -> Option<String> {
-        read_file(self.profile, node)
+    /// The profile the VM's parallel callback workers share, or `None`
+    /// inside a worker, whose callbacks stay inline.
+    pub(crate) fn shared(&self) -> Option<&Profile> {
+        match self {
+            Binding::Write(profile) => Some(profile),
+            Binding::Read(_) => None,
+        }
     }
 
-    fn node_line(&self, node: usize) -> Option<u32> {
-        read_line(self.profile, node)
+    fn node(&self, node: usize) -> Option<NodeId> {
+        (node < self.profile().node_count()).then(|| NodeId::from_index(node))
     }
 
-    fn node_module(&self, node: usize) -> Option<String> {
-        read_module(self.profile, node)
+    fn metric(&self, name: &str) -> Result<MetricId, String> {
+        self.profile()
+            .metric_by_name(name)
+            .ok_or_else(|| format!("unknown metric {name:?}"))
     }
 
-    fn node_parent(&self, node: usize) -> Option<usize> {
-        read_parent(self.profile, node)
+    /// One of a node's frame strings.
+    fn frame_string(&self, node: usize, field: fn(FrameRef) -> StringId) -> Option<String> {
+        let profile = self.profile();
+        let frame = profile.node(self.node(node)?).frame();
+        Some(profile.strings().resolve(field(frame)).to_owned())
     }
 
-    fn node_children(&self, node: usize) -> Option<Vec<usize>> {
-        read_children(self.profile, node)
+    /// Number of nodes (node handles are `0..count`).
+    pub(crate) fn node_count(&self) -> usize {
+        self.profile().node_count()
     }
 
-    fn get_value(&self, node: usize, metric: &str) -> Result<f64, String> {
-        read_value(self.profile, node, metric)
+    /// Function/object name of a node.
+    pub(crate) fn node_name(&self, node: usize) -> Option<String> {
+        self.frame_string(node, |f| f.name)
     }
 
-    fn set_value(&mut self, node: usize, metric: &str, value: f64) -> Result<(), String> {
-        let id = metric_of(self.profile, metric)?;
-        let node = node_of(self.profile, node).ok_or("node out of range")?;
-        self.profile.set_value(node, id, value);
+    /// Source file of a node ("" if unknown).
+    pub(crate) fn node_file(&self, node: usize) -> Option<String> {
+        self.frame_string(node, |f| f.file)
+    }
+
+    /// Source line of a node (0 if unknown).
+    pub(crate) fn node_line(&self, node: usize) -> Option<u32> {
+        Some(self.profile().node(self.node(node)?).frame().line)
+    }
+
+    /// Load module of a node ("" if unknown).
+    pub(crate) fn node_module(&self, node: usize) -> Option<String> {
+        self.frame_string(node, |f| f.module)
+    }
+
+    /// Parent handle, `None` for the root (or invalid handles).
+    pub(crate) fn node_parent(&self, node: usize) -> Option<usize> {
+        self.profile()
+            .node(self.node(node)?)
+            .parent()
+            .map(NodeId::index)
+    }
+
+    /// Child handles.
+    pub(crate) fn node_children(&self, node: usize) -> Option<Vec<usize>> {
+        let children = self.profile().node(self.node(node)?).children();
+        Some(children.iter().map(|c| c.index()).collect())
+    }
+
+    /// Value of the named metric at a node.
+    pub(crate) fn get_value(&self, node: usize, metric: &str) -> Result<f64, String> {
+        let id = self.metric(metric)?;
+        let node = self.node(node).ok_or("node out of range")?;
+        Ok(self.profile().value(node, id))
+    }
+
+    /// Overwrites the named metric at a node.
+    pub(crate) fn set_value(
+        &mut self,
+        node: usize,
+        metric: &str,
+        value: f64,
+    ) -> Result<(), String> {
+        let id = self.metric(metric)?;
+        let node = self.node(node).ok_or("node out of range")?;
+        self.profile_mut()?.set_value(node, id, value);
         Ok(())
     }
 
-    fn add_metric(&mut self, name: &str) -> Result<(), String> {
-        if self.profile.metric_by_name(name).is_none() {
-            self.profile.add_metric(
+    /// Registers a metric channel (idempotent).
+    pub(crate) fn add_metric(&mut self, name: &str) -> Result<(), String> {
+        let profile = self.profile_mut()?;
+        if profile.metric_by_name(name).is_none() {
+            profile.add_metric(
                 MetricDescriptor::new(name, MetricUnit::Count, MetricKind::Point)
                     .with_description("script-derived metric"),
             );
@@ -318,74 +321,19 @@ impl ProfileApi for ProfileBinding<'_> {
         Ok(())
     }
 
-    fn total(&self, metric: &str) -> Result<f64, String> {
-        read_total(self.profile, metric)
+    /// Sum of the named metric over all nodes.
+    pub(crate) fn total(&self, metric: &str) -> Result<f64, String> {
+        let id = self.metric(metric)?;
+        Ok(self.profile().total(id))
     }
 
-    fn metric_names(&self) -> Vec<String> {
-        read_metric_names(self.profile)
-    }
-
-    fn profile(&self) -> Option<&Profile> {
-        Some(self.profile)
-    }
-}
-
-/// Read-only profile view for the VM's parallel callback workers. The
-/// purity gate guarantees workers never reach the mutating methods;
-/// they error defensively rather than panic, which routes the run
-/// through the inline fallback.
-pub(crate) struct ReadBinding<'p> {
-    pub(crate) profile: &'p Profile,
-}
-
-impl ProfileApi for ReadBinding<'_> {
-    fn node_count(&self) -> usize {
-        self.profile.node_count()
-    }
-
-    fn node_name(&self, node: usize) -> Option<String> {
-        read_name(self.profile, node)
-    }
-
-    fn node_file(&self, node: usize) -> Option<String> {
-        read_file(self.profile, node)
-    }
-
-    fn node_line(&self, node: usize) -> Option<u32> {
-        read_line(self.profile, node)
-    }
-
-    fn node_module(&self, node: usize) -> Option<String> {
-        read_module(self.profile, node)
-    }
-
-    fn node_parent(&self, node: usize) -> Option<usize> {
-        read_parent(self.profile, node)
-    }
-
-    fn node_children(&self, node: usize) -> Option<Vec<usize>> {
-        read_children(self.profile, node)
-    }
-
-    fn get_value(&self, node: usize, metric: &str) -> Result<f64, String> {
-        read_value(self.profile, node, metric)
-    }
-
-    fn set_value(&mut self, _node: usize, _metric: &str, _value: f64) -> Result<(), String> {
-        Err("read-only profile view".to_owned())
-    }
-
-    fn add_metric(&mut self, _name: &str) -> Result<(), String> {
-        Err("read-only profile view".to_owned())
-    }
-
-    fn total(&self, metric: &str) -> Result<f64, String> {
-        read_total(self.profile, metric)
-    }
-
-    fn metric_names(&self) -> Vec<String> {
-        read_metric_names(self.profile)
+    /// Names of all registered metrics.
+    pub(crate) fn metric_names(&self) -> Vec<String> {
+        self.profile()
+            .metrics()
+            .iter()
+            .map(|m| m.name.clone())
+            .collect()
     }
 }
 

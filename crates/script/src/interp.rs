@@ -1,6 +1,7 @@
 //! The EVscript tree-walking interpreter.
 
 use crate::ast::{BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
+use crate::host::Binding;
 use crate::ScriptError;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -144,43 +145,6 @@ impl fmt::Display for Value {
     }
 }
 
-/// The profile primitives the interpreter's builtins are written
-/// against. `ScriptHost` implements this over an `ev_core::Profile`;
-/// tests can implement it over anything.
-pub trait ProfileApi {
-    /// Number of nodes (node handles are `0..count`).
-    fn node_count(&self) -> usize;
-    /// Function/object name of a node.
-    fn node_name(&self, node: usize) -> Option<String>;
-    /// Source file of a node ("" if unknown).
-    fn node_file(&self, node: usize) -> Option<String>;
-    /// Source line of a node (0 if unknown).
-    fn node_line(&self, node: usize) -> Option<u32>;
-    /// Load module of a node ("" if unknown).
-    fn node_module(&self, node: usize) -> Option<String>;
-    /// Parent handle, `None` for the root (or invalid handles).
-    fn node_parent(&self, node: usize) -> Option<usize>;
-    /// Child handles.
-    fn node_children(&self, node: usize) -> Option<Vec<usize>>;
-    /// Value of the named metric at a node.
-    fn get_value(&self, node: usize, metric: &str) -> Result<f64, String>;
-    /// Overwrites the named metric at a node.
-    fn set_value(&mut self, node: usize, metric: &str, value: f64) -> Result<(), String>;
-    /// Registers a metric channel (idempotent).
-    fn add_metric(&mut self, name: &str) -> Result<(), String>;
-    /// Sum of the named metric over all nodes.
-    fn total(&self, metric: &str) -> Result<f64, String>;
-    /// Names of all registered metrics.
-    fn metric_names(&self) -> Vec<String>;
-    /// Shared read-only view of the underlying profile, when the host
-    /// can provide one. The bytecode engine fans side-effect-free node
-    /// callbacks out over worker threads that read through this;
-    /// `None` (the default) keeps every visit inline.
-    fn profile(&self) -> Option<&ev_core::Profile> {
-        None
-    }
-}
-
 /// Control flow result of executing statements.
 enum Flow {
     Normal,
@@ -189,9 +153,9 @@ enum Flow {
     Continue,
 }
 
-/// The interpreter: globals + call-frame locals over a [`ProfileApi`].
+/// The interpreter: globals + call-frame locals over a [`Binding`].
 pub(crate) struct Interpreter<'h> {
-    host: &'h mut dyn ProfileApi,
+    host: Binding<'h>,
     globals: HashMap<String, Value>,
     /// Local scopes of the active call chain; lookups see the innermost
     /// frame then globals (no closures — functions capture nothing).
@@ -202,7 +166,7 @@ pub(crate) struct Interpreter<'h> {
 }
 
 impl<'h> Interpreter<'h> {
-    pub fn new(host: &'h mut dyn ProfileApi, step_limit: u64) -> Interpreter<'h> {
+    pub fn new(host: Binding<'h>, step_limit: u64) -> Interpreter<'h> {
         Interpreter {
             host,
             globals: HashMap::new(),

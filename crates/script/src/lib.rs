@@ -50,6 +50,8 @@
 //! assert_eq!(out.stdout, "total: 10\n");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod ast;
 mod compile;
 mod host;

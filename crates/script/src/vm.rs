@@ -33,7 +33,8 @@
 
 use crate::ast::{BinOp, UnOp};
 use crate::compile::{Builtin, Chunk, Op, MAX_CALL_DEPTH, NO_SLOT};
-use crate::interp::{value_snapshot, ProfileApi, Value, VmFunc, SNAPSHOT_DEPTH_LIMIT};
+use crate::host::Binding;
+use crate::interp::{value_snapshot, Value, VmFunc, SNAPSHOT_DEPTH_LIMIT};
 use crate::ScriptError;
 use ev_par::ExecPolicy;
 use std::rc::Rc;
@@ -44,7 +45,7 @@ const PAR_MIN_CHUNK: usize = 16;
 
 /// The bytecode interpreter for one compiled chunk.
 pub(crate) struct Vm<'h, 'c> {
-    host: &'h mut dyn ProfileApi,
+    host: Binding<'h>,
     chunk: &'c Chunk,
     /// Chunk string constants pre-wrapped for cheap `Value::Str` pushes
     /// (one `Rc` bump instead of a `String` allocation per push).
@@ -95,7 +96,7 @@ struct Frame {
 
 impl<'h, 'c> Vm<'h, 'c> {
     pub(crate) fn new(
-        host: &'h mut dyn ProfileApi,
+        host: Binding<'h>,
         chunk: &'c Chunk,
         step_limit: u64,
         policy: ExecPolicy,
@@ -852,7 +853,7 @@ impl<'h, 'c> Vm<'h, 'c> {
         let policy = self.policy;
         let proto_idx = func.proto;
         let (results, total_steps, total_ops) = {
-            let profile = self.host.profile()?;
+            let profile = self.host.shared()?;
             parallel_nodes(profile, chunk, proto_idx, count, budget, depth, policy)?
         };
         if total_steps > budget {
@@ -1121,8 +1122,8 @@ fn parallel_nodes(
     let tasks = policy.threads.min(count.div_ceil(PAR_MIN_CHUNK));
     let ranges = ev_par::chunk_bounds(count, tasks);
     let outcomes: Vec<ChunkOutcome> = ev_par::fan_out(ranges, policy, |range| {
-        let mut host = crate::host::ReadBinding { profile };
-        let mut vm = Vm::new(&mut host, chunk, budget, ExecPolicy::SEQUENTIAL);
+        let binding = Binding::Read(profile);
+        let mut vm = Vm::new(binding, chunk, budget, ExecPolicy::SEQUENTIAL);
         vm.depth = depth;
         let arity = chunk.protos[proto as usize].arity;
         let callback = Value::VmFunc(Rc::new(VmFunc { proto, arity }));

@@ -49,6 +49,8 @@
 //! Setting `EV_TEST_SEED` pins the master seed for the run;
 //! `EV_TEST_CASES` overrides the case count.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod profiles;
 pub mod rng;

@@ -33,6 +33,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod reader;
 mod stream;
 mod varint;

@@ -25,6 +25,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::error::Error;
 use std::fmt;
 

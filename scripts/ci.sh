@@ -4,6 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== no unsafe in library crates =="
+# Every library crate root forbids `unsafe`; only binaries and tests
+# (the counting allocators) may hold it.
+for lib in crates/*/src/lib.rs; do
+    grep -qx '#!\[forbid(unsafe_code)\]' "$lib" \
+        || { echo "FAIL: $lib lacks #![forbid(unsafe_code)]" >&2; exit 1; }
+done
+
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 

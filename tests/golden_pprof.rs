@@ -114,8 +114,8 @@ fn fixtures_decode_to_golden_profiles() {
         let raw = gzip_decompress(&bytes).expect("fixture inflates");
         let from_raw = ev_formats::pprof::parse(&raw).expect("raw body decodes");
         assert_eq!(
-            ev_formats::easyview::write(&from_raw),
-            ev_formats::easyview::write(&profile),
+            ev_core::format::to_bytes(&from_raw),
+            ev_core::format::to_bytes(&profile),
             "{}",
             golden.file
         );
@@ -139,10 +139,10 @@ fn fixtures_decode_to_golden_profiles() {
 fn fixtures_round_trip_through_native_format() {
     for golden in &GOLDENS {
         let (_, profile) = load_fixture(golden);
-        let native = ev_formats::easyview::write(&profile);
+        let native = ev_core::format::to_bytes(&profile);
         let back = ev_formats::easyview::parse(&native).expect("native parses");
         // Re-encoding the re-decoded profile is byte-stable.
-        assert_eq!(ev_formats::easyview::write(&back), native, "{}", golden.file);
+        assert_eq!(ev_core::format::to_bytes(&back), native, "{}", golden.file);
         assert_eq!(back.node_count(), profile.node_count(), "{}", golden.file);
     }
 }

@@ -15,7 +15,7 @@ use ev_test::prelude::*;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn easyview_bytes(p: &Profile) -> Vec<u8> {
-    ev_formats::easyview::write(p)
+    ev_core::format::to_bytes(p)
 }
 
 /// Frames with full code mapping, since a copy must carry every field:

@@ -84,8 +84,8 @@ fn converts_identically_to_the_single_member_source() {
     let from_multi = ev_formats::pprof::parse(&multi).unwrap();
     assert_eq!(from_multi, from_single);
     assert_eq!(
-        ev_formats::easyview::write(&from_multi),
-        ev_formats::easyview::write(&from_single)
+        ev_core::format::to_bytes(&from_multi),
+        ev_core::format::to_bytes(&from_single)
     );
 }
 

@@ -590,7 +590,7 @@ fn kinds_profile(samples: &[Sample]) -> Profile {
 
 /// The profile as written to and read back from EVPF bytes.
 fn evpf_decoded(p: &Profile) -> Profile {
-    ev_formats::easyview::parse(&ev_formats::easyview::write(p)).expect("EVPF round trip")
+    ev_formats::easyview::parse(&ev_core::format::to_bytes(p)).expect("EVPF round trip")
 }
 
 fn fixture_dir() -> PathBuf {

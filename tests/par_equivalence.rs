@@ -15,7 +15,7 @@ use ev_test::profiles::arb_profile_batch;
 const THREADS: [usize; 3] = [2, 4, 8];
 
 fn easyview_bytes(p: &Profile) -> Vec<u8> {
-    ev_formats::easyview::write(p)
+    ev_core::format::to_bytes(p)
 }
 
 property! {
